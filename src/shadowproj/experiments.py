@@ -178,7 +178,12 @@ def _parallel_map(fn: Callable, tasks: list) -> list:
 
     Results are ordered like the tasks, so scheduling cannot change output.
     """
-    workers = int(os.environ.get("SHADOW_THREADS", "1") or "1")
+    value = os.environ.get("SHADOW_THREADS", "1") or "1"
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ConfigError(f"SHADOW_THREADS must be an integer, got "
+                          f"{value!r}") from None
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

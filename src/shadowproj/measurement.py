@@ -131,6 +131,8 @@ def derandomize_plan(obs_list: Sequence[PauliString],
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if not obs_list:
+        raise ValueError("no target observables to derandomize a plan for")
     codes = _observable_codes(obs_list)
     n_obs, q = codes.shape
     w = np.ones(n_obs) if weights is None else np.asarray(weights, dtype=float)

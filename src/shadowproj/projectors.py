@@ -25,7 +25,7 @@ import numpy as np
 from .paulis import (LETTERS, PAULI_MATRICES, PauliString, SingleQubitGate,
                      WeightedPauliSum, decompose_2x2, letter_product,
                      multiply_sums)
-from .shadows import ClassicalShadow, _shadow_arrays
+from .shadows import ClassicalShadow
 from .shadows import estimate as shadow_estimate
 from .shadows import reconstruct_density
 from .statevector import phase_gate, ry, rz
@@ -44,6 +44,20 @@ def _build_perm_tables():
 
 
 _PERM = _build_perm_tables()
+
+
+# Per-qubit trace kernel on the six (basis, bit) symbols s = 2 * code + bit:
+# _LETTER_KERNEL[L][m, s] = Tr[L P_m (3 r_s - I)], so a gate with Pauli
+# coefficients c under observable letter L has the factor c @ K_L on s.
+def _build_letter_kernels():
+    kernel = np.zeros((4, 6))
+    kernel[0] = 1.0
+    for code in range(3):
+        kernel[code + 1, 2 * code:2 * code + 2] = (3.0, -3.0)
+    return {left: _PERM[left].T @ kernel for left in LETTERS}
+
+
+_LETTER_KERNEL = _build_letter_kernels()
 
 
 class EmptySectorWarning(UserWarning):
@@ -297,34 +311,52 @@ def spin_sector_projectors(num_qubits: int, n_points: int
             for s, m in spin_sectors(num_qubits)]
 
 
-def _term_products(shadow: ClassicalShadow, letters: Sequence[str],
-                   gates: tuple, chunk: int = 4096) -> np.ndarray:
+def _distinct_symbols(shadow: ClassicalShadow
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (M', q) symbol rows 2 * code + bit, in lexicographic order,
+    and their weights: the fraction of snapshots equal to each row."""
+    symbols = 2 * shadow.codes + shadow.outcomes
+    symbols = symbols[np.lexsort(symbols.T[::-1])]
+    first = np.ones(len(symbols), dtype=bool)
+    first[1:] = (symbols[1:] != symbols[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(symbols))
+    return symbols[starts].astype(np.intp), counts / len(symbols)
+
+
+def _gate_coeffs(gates: tuple) -> np.ndarray:
+    """(terms, q, 4) Pauli coefficients of every gate."""
+    return np.array([[gate.pauli_coeffs for gate in row] for row in gates],
+                    dtype=complex)
+
+
+def _term_products(symbols: tuple[np.ndarray, np.ndarray],
+                   letters: Sequence[str], gate_coeffs: np.ndarray,
+                   chunk: int = 1 << 16) -> np.ndarray:
     """Snapshot-mean of prod_j sum_m alpha_m Tr[P_j P'_m (3r - I)] per term.
 
-    Returns one complex mean per LCU term; the caller contracts with betas.
+    A qubit's factor depends only on its (basis, bit) symbol, so every term
+    gets a table of six values per qubit, the product over qubits runs once
+    per distinct symbol row, and the rows are weighted by their frequency.
+    ``chunk`` bounds the (terms x rows) block in elements. Returns one
+    complex mean per LCU term; the caller contracts with betas. The
+    weighting is a product and a sum, not a matrix-vector product: threaded
+    BLAS takes milliseconds per call at these shapes.
     """
-    bases, outcomes = _shadow_arrays(shadow)
-    n_snap, q = bases.shape
-    n_terms = len(gates)
-    coeffs = np.empty((n_terms, q, 4), dtype=complex)
-    for k, row in enumerate(gates):
-        for j in range(q):
-            coeffs[k, j] = _PERM[letters[j]] @ np.asarray(row[j].pauli_coeffs)
-    sign3 = 3.0 * (1.0 - 2.0 * outcomes)
+    rows, weights = symbols
+    n_terms, q, _ = gate_coeffs.shape
+    kernels = np.stack([_LETTER_KERNEL[letter] for letter in letters])
+    # table[j, k, s]: factor of term k on qubit j under symbol s
+    table = np.einsum("kjm,jms->jks", gate_coeffs, kernels)
+    step = max(1, chunk // n_terms)
     out = np.zeros(n_terms, dtype=complex)
-    for start in range(0, n_snap, chunk):
-        stop = min(start + chunk, n_snap)
-        width = stop - start
-        block = np.ones((n_terms, width), dtype=complex)
-        for j in range(q):
-            kernel = np.empty((4, width))
-            kernel[0] = 1.0
-            for code in range(3):
-                kernel[code + 1] = (sign3[start:stop, j]
-                                    * (bases[start:stop, j] == code))
-            block *= coeffs[:, j, :] @ kernel
+    for start in range(0, rows.shape[0], step):
+        sym = rows[start:start + step]
+        block = table[0].take(sym[:, 0], axis=1) * weights[start:start + step]
+        for j in range(1, q):
+            block *= table[j].take(sym[:, j], axis=1)
         out += block.sum(axis=1)
-    return out / n_snap
+    return out
 
 
 def expand_projected_observable(obs: WeightedPauliSum,
@@ -349,26 +381,7 @@ def projected_estimate(shadow: ClassicalShadow, obs: WeightedPauliSum,
     positive. Prescribed-basis shadows are handled through the enlarged
     Pauli set with the direct compatible-count estimator.
     """
-    if obs.num_qubits != shadow.num_qubits \
-            or proj.num_qubits != shadow.num_qubits:
-        raise ValueError("qubit counts of shadow, observable and projector "
-                         "must agree")
-    if shadow.prescribed:
-        num = shadow_estimate(shadow, expand_projected_observable(obs, proj))
-        norm = shadow_estimate(shadow, proj.to_pauli_sum())
-    else:
-        betas = np.asarray(proj.betas)
-        iden = ("I",) * shadow.num_qubits
-        prods_norm = _term_products(shadow, iden, proj.gates)
-        norm = float((betas @ prods_norm).real)
-        total = 0j
-        for coeff, string in obs.terms:
-            prods = (prods_norm if string.letters == iden
-                     else _term_products(shadow, string.letters, proj.gates))
-            total += coeff * string.phase * (betas @ prods)
-        num = float(total.real)
-    _warn_if_empty(norm, proj.label)
-    return num, norm
+    return projected_estimate_sectors(shadow, obs, [proj])[0]
 
 
 def projected_estimate_sectors(shadow: ClassicalShadow,
@@ -379,29 +392,47 @@ def projected_estimate_sectors(shadow: ClassicalShadow,
 
     Projectors sharing their ``gates`` object (sector families) reuse the
     per-term snapshot products, so the whole decomposition costs one pass
-    over the shadow. Results match :func:`projected_estimate` exactly.
+    over the distinct snapshots. Results match :func:`projected_estimate`.
     """
+    if obs.num_qubits != shadow.num_qubits \
+            or any(p.num_qubits != shadow.num_qubits for p in projectors):
+        raise ValueError("qubit counts of shadow, observable and projector "
+                         "must agree")
     if shadow.prescribed:
-        return [projected_estimate(shadow, obs, p) for p in projectors]
-    results: list[tuple[float, float] | None] = [None] * len(projectors)
+        results = [(shadow_estimate(shadow,
+                                    expand_projected_observable(obs, p)),
+                    shadow_estimate(shadow, p.to_pauli_sum()))
+                   for p in projectors]
+    else:
+        results = _random_sectors(shadow, obs, projectors)
+    for proj, (_, norm) in zip(projectors, results):
+        _warn_if_empty(norm, proj.label)
+    return results
+
+
+def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
+                    projectors: Sequence[ProjectorLCU]
+                    ) -> list[tuple[float, float]]:
+    results: list[tuple[float, float]] = [(0.0, 0.0)] * len(projectors)
+    symbols = _distinct_symbols(shadow)
+    iden = ("I",) * shadow.num_qubits
     by_gates: dict[int, list[int]] = {}
     for i, proj in enumerate(projectors):
         by_gates.setdefault(id(proj.gates), []).append(i)
     for indices in by_gates.values():
-        gates = projectors[indices[0]].gates
-        iden = ("I",) * shadow.num_qubits
-        prods_norm = _term_products(shadow, iden, gates)
+        gate_coeffs = _gate_coeffs(projectors[indices[0]].gates)
+        prods_norm = _term_products(symbols, iden, gate_coeffs)
         prods_obs = [(coeff * string.phase,
                       prods_norm if string.letters == iden
-                      else _term_products(shadow, string.letters, gates))
+                      else _term_products(symbols, string.letters,
+                                          gate_coeffs))
                      for coeff, string in obs.terms]
         for i in indices:
             betas = np.asarray(projectors[i].betas)
             norm = float((betas @ prods_norm).real)
             num = float(sum(c * (betas @ p) for c, p in prods_obs).real)
-            _warn_if_empty(norm, projectors[i].label)
             results[i] = (num, norm)
-    return results  # type: ignore[return-value]
+    return results
 
 
 def reconstruct_projected_density(shadow: ClassicalShadow,

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .paulis import WeightedPauliSum
-from .statevector import (BASIS_ROTATIONS, I2, Statevector, bits_to_string,
-                          rotate_to_bases, string_to_bits)
+from .statevector import BASIS_ROTATIONS, I2, Statevector, rotate_to_bases
 
 BASIS_LETTERS = ("X", "Y", "Z")
 BASIS_CODE = {"X": 0, "Y": 1, "Z": 2}
@@ -62,42 +61,86 @@ class Snapshot:
         return len(self.bases)
 
 
-@dataclass(frozen=True)
+class InvalidSnapshot(ValueError):
+    """A snapshot with a basis code outside {X, Y, Z} or a bit outside
+    {0, 1}; ``index`` is its position in the shadow."""
+
+    rule = "bases must be X, Y or Z and outcome bits 0 or 1"
+
+    def __init__(self, index: int):
+        super().__init__(f"snapshot {index}: {self.rule}")
+        self.index = index
+
+
 class ClassicalShadow:
     """An ordered collection of snapshots plus the seed that produced it.
 
+    The snapshots are held as two read-only (M, q) int8 arrays: ``codes``
+    (basis per qubit, X=0, Y=1, Z=2) and ``outcomes`` (bit per qubit).
     ``prescribed`` records whether the bases came from a measurement plan
     rather than the uniform-random ensemble; it selects the estimator in
-    :func:`estimate` and is not part of the on-disk format.
+    :func:`estimate`.
+
+    ``ClassicalShadow(q, snapshots, seed)`` converts Snapshot objects once;
+    :meth:`from_arrays` takes the arrays directly.
     """
 
-    num_qubits: int
-    snapshots: tuple[Snapshot, ...]
-    seed: int
-    prescribed: bool = False
+    __slots__ = ("codes", "outcomes", "seed", "prescribed")
 
-    def __post_init__(self):
-        if len(self.snapshots) < 1:
-            raise ValueError("a shadow needs at least one snapshot")
-        if any(s.num_qubits != self.num_qubits for s in self.snapshots):
+    def __init__(self, num_qubits: int, snapshots: Sequence[Snapshot],
+                 seed: int, prescribed: bool = False):
+        snapshots = tuple(snapshots)
+        if any(s.num_qubits != num_qubits for s in snapshots):
             raise ValueError("all snapshots must share num_qubits")
-        object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        shape = (len(snapshots), num_qubits)
+        codes = np.array([[BASIS_CODE[b] for b in s.bases]
+                          for s in snapshots], dtype=np.int8).reshape(shape)
+        outcomes = np.array([s.outcome for s in snapshots],
+                            dtype=np.int64).reshape(shape)
+        self._assign(codes, outcomes, seed, prescribed)
+
+    @classmethod
+    def from_arrays(cls, codes: np.ndarray, outcomes: np.ndarray, seed: int,
+                    prescribed: bool = False) -> "ClassicalShadow":
+        shadow = cls.__new__(cls)
+        shadow._assign(codes, outcomes, seed, prescribed)
+        return shadow
+
+    def _assign(self, codes, outcomes, seed, prescribed) -> None:
+        """The one entry point of snapshot data: validate, then freeze."""
+        codes, outcomes = np.asarray(codes), np.asarray(outcomes)
+        if codes.ndim != 2 or codes.shape != outcomes.shape:
+            raise ValueError("codes and outcomes must be equal (M, q) arrays")
+        if codes.shape[0] < 1:
+            raise ValueError("a shadow needs at least one snapshot")
+        bad = ((codes < 0) | (codes > 2) | (outcomes < 0) | (outcomes > 1)
+               ).any(axis=1)
+        if bad.any():
+            raise InvalidSnapshot(int(np.argmax(bad)))
+        for name, arr in (("codes", codes), ("outcomes", outcomes)):
+            arr = arr.astype(np.int8)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "prescribed", bool(prescribed))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClassicalShadow is immutable")
+
+    @property
+    def num_qubits(self) -> int:
+        return self.codes.shape[1]
+
+    @property
+    def snapshots(self) -> tuple[Snapshot, ...]:
+        """Snapshot objects built from the arrays on every access."""
+        return tuple(Snapshot(tuple(BASIS_LETTERS[c] for c in row),
+                              tuple(bits))
+                     for row, bits in zip(self.codes.tolist(),
+                                          self.outcomes.tolist()))
 
     def __len__(self) -> int:
-        return len(self.snapshots)
-
-
-def _shadow_arrays(shadow: ClassicalShadow) -> tuple[np.ndarray, np.ndarray]:
-    """(bases, outcomes) as (M, q) int8 arrays, cached on the instance."""
-    cached = getattr(shadow, "_arrays", None)
-    if cached is None:
-        bases = np.array([[BASIS_CODE[b] for b in s.bases]
-                          for s in shadow.snapshots], dtype=np.int8)
-        outcomes = np.array([s.outcome for s in shadow.snapshots],
-                            dtype=np.int8)
-        cached = (bases, outcomes)
-        object.__setattr__(shadow, "_arrays", cached)
-    return cached
+        return self.codes.shape[0]
 
 
 def acquire_shadow(state: Statevector, shots: int, seed: int,
@@ -140,13 +183,7 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
         idx = np.minimum(idx, cdf.size - 1)
         outcomes[members] = (idx[:, None] >> np.arange(q)) & 1
 
-    snapshots = tuple(
-        Snapshot(tuple(BASIS_LETTERS[c] for c in codes[n]),
-                 tuple(int(b) for b in outcomes[n]))
-        for n in range(shots))
-    shadow = ClassicalShadow(q, snapshots, seed, prescribed)
-    object.__setattr__(shadow, "_arrays", (codes, outcomes))
-    return shadow
+    return ClassicalShadow.from_arrays(codes, outcomes, seed, prescribed)
 
 
 def qubit_trace_factor(basis: str, outcome_bit: int, p: str) -> int:
@@ -161,7 +198,7 @@ def qubit_trace_factor(basis: str, outcome_bit: int, p: str) -> int:
 def _per_snapshot_values(shadow: ClassicalShadow,
                          obs: WeightedPauliSum) -> np.ndarray:
     """Inverse-channel estimator value of obs on every snapshot."""
-    bases, outcomes = _shadow_arrays(shadow)
+    bases, outcomes = shadow.codes, shadow.outcomes
     sign3 = 3.0 * (1.0 - 2.0 * outcomes)
     totals = np.zeros(len(shadow), dtype=complex)
     for coeff, string in obs.terms:
@@ -174,7 +211,7 @@ def _per_snapshot_values(shadow: ClassicalShadow,
 
 def _estimate_prescribed(shadow: ClassicalShadow,
                          obs: WeightedPauliSum) -> float:
-    bases, outcomes = _shadow_arrays(shadow)
+    bases, outcomes = shadow.codes, shadow.outcomes
     sign = 1.0 - 2.0 * outcomes
     total = 0j
     for coeff, string in obs.terms:
@@ -233,14 +270,16 @@ def reconstruct_density(shadow: ClassicalShadow,
     if shadow.num_qubits > max_qubits:
         raise ValueError(
             f"dense reconstruction limited to q <= {max_qubits}")
-    dim = 2 ** shadow.num_qubits
-    acc = np.zeros((dim, dim), dtype=complex)
-    counts: dict[tuple, int] = {}
-    for snap in shadow.snapshots:
-        key = (snap.bases, snap.outcome)
-        counts[key] = counts.get(key, 0) + 1
-    for (bases, outcome), count in counts.items():
-        acc += count * snapshot_density(Snapshot(bases, outcome))
+    q = shadow.num_qubits
+    acc = np.zeros((2 ** q, 2 ** q), dtype=complex)
+    keys, first, counts = np.unique(
+        np.hstack([shadow.codes, shadow.outcomes]), axis=0,
+        return_index=True, return_counts=True)
+    # distinct snapshots in order of first appearance
+    for i in np.argsort(first):
+        snap = Snapshot(tuple(BASIS_LETTERS[c] for c in keys[i, :q]),
+                        tuple(keys[i, q:]))
+        acc += counts[i] * snapshot_density(snap)
     return acc / len(shadow)
 
 
@@ -263,25 +302,62 @@ def iter_snapshot_distribution(state: Statevector
             yield Snapshot(combo, bits), float(p)
 
 
+_LETTER_BYTES = np.frombuffer("".join(BASIS_LETTERS).encode(), np.uint8)
+_BYTE_CODES = np.full(256, -1, dtype=np.int8)
+_BYTE_CODES[_LETTER_BYTES] = np.arange(3)
+
+
 def save_shadow(shadow: ClassicalShadow, path: str | Path) -> None:
-    """Write the text format: header ``q= M= seed=`` then one line per
+    """Write the text format: header ``q= M= seed=`` (plus
+    ``protocol=prescribed`` for plan-based shadows), then one line per
     snapshot, basis letters and outcome bits most-significant qubit first."""
-    lines = [f"q={shadow.num_qubits} M={len(shadow)} seed={shadow.seed}"]
-    for snap in shadow.snapshots:
-        letters = "".join(reversed(snap.bases))
-        lines.append(f"{letters} {bits_to_string(snap.outcome)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = f"q={shadow.num_qubits} M={len(shadow)} seed={shadow.seed}"
+    if shadow.prescribed:
+        header += " protocol=prescribed"
+    q = shadow.num_qubits
+    rows = np.empty((len(shadow), 2 * q + 2), dtype=np.uint8)
+    rows[:, :q] = _LETTER_BYTES[shadow.codes[:, ::-1]]
+    rows[:, q] = ord(" ")
+    rows[:, q + 1:-1] = ord("0") + shadow.outcomes[:, ::-1]
+    rows[:, -1] = ord("\n")
+    Path(path).write_bytes(header.encode() + b"\n" + rows.tobytes())
 
 
 def load_shadow(path: str | Path, prescribed: bool = False) -> ClassicalShadow:
-    text = Path(path).read_text().strip().splitlines()
-    header = dict(item.split("=") for item in text[0].split())
-    q, m, seed = int(header["q"]), int(header["M"]), int(header["seed"])
-    snapshots = []
-    for line in text[1:]:
-        letters, bits = line.split()
-        snapshots.append(Snapshot(tuple(reversed(letters)),
-                                  string_to_bits(bits)))
-    if len(snapshots) != m:
-        raise ValueError(f"header says M={m} but found {len(snapshots)}")
-    return ClassicalShadow(q, tuple(snapshots), seed, prescribed)
+    """Read the format of :func:`save_shadow`.
+
+    The protocol comes from the header; a file without ``protocol=`` reads
+    as a random shadow, and ``prescribed=True`` forces the prescribed one.
+    Malformed input raises ValueError naming the offending line.
+    """
+    lines = Path(path).read_text().strip().splitlines()
+    try:
+        header = dict(item.split("=") for item in lines[0].split())
+        q, m, seed = int(header["q"]), int(header["M"]), int(header["seed"])
+        protocol = header.get("protocol", "random")
+        if q < 1 or protocol not in ("random", "prescribed"):
+            raise ValueError(f"q={q} protocol={protocol}")
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path} line 1: bad header: {exc}") from None
+    body = lines[1:]
+    if len(body) != m:
+        raise ValueError(f"{path}: header says M={m} but found {len(body)} "
+                         "snapshot lines")
+    width = 2 * q + 1
+    lengths = np.fromiter(map(len, body), dtype=np.int64, count=m)
+    bad = np.flatnonzero(lengths != width)
+    if not bad.size:
+        rows = np.frombuffer("".join(body).encode("ascii", "replace"),
+                             dtype=np.uint8).reshape(m, width)
+        bad = np.flatnonzero(rows[:, q] != ord(" "))
+    if bad.size:
+        raise ValueError(f"{path} line {bad[0] + 2}: expected {q} basis "
+                         f"letters, a space and {q} bits, got "
+                         f"{body[bad[0]]!r}")
+    try:
+        return ClassicalShadow.from_arrays(
+            _BYTE_CODES[rows[:, q - 1::-1]], rows[:, :q:-1] - ord("0"),
+            seed, prescribed or protocol == "prescribed")
+    except InvalidSnapshot as exc:
+        raise ValueError(f"{path} line {exc.index + 2}: malformed snapshot "
+                         f"{body[exc.index]!r}: {exc.rule}") from None

@@ -158,3 +158,40 @@ def test_experiment_command_and_config_error(workdir, capsys):
 def test_error_exit_code_on_bad_input(workdir, capsys):
     assert main(["estimate", "--shadow", "/does/not/exist",
                  "--observable", str(workdir / "ham.json")]) == 1
+
+
+def test_estimate_rejects_bits_outside_zero_one(workdir, capsys):
+    shadow = workdir / "bad_shadow.txt"
+    shadow.write_text("q=4 M=2 seed=0\nXXZZ 0101\nZZZZ 0120\n")
+    capsys.readouterr()
+    assert main(["estimate", "--shadow", str(shadow), "--observable",
+                 str(workdir / "ham.json")]) == 1
+    captured = capsys.readouterr()
+    assert "line 3" in captured.err and "'ZZZZ 0120'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_plan_shadow_file_estimates_as_prescribed(workdir, capsys):
+    plan = workdir / "plan.txt"
+    assert main(["derandomize", "--observables", str(workdir / "ham.json"),
+                 "--shots", "200", "--out", str(plan)]) == 0
+    shadow = workdir / "dshadow.txt"
+    assert main(["acquire", "--state", str(workdir / "state.json"),
+                 "--shots", "200", "--seed", "1", "--plan", str(plan),
+                 "--out", str(shadow)]) == 0
+    capsys.readouterr()
+    values = []
+    for flags in ([], ["--prescribed"]):
+        assert main(["estimate", "--shadow", str(shadow), "--observable",
+                     str(workdir / "ham.json")] + flags) == 0
+        values.append(last_json(capsys)["estimate"])
+    assert values[0] == values[1]
+
+
+def test_derandomize_number_sector_zero_targets_the_norm(workdir, capsys):
+    # H P_0 has no Pauli terms, but the plan also covers the norm terms of
+    # P_0 = prod_j (I + Z_j) / 2, so the target set is not empty
+    assert main(["derandomize", "--observables", str(workdir / "ham.json"),
+                 "--projector", '{"type": "number", "n0": 0}',
+                 "--shots", "10", "--out", str(workdir / "plan.txt")]) == 0
+    assert last_json(capsys)["targets"] == 2 ** 4

@@ -124,6 +124,17 @@ def test_parallel_repeats_match_serial(monkeypatch):
         == [(r.method, r.mean) for r in parallel.rows]
 
 
+def test_bad_shadow_threads_is_a_config_error(monkeypatch, tmp_path):
+    from shadowproj.cli import main
+    monkeypatch.setenv("SHADOW_THREADS", "abc")
+    with pytest.raises(ConfigError, match="SHADOW_THREADS"):
+        run_experiment(small_fig3())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_fig3().to_dict()))
+    assert main(["experiment", "--config", str(cfg), "--out",
+                 str(tmp_path / "out.csv")]) == 2
+
+
 def test_rows_carry_oracle_targets():
     result = run_experiment(small_fig3())
     for row in result.rows:

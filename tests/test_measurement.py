@@ -100,6 +100,8 @@ def test_derandomize_validation():
         derandomize_plan([PauliString.identity(2)], None, 0)
     with pytest.raises(ValueError):
         derandomize_plan([PauliString.identity(2)], [-1.0], 5)
+    with pytest.raises(ValueError, match="no target observables"):
+        derandomize_plan([], None, 5)
 
 
 def test_plan_file_roundtrip(tmp_path):

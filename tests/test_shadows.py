@@ -268,3 +268,79 @@ def test_shadow_file_roundtrip(tmp_path):
     assert again.seed == 77
     assert not again.prescribed
     assert load_shadow(path, prescribed=True).prescribed
+
+
+def test_shadow_file_records_prescribed_protocol(tmp_path):
+    plan = [["X", "Z"], ["Z", "Z"], ["Y", "X"]] * 4
+    shadow = acquire_shadow(random_state(2, 2), len(plan), seed=4,
+                            bases=plan)
+    path = tmp_path / "plan_shadow.txt"
+    save_shadow(shadow, path)
+    assert path.read_text().splitlines()[0] \
+        == "q=2 M=12 seed=4 protocol=prescribed"
+    again = load_shadow(path)
+    assert again.prescribed
+    assert again.snapshots == shadow.snapshots
+    obs = single("X", q=2, qubit=1)
+    assert estimate(again, obs) == estimate(shadow, obs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda q: st.tuples(
+    st.lists(st.lists(st.integers(0, 2), min_size=q, max_size=q),
+             min_size=1, max_size=12),
+    st.lists(st.lists(st.integers(0, 1), min_size=q, max_size=q),
+             min_size=12, max_size=12),
+    st.integers(0, 2 ** 40), st.booleans())))
+def test_shadow_file_roundtrip_arrays_and_protocol(tmp_path_factory, data):
+    codes, bits, seed, prescribed = data
+    codes = np.array(codes, dtype=np.int8)
+    bits = np.array(bits[:len(codes)], dtype=np.int8)
+    shadow = ClassicalShadow.from_arrays(codes, bits, seed, prescribed)
+    path = tmp_path_factory.mktemp("shadow") / "s.txt"
+    save_shadow(shadow, path)
+    again = load_shadow(path)
+    assert np.array_equal(again.codes, codes)
+    assert np.array_equal(again.outcomes, bits)
+    assert (again.seed, again.prescribed) == (seed, prescribed)
+
+
+def test_shadow_arrays_match_snapshot_view():
+    snaps = (Snapshot(("X", "Z"), (1, 0)), Snapshot(("Y", "Y"), (0, 1)))
+    shadow = ClassicalShadow(2, snaps, seed=0)
+    assert shadow.codes.tolist() == [[0, 2], [1, 1]]
+    assert shadow.outcomes.tolist() == [[1, 0], [0, 1]]
+    assert shadow.codes.dtype == shadow.outcomes.dtype == np.int8
+    assert shadow.snapshots == snaps
+    with pytest.raises(ValueError):
+        shadow.codes[0, 0] = 1
+    with pytest.raises(AttributeError):
+        shadow.seed = 1
+
+
+def test_outcome_bits_outside_zero_one_rejected():
+    with pytest.raises(ValueError, match="snapshot 0"):
+        ClassicalShadow(1, (Snapshot(("X",), (2,)),), seed=0)
+    with pytest.raises(ValueError, match="snapshot 1"):
+        ClassicalShadow.from_arrays(np.zeros((2, 2)), [[0, 1], [-1, 0]], 0)
+    with pytest.raises(ValueError, match="snapshot 0"):
+        ClassicalShadow.from_arrays([[3]], [[0]], 0)
+
+
+@pytest.mark.parametrize("line", ["XZ 02", "XW 01", "XZ_01", "XZ 0", "XZ 011",
+                                  "XZ  01", "XZ 0é"])
+def test_malformed_shadow_line_names_the_line(tmp_path, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"q=2 M=3 seed=0\nXZ 01\nYY 10\n{line}\n")
+    with pytest.raises(ValueError, match="line 4"):
+        load_shadow(path)
+
+
+@pytest.mark.parametrize("header", ["q=2 M=1", "q=2 M=1 seed=x",
+                                    "q=2 M=1 seed=0 protocol=other",
+                                    "q=0 M=1 seed=0", "q 2"])
+def test_malformed_shadow_header_names_line_one(tmp_path, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header}\nXZ 01\n")
+    with pytest.raises(ValueError, match="line 1"):
+        load_shadow(path)
