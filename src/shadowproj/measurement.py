@@ -3,7 +3,10 @@ observable set, qubit-wise-commuting grouping with Recursive-Largest-First
 coloring for the direct-counts baseline, and shadow-norm sample bounds.
 
 Greedy choices are deterministic: ties break toward the lowest index and
-toward Z before X before Y.
+toward Z before X before Y. In derandomization a letter counts as tied with
+the cheapest one when its conditional cost is within a relative 1e-12 of
+the minimum, so floating-point rounding never decides a tie and the plan
+does not depend on the order of the targets.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .paulis import PauliString, WeightedPauliSum, qwc_commutes
+from .paulis import PauliString, WeightedPauliSum
 from .shadows import BASIS_CODE, BASIS_LETTERS
 from .statevector import Statevector, rotate_to_bases, sample_bitstrings
 
 # Candidate order implementing the Z < X < Y tie-break.
 _CANDIDATE_ORDER = ("Z", "X", "Y")
+# Relative cost margin of a derandomization tie. Exact ties occur, and
+# rounding moves their costs apart by about 1e-16, not by a genuine gap.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,10 @@ class MeasurementPlan:
             raise ValueError("all rounds need the same number of qubits")
         object.__setattr__(self, "bases_sequence",
                            tuple(tuple(row) for row in self.bases_sequence))
+        bad = {b for row in self.bases_sequence for b in row} - set(BASIS_CODE)
+        if bad:
+            raise ValueError(f"plan bases must be X, Y or Z, got "
+                             f"{', '.join(sorted(map(repr, bad)))}")
 
     @property
     def num_qubits(self) -> int:
@@ -55,8 +65,21 @@ def save_plan(plan: MeasurementPlan, path) -> None:
 
 
 def load_plan(path, provenance: str = "derandomized") -> MeasurementPlan:
-    rows = [tuple(reversed(line.strip()))
-            for line in Path(path).read_text().splitlines() if line.strip()]
+    """Read a ``save_plan`` file; a malformed line raises ValueError naming
+    it."""
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        text = line.strip()
+        if not text:
+            continue
+        bad = sorted(set(text) - set(BASIS_CODE))
+        if bad:
+            raise ValueError(f"{path} line {lineno}: basis {bad[0]!r} is not "
+                             "X, Y or Z")
+        if rows and len(text) != len(rows[0]):
+            raise ValueError(f"{path} line {lineno}: {len(text)} bases, "
+                             f"expected {len(rows[0])}")
+        rows.append(tuple(reversed(text)))
     return MeasurementPlan(tuple(rows), provenance)
 
 
@@ -95,7 +118,7 @@ def shadow_norm_bound(obs_list: Sequence[PauliString], epsilon: float,
 
 def _observable_codes(obs_list: Sequence[PauliString]) -> np.ndarray:
     """(L, q) basis codes with -1 marking identity positions."""
-    q = obs_list[0].num_qubits
+    q = obs_list[0].num_qubits if obs_list else 0
     if any(p.num_qubits != q for p in obs_list):
         raise ValueError("observables must share num_qubits")
     codes = np.full((len(obs_list), q), -1, dtype=np.int8)
@@ -103,13 +126,6 @@ def _observable_codes(obs_list: Sequence[PauliString]) -> np.ndarray:
         for j in p.support():
             codes[i, j] = BASIS_CODE[p.letters[j]]
     return codes
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    peak = np.max(values)
-    if peak == -np.inf:
-        return -np.inf
-    return float(peak + np.log(np.sum(np.exp(values - peak))))
 
 
 def derandomize_plan(obs_list: Sequence[PauliString],
@@ -136,8 +152,9 @@ def derandomize_plan(obs_list: Sequence[PauliString],
     codes = _observable_codes(obs_list)
     n_obs, q = codes.shape
     w = np.ones(n_obs) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n_obs,) or (w < 0).any():
-        raise ValueError("need one non-negative weight per observable")
+    if w.shape != (n_obs,) or not (np.isfinite(w) & (w >= 0)).all():
+        raise ValueError("need one finite, non-negative weight per "
+                         "observable")
     decay = epsilon ** 2 / 2
     nu = 1.0 - math.exp(-decay)
     locality = (codes >= 0).sum(axis=1)
@@ -145,34 +162,41 @@ def derandomize_plan(obs_list: Sequence[PauliString],
         log_w = np.log(w)
         log_tail_base = np.log(1.0 - nu * 3.0 ** (-locality.astype(float)))
 
+    # In a round a target's state is its open-support count 0..q, or `dead`
+    # once a letter conflicts. Matches lower `dead` by at most q per round,
+    # so every state above q is dead and has factor 1.
+    dead = 2 * q + 1
+    factor = np.ones(dead + 1)
+    factor[:q + 1] = 1.0 - nu * 3.0 ** -np.arange(q + 1.0)
+    cand_codes = np.array([BASIS_CODE[b] for b in _CANDIDATE_ORDER])
+    column = codes.T[:, None, :]
+    is_match = column == cand_codes[None, :, None]       # (q, 3, L)
+    match = is_match.astype(int)
+    # A conflicting letter never matches, so max(state, dead) - 0 is dead.
+    kill = np.where((column >= 0) & ~is_match, dead, 0)
+
     hits = np.zeros(n_obs)
     plan = np.empty((shots, q), dtype=np.int8)
     cost_trace = []
     for m in range(shots):
-        alive = np.ones(n_obs, dtype=bool)
-        open_support = locality.astype(float).copy()
-        log_tail = (shots - m - 1) * log_tail_base
+        # A candidate's conditional cost is exp(ref) * sum_i factor_i *
+        # scaled_i; ref keeps the sum in range, the trace stays in log space.
+        expo = log_w - decay * hits + (shots - m - 1) * log_tail_base
+        ref = float(expo.max())
+        scaled = np.exp(expo - ref) if ref > -np.inf else np.zeros(n_obs)
+        state = locality
         for j in range(q):
-            best_cost, best_letter = np.inf, _CANDIDATE_ORDER[0]
-            for letter in _CANDIDATE_ORDER:
-                cand = BASIS_CODE[letter]
-                has_support = codes[:, j] >= 0
-                match = has_support & (codes[:, j] == cand)
-                cand_alive = alive & ~(has_support & ~match)
-                cand_open = open_support - (alive & match)
-                log_round = np.where(
-                    cand_alive, np.log(1.0 - nu * 3.0 ** (-cand_open)), 0.0)
-                cost = _logsumexp(log_w - decay * hits + log_round + log_tail)
-                if cost < best_cost:
-                    best_cost, best_letter = cost, letter
-            cand = BASIS_CODE[best_letter]
-            has_support = codes[:, j] >= 0
-            match = has_support & (codes[:, j] == cand)
-            open_support = open_support - (alive & match)
-            alive &= ~(has_support & ~match)
-            plan[m, j] = cand
-            cost_trace.append(best_cost)
-        hits += alive & (open_support == 0)
+            cand = np.maximum(state, kill[j]) - match[j]
+            # einsum contracts without BLAS, whose threads cost more than
+            # the product itself at this size.
+            sums = np.einsum("ki,i->k", factor[cand], scaled).tolist()
+            limit = min(sums) * (1.0 + _TIE_RTOL)
+            k = next(i for i, total in enumerate(sums) if total <= limit)
+            state = cand[k]
+            plan[m, j] = cand_codes[k]
+            cost_trace.append(ref + math.log(sums[k]) if sums[k] > 0
+                              else -math.inf)
+        hits += state == 0
     rows = tuple(tuple(BASIS_LETTERS[c] for c in row) for row in plan)
     result = MeasurementPlan(rows, provenance="derandomized")
     if return_cost:
@@ -184,11 +208,18 @@ def plan_hit_counts(plan: MeasurementPlan,
                     obs_list: Sequence[PauliString]) -> np.ndarray:
     """How many plan rounds cover each observable's full support."""
     codes = _observable_codes(obs_list)
+    rows = np.array([[BASIS_CODE[b] for b in row]
+                     for row in plan.bases_sequence], dtype=np.int8)
+    if rows.shape[1] != codes.shape[1]:
+        raise ValueError("plan and observables differ in num_qubits")
     counts = np.zeros(len(obs_list), dtype=int)
-    for row in plan.bases_sequence:
-        row_codes = np.array([BASIS_CODE[b] for b in row], dtype=np.int8)
-        compatible = ((codes < 0) | (codes == row_codes)).all(axis=1)
-        counts += compatible
+    chunk = max(1, 2 ** 20 // max(len(obs_list), 1))
+    for start in range(0, len(rows), chunk):
+        block = rows[start:start + chunk]
+        covered = np.ones((len(block), len(obs_list)), dtype=bool)
+        for j in range(codes.shape[1]):
+            covered &= (codes[:, j] < 0) | (block[:, j, None] == codes[:, j])
+        counts += covered.sum(axis=0)
     return counts
 
 
@@ -213,13 +244,23 @@ def expected_random_cost(obs_list: Sequence[PauliString], shots: int,
     return float(np.sum(w * (1.0 - nu * 3.0 ** (-locality)) ** shots))
 
 
-def _shared_basis(strings: Sequence[PauliString],
-                  members: Sequence[int], num_qubits: int) -> tuple[str, ...]:
-    basis = ["Z"] * num_qubits
-    for i in members:
-        for j in strings[i].support():
-            basis[j] = strings[i].letters[j]
-    return tuple(basis)
+def _conflict_graph(codes: np.ndarray) -> np.ndarray:
+    """(L, L) boolean adjacency of the QWC incompatibility graph: two terms
+    conflict where both act on a qubit with different letters."""
+    adj = np.zeros((len(codes), len(codes)), dtype=bool)
+    for column in codes.T:
+        acts = column >= 0
+        adj |= (column[:, None] != column) & acts[:, None] & acts
+    return adj
+
+
+def _groups(codes: np.ndarray, classes) -> list[ObservableGroup]:
+    """One group per boolean class mask. Members agree where they share a
+    qubit, so the largest code is the shared letter; Z where none acts."""
+    return [ObservableGroup(tuple(np.flatnonzero(cls).tolist()),
+                            tuple("Z" if c < 0 else BASIS_LETTERS[c]
+                                  for c in codes[cls].max(axis=0)))
+            for cls in classes]
 
 
 def group_qwc_rlf(obs: WeightedPauliSum) -> list[ObservableGroup]:
@@ -229,69 +270,49 @@ def group_qwc_rlf(obs: WeightedPauliSum) -> list[ObservableGroup]:
     wherever two terms fail qubit-wise commutation; each color class forms
     one measurable group.
     """
-    strings = [s for _, s in obs.terms]
-    n = len(strings)
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for k in range(i + 1, n):
-            if not qwc_commutes(strings[i], strings[k]):
-                adj[i].add(k)
-                adj[k].add(i)
-    uncolored = set(range(n))
-    groups = []
-    while uncolored:
-        degree = {v: len(adj[v] & uncolored) for v in uncolored}
-        first = min(v for v in uncolored
-                    if degree[v] == max(degree.values()))
-        group = {first}
+    codes = _observable_codes([s for _, s in obs.terms])
+    adj = _conflict_graph(codes)
+    uncolored = np.ones(len(codes), dtype=bool)
+    degree = adj.sum(axis=1)
+    classes = []
+    while uncolored.any():
+        first = int(np.argmax(np.where(uncolored, degree, -1)))
+        group = np.zeros_like(uncolored)
+        group[first] = True
         blocked = adj[first] & uncolored
-        candidates = uncolored - blocked - {first}
-        while candidates:
-            score = {v: len(adj[v] & blocked) for v in candidates}
-            pick = min(v for v in candidates if score[v] == max(score.values()))
-            group.add(pick)
-            blocked |= adj[pick] & candidates
-            candidates -= adj[pick]
-            candidates.discard(pick)
-        members = tuple(sorted(group))
-        groups.append(ObservableGroup(
-            members, _shared_basis(strings, members, obs.num_qubits)))
-        uncolored -= group
-    return groups
+        candidates = uncolored & ~blocked
+        candidates[first] = False
+        score = adj[blocked].sum(axis=0)
+        while candidates.any():
+            pick = int(np.argmax(np.where(candidates, score, -1)))
+            group[pick] = True
+            score += adj[adj[pick] & candidates].sum(axis=0)
+            candidates &= ~adj[pick]
+            candidates[pick] = False
+        uncolored &= ~group
+        degree -= adj[group].sum(axis=0)
+        classes.append(group)
+    return _groups(codes, classes)
 
 
 def group_qwc_greedy(obs: WeightedPauliSum) -> list[ObservableGroup]:
     """Largest-first greedy coloring baseline for comparison with RLF."""
-    strings = [s for _, s in obs.terms]
-    n = len(strings)
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for k in range(i + 1, n):
-            if not qwc_commutes(strings[i], strings[k]):
-                adj[i].add(k)
-                adj[k].add(i)
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    classes: list[set[int]] = []
-    for v in order:
-        for cls in classes:
-            if not (adj[v] & cls):
-                cls.add(v)
-                break
-        else:
-            classes.append({v})
-    groups = []
-    for cls in classes:
-        members = tuple(sorted(cls))
-        groups.append(ObservableGroup(
-            members, _shared_basis(strings, members, obs.num_qubits)))
-    return groups
+    codes = _observable_codes([s for _, s in obs.terms])
+    adj = _conflict_graph(codes)
+    color = np.full(len(codes), -1)
+    n_colors = 0
+    for v in np.argsort(-adj.sum(axis=1), kind="stable"):
+        free = np.ones(n_colors + 1, dtype=bool)
+        free[color[adj[v] & (color >= 0)]] = False
+        color[v] = int(np.argmax(free))
+        n_colors = max(n_colors, color[v] + 1)
+    return _groups(codes, [color == c for c in range(n_colors)])
 
 
 def singleton_groups(obs: WeightedPauliSum) -> list[ObservableGroup]:
     """One group per term: the ungrouped direct-counts baseline."""
-    strings = [s for _, s in obs.terms]
-    return [ObservableGroup((i,), _shared_basis(strings, (i,), obs.num_qubits))
-            for i in range(len(strings))]
+    codes = _observable_codes([s for _, s in obs.terms])
+    return _groups(codes, np.eye(len(codes), dtype=bool))
 
 
 def _check_cover(groups: Sequence[ObservableGroup], n_terms: int) -> None:

@@ -30,7 +30,6 @@ Z = PAULI_MATRICES["Z"]
 I2 = PAULI_MATRICES["I"]
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                 dtype=complex)
-CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 # Basis-change unitaries U applied before a computational-basis measurement,
 # chosen so that U^dag Z U is the measured Pauli: H for X, H S^dag for Y.

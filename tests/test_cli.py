@@ -171,6 +171,18 @@ def test_estimate_rejects_bits_outside_zero_one(workdir, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_acquire_rejects_a_malformed_plan(workdir, capsys):
+    plan = workdir / "bad_plan.txt"
+    plan.write_text("ZZZZ\nZZQZ\n")
+    capsys.readouterr()
+    assert main(["acquire", "--state", str(workdir / "state.json"),
+                 "--shots", "2", "--plan", str(plan), "--out",
+                 str(workdir / "shadow.txt")]) == 1
+    captured = capsys.readouterr()
+    assert "line 2: basis 'Q'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_plan_shadow_file_estimates_as_prescribed(workdir, capsys):
     plan = workdir / "plan.txt"
     assert main(["derandomize", "--observables", str(workdir / "ham.json"),

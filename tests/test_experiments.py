@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -179,3 +180,23 @@ def test_fig4_small_run_has_all_methods(tmp_path):
         == counts_total["total_measurements"] <= 500
     oracle = result.rows[0].oracle
     assert all(r.oracle == oracle for r in result.rows)
+
+
+# sha256 of CSVs from cheap configs. The README promises bit-for-bit output
+# from a seed; a change that moves these bytes must declare it and re-pin.
+PINNED_CSV_SHA256 = {
+    "fig2": ({},
+             "48aa8394495c003b3b4c006a6e8291bd821a5dc09475f6da5d941c0fe03804f9"),
+    "fig4": ({"shots": [300], "repeats": 3},
+             "bcb4785f29f54055c055dc8d1e362bc7e38bd5d740a90d79d18002f33085d6c4"),
+}
+
+
+@pytest.mark.parametrize("fig", sorted(PINNED_CSV_SHA256))
+def test_csv_bytes_are_pinned(tmp_path, fig):
+    overrides, digest = PINNED_CSV_SHA256[fig]
+    cfg = ExperimentConfig.from_dict({**default_config(fig).to_dict(),
+                                      **overrides})
+    write_results(run_experiment(cfg), tmp_path / f"{fig}.csv")
+    data = (tmp_path / f"{fig}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

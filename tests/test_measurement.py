@@ -72,6 +72,12 @@ def test_derandomize_disjoint_supports_covered_together():
     assert plan_hit_counts(plan, [x0, z1]).min() == 6
 
 
+def test_plan_hit_counts_rejects_a_qubit_count_mismatch():
+    with pytest.raises(ValueError, match="num_qubits"):
+        plan_hit_counts(random_plan(6, 5, seed=1),
+                        [PauliString.from_label("ZZ")])
+
+
 def test_derandomize_pairing_set_coverage_and_cost():
     """Every observable is hit and the plan beats random plans on cost."""
     ham, strings, weights = pairing_observables()
@@ -100,6 +106,9 @@ def test_derandomize_validation():
         derandomize_plan([PauliString.identity(2)], None, 0)
     with pytest.raises(ValueError):
         derandomize_plan([PauliString.identity(2)], [-1.0], 5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            derandomize_plan([PauliString.identity(2)], [bad], 5)
     with pytest.raises(ValueError, match="no target observables"):
         derandomize_plan([], None, 5)
 
@@ -224,3 +233,16 @@ def test_measurement_plan_validation():
         MeasurementPlan(())
     with pytest.raises(ValueError):
         MeasurementPlan((("X",), ("X", "Z")))
+    with pytest.raises(ValueError, match="'Q'"):
+        MeasurementPlan((("Z", "Q"),))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("ZZ\nZQ\n", "line 2: basis 'Q' is not X, Y or Z"),
+    ("XY\n\nXYZ\n", "line 3: 3 bases, expected 2"),
+])
+def test_load_plan_names_the_bad_line(tmp_path, text, message):
+    path = tmp_path / "plan.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_plan(path)

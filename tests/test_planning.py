@@ -1,0 +1,194 @@
+"""Array planning kernels against the loops they replaced.
+
+``reference_derandomize_plan`` is the per-candidate loop that scored every
+letter with its own log-sum-exp, with the tie rule of ``measurement``:
+the first letter, in the order Z, X, Y, whose cost is within a relative
+``_TIE_RTOL`` of the cheapest. ``reference_rlf`` and ``reference_greedy``
+are the set-based colorings over the pairwise ``qwc_commutes``
+adjacency of ``reference_adjacency``.
+The table-driven plan and the boolean-mask colorings must reproduce them
+exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from shadowproj.measurement import (_CANDIDATE_ORDER, _TIE_RTOL,
+                                    _observable_codes, derandomize_plan,
+                                    group_qwc_greedy, group_qwc_rlf)
+from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
+from shadowproj.paulis import PauliString, WeightedPauliSum, qwc_commutes
+from shadowproj.projectors import (expand_projected_observable,
+                                   projector_from_spec)
+from shadowproj.shadows import BASIS_CODE, BASIS_LETTERS
+
+
+def _logsumexp(values):
+    peak = np.max(values)
+    if peak == -np.inf:
+        return -np.inf
+    return float(peak + np.log(np.sum(np.exp(values - peak))))
+
+
+def reference_derandomize_plan(obs_list, weights, shots, epsilon=0.3):
+    codes = _observable_codes(obs_list)
+    n_obs, q = codes.shape
+    w = np.ones(n_obs) if weights is None else np.asarray(weights, float)
+    decay = epsilon ** 2 / 2
+    nu = 1.0 - math.exp(-decay)
+    locality = (codes >= 0).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+        log_tail_base = np.log(1.0 - nu * 3.0 ** (-locality.astype(float)))
+    hits = np.zeros(n_obs)
+    plan = np.empty((shots, q), dtype=np.int8)
+    for m in range(shots):
+        alive = np.ones(n_obs, dtype=bool)
+        open_support = locality.astype(float).copy()
+        log_tail = (shots - m - 1) * log_tail_base
+        for j in range(q):
+            has_support = codes[:, j] >= 0
+            costs = []
+            for letter in _CANDIDATE_ORDER:
+                match = has_support & (codes[:, j] == BASIS_CODE[letter])
+                cand_alive = alive & ~(has_support & ~match)
+                cand_open = open_support - (alive & match)
+                log_round = np.where(
+                    cand_alive, np.log(1.0 - nu * 3.0 ** (-cand_open)), 0.0)
+                costs.append(_logsumexp(log_w - decay * hits + log_round
+                                        + log_tail))
+            limit = min(costs) + math.log1p(_TIE_RTOL)
+            letter = next(b for b, c in zip(_CANDIDATE_ORDER, costs)
+                          if c <= limit)
+            match = has_support & (codes[:, j] == BASIS_CODE[letter])
+            open_support = open_support - (alive & match)
+            alive &= ~(has_support & ~match)
+            plan[m, j] = BASIS_CODE[letter]
+        hits += alive & (open_support == 0)
+    return tuple(tuple(BASIS_LETTERS[c] for c in row) for row in plan)
+
+
+def reference_adjacency(obs):
+    strings = [s for _, s in obs.terms]
+    adj = [set() for _ in strings]
+    for i in range(len(strings)):
+        for k in range(i + 1, len(strings)):
+            if not qwc_commutes(strings[i], strings[k]):
+                adj[i].add(k)
+                adj[k].add(i)
+    return adj
+
+
+def reference_rlf(adj):
+    uncolored = set(range(len(adj)))
+    groups = []
+    while uncolored:
+        degree = {v: len(adj[v] & uncolored) for v in uncolored}
+        first = min(v for v in uncolored
+                    if degree[v] == max(degree.values()))
+        group = {first}
+        blocked = adj[first] & uncolored
+        candidates = uncolored - blocked - {first}
+        while candidates:
+            score = {v: len(adj[v] & blocked) for v in candidates}
+            pick = min(v for v in candidates
+                       if score[v] == max(score.values()))
+            group.add(pick)
+            blocked |= adj[pick] & candidates
+            candidates -= adj[pick]
+            candidates.discard(pick)
+        groups.append(tuple(sorted(group)))
+        uncolored -= group
+    return groups
+
+
+def reference_greedy(adj):
+    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    classes = []
+    for v in order:
+        for cls in classes:
+            if not (adj[v] & cls):
+                cls.add(v)
+                break
+        else:
+            classes.append({v})
+    return [tuple(sorted(cls)) for cls in classes]
+
+
+def projected_terms(q, spec):
+    ham = build_pairing_hamiltonian(PairingSpec(q, 1.0, 1.0))
+    return expand_projected_observable(ham, projector_from_spec(q, spec))
+
+
+Q6_SETS = ([{"type": "parity", "epsilon": e} for e in (1, -1)]
+           + [{"type": "number", "n0": n} for n in range(7)])
+
+
+def targets(expanded):
+    return ([s for _, s in expanded.terms],
+            [abs(c) for c, _ in expanded.terms])
+
+
+def random_sum(gen, q, n_terms):
+    return WeightedPauliSum(q, tuple(
+        (1.0, PauliString(tuple(gen.choice(list("IXYZ"), q))))
+        for _ in range(n_terms)))
+
+
+@pytest.mark.parametrize("q,spec,shots", [
+    (4, {"type": "parity", "epsilon": 1}, 300),
+    *[(6, spec, 200) for spec in Q6_SETS if spec.get("n0") != 0]])
+def test_plan_matches_reference_loop(q, spec, shots):
+    strings, weights = targets(projected_terms(q, spec))
+    plan = derandomize_plan(strings, weights, shots)
+    assert plan.bases_sequence == reference_derandomize_plan(
+        strings, weights, shots)
+
+
+def test_plan_does_not_depend_on_target_order():
+    strings, weights = targets(projected_terms(4, {"type": "parity",
+                                                   "epsilon": 1}))
+    plan = derandomize_plan(strings, weights, 1000)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(len(strings))
+        permuted = derandomize_plan([strings[i] for i in perm],
+                                    [weights[i] for i in perm], 1000)
+        assert permuted.bases_sequence == plan.bases_sequence
+
+
+def test_exact_x_y_tie_picks_x():
+    # X and Y are mirror images here, so their costs tie exactly and Z,
+    # which hits neither, costs more.
+    plan = derandomize_plan([PauliString(("X",)), PauliString(("Y",))],
+                            None, 4)
+    assert plan.bases_sequence[0] == ("X",)
+    assert sorted(row[0] for row in plan.bases_sequence) == \
+        ["X", "X", "Y", "Y"]
+
+
+def test_all_zero_weights_choose_z():
+    strings = [PauliString.from_label("XY"), PauliString.from_label("IX")]
+    plan, trace = derandomize_plan(strings, [0.0, 0.0], 3, return_cost=True)
+    assert all(row == ("Z", "Z") for row in plan.bases_sequence)
+    assert all(cost == -math.inf for cost in trace)
+
+
+def assert_groups_match_reference(obs):
+    adj = reference_adjacency(obs)
+    assert [g.members for g in group_qwc_rlf(obs)] == reference_rlf(adj)
+    assert [g.members for g in group_qwc_greedy(obs)] == \
+        reference_greedy(adj)
+
+
+@pytest.mark.parametrize("spec", Q6_SETS)
+def test_groups_match_reference_on_q6_sets(spec):
+    assert_groups_match_reference(projected_terms(6, spec))
+
+
+def test_groups_match_reference_on_random_sets():
+    gen = np.random.default_rng(2024)
+    for _ in range(60):
+        assert_groups_match_reference(random_sum(
+            gen, int(gen.integers(1, 7)), int(gen.integers(0, 40))))
