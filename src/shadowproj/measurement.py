@@ -11,6 +11,7 @@ does not depend on the order of the targets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,9 @@ _CANDIDATE_ORDER = ("Z", "X", "Y")
 # Relative cost margin of a derandomization tie. Exact ties occur, and
 # rounding moves their costs apart by about 1e-16, not by a genuine gap.
 _TIE_RTOL = 1e-12
+# Qubits per derandomization block. A block's table has one row per node of
+# its ternary prefix tree, (3^(d+1) - 3) / 2 of them: 39 at depth 3.
+_BLOCK_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,11 @@ class ObservableGroup:
     shared_basis: tuple[str, ...]
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be finite and positive")
+
+
 def shadow_norm_bound(obs_list: Sequence[PauliString], epsilon: float,
                       constant: float = 34.0) -> int:
     """Snapshot count sufficient for additive error epsilon on every target.
@@ -109,8 +118,7 @@ def shadow_norm_bound(obs_list: Sequence[PauliString], epsilon: float,
     """
     if not obs_list:
         raise ValueError("empty observable list")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     max_norm = max(3 ** p.weight() for p in obs_list)
     log_l = max(math.log(len(obs_list)), 1.0)
     return math.ceil(constant * log_l * max_norm / epsilon ** 2)
@@ -128,6 +136,17 @@ def _observable_codes(obs_list: Sequence[PauliString]) -> np.ndarray:
     return codes
 
 
+def _weights(weights: Sequence[float] | None, n: int) -> np.ndarray:
+    """One finite, non-negative weight per observable; None weighs all 1."""
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,) or not (np.isfinite(w) & (w >= 0)).all():
+        raise ValueError("need one finite, non-negative weight per "
+                         "observable")
+    return w
+
+
 def derandomize_plan(obs_list: Sequence[PauliString],
                      weights: Sequence[float] | None,
                      shots: int, epsilon: float = 0.3,
@@ -142,65 +161,95 @@ def derandomize_plan(obs_list: Sequence[PauliString],
     the random ensemble's expected cost. Costs are compared in log space;
     after thousands of hits they underflow any fixed floating-point scale.
 
+    While target i survives a round, its open support after qubit j is its
+    support count on qubits > j, whatever letters came before; only the
+    alive mask depends on them. A candidate's cost is therefore
+    ``total + sum_i alive_i compat_i scaled_i (f(open_ij) - 1)`` with
+    ``f(k) = 1 - nu 3^(-k)``. The qubits are grouped into blocks of at most
+    ``_BLOCK_DEPTH``; each block keeps the compatibility masks of its
+    ternary prefix tree and a table of ``mask (f - 1)``, so a round costs
+    one matrix-vector product per block and a walk down the tree.
+
     With ``return_cost=True`` also returns the log conditional-cost trace
     after every committed letter (for the monotonicity guarantee check).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    _check_epsilon(epsilon)
     if not obs_list:
         raise ValueError("no target observables to derandomize a plan for")
     codes = _observable_codes(obs_list)
     n_obs, q = codes.shape
-    w = np.ones(n_obs) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n_obs,) or not (np.isfinite(w) & (w >= 0)).all():
-        raise ValueError("need one finite, non-negative weight per "
-                         "observable")
+    w = _weights(weights, n_obs)
     decay = epsilon ** 2 / 2
     nu = 1.0 - math.exp(-decay)
-    locality = (codes >= 0).sum(axis=1)
+    support = codes >= 0
+    locality = support.sum(axis=1)
     with np.errstate(divide="ignore"):
         log_w = np.log(w)
         log_tail_base = np.log(1.0 - nu * 3.0 ** (-locality.astype(float)))
+    # For large epsilon nu rounds to 1: an identity target's round factor
+    # is then 0 and its tail exponent -inf. A zero weight gives it the same
+    # nil cost without an infinite exponent.
+    doomed = np.isneginf(log_tail_base)
+    log_w[doomed], log_tail_base[doomed] = -np.inf, 0.0
 
-    # In a round a target's state is its open-support count 0..q, or `dead`
-    # once a letter conflicts. Matches lower `dead` by at most q per round,
-    # so every state above q is dead and has factor 1.
-    dead = 2 * q + 1
-    factor = np.ones(dead + 1)
-    factor[:q + 1] = 1.0 - nu * 3.0 ** -np.arange(q + 1.0)
+    open_after = locality[:, None] - np.cumsum(support, axis=1)
+    gain = -nu * 3.0 ** -open_after.T                    # f - 1, (q, L)
     cand_codes = np.array([BASIS_CODE[b] for b in _CANDIDATE_ORDER])
-    column = codes.T[:, None, :]
-    is_match = column == cand_codes[None, :, None]       # (q, 3, L)
-    match = is_match.astype(int)
-    # A conflicting letter never matches, so max(state, dead) - 0 is dead.
-    kill = np.where((column >= 0) & ~is_match, dead, 0)
+    compat = ~support.T[:, None, :] | (codes.T[:, None, :]
+                                       == cand_codes[None, :, None])
+    # Per block: the (nodes, L) table, the (leaves, L) leaf masks, the row
+    # offset of each tree level and the letters of each leaf. Node 3c + k
+    # of a level is letter k below node c of the level above.
+    blocks = []
+    for start in range(0, q, _BLOCK_DEPTH):
+        depth = min(_BLOCK_DEPTH, q - start)
+        masks = [np.ones((1, n_obs), dtype=bool)]
+        for j in range(start, start + depth):
+            masks.append((masks[-1][:, None] & compat[j]).reshape(-1, n_obs))
+        table = np.concatenate([masks[level] * gain[start + level - 1]
+                                for level in range(1, depth + 1)])
+        offsets = [(3 ** level - 3) // 2 for level in range(1, depth + 1)]
+        letters = list(itertools.product(_CANDIDATE_ORDER, repeat=depth))
+        blocks.append((table, masks[-1], offsets, letters))
 
     hits = np.zeros(n_obs)
-    plan = np.empty((shots, q), dtype=np.int8)
-    cost_trace = []
+    rows = []
+    refs = []
+    costs = []
     for m in range(shots):
-        # A candidate's conditional cost is exp(ref) * sum_i factor_i *
-        # scaled_i; ref keeps the sum in range, the trace stays in log space.
+        # A candidate's conditional cost is exp(ref) * (total + delta); ref
+        # keeps the sums in range, the trace stays in log space.
         expo = log_w - decay * hits + (shots - m - 1) * log_tail_base
         ref = float(expo.max())
         scaled = np.exp(expo - ref) if ref > -np.inf else np.zeros(n_obs)
-        state = locality
-        for j in range(q):
-            cand = np.maximum(state, kill[j]) - match[j]
-            # einsum contracts without BLAS, whose threads cost more than
-            # the product itself at this size.
-            sums = np.einsum("ki,i->k", factor[cand], scaled).tolist()
-            limit = min(sums) * (1.0 + _TIE_RTOL)
-            k = next(i for i, total in enumerate(sums) if total <= limit)
-            state = cand[k]
-            plan[m, j] = cand_codes[k]
-            cost_trace.append(ref + math.log(sums[k]) if sums[k] > 0
-                              else -math.inf)
-        hits += state == 0
-    rows = tuple(tuple(BASIS_LETTERS[c] for c in row) for row in plan)
-    result = MeasurementPlan(rows, provenance="derandomized")
+        total = float(scaled.sum())
+        refs.append(ref)
+        alive = True
+        row = ()
+        for table, leaves, offsets, letters in blocks:
+            # dot goes straight to BLAS gemv; @ and einsum cost more per call
+            delta = table.dot(scaled * alive).tolist()
+            node = 0
+            for offset in offsets:
+                base = offset + 3 * node
+                z, x, y = delta[base:base + 3]
+                # tied: cost within a relative _TIE_RTOL of the cheapest
+                low = min(z, x, y)
+                limit = low + abs(total + low) * _TIE_RTOL
+                k = 0 if z <= limit else 1 if x <= limit else 2
+                costs.append(total + delta[base + k])
+                node = 3 * node + k
+            row += letters[node]
+            alive = leaves[node] & alive
+        rows.append(row)
+        hits += alive
+    result = MeasurementPlan(tuple(rows), provenance="derandomized")
     if return_cost:
-        return result, cost_trace
+        with np.errstate(divide="ignore"):
+            trace = np.repeat(refs, q) + np.log(np.maximum(costs, 0.0))
+        return result, trace.tolist()
     return result
 
 
@@ -227,8 +276,8 @@ def plan_cost(plan: MeasurementPlan, obs_list: Sequence[PauliString],
               weights: Sequence[float] | None = None,
               epsilon: float = 0.3) -> float:
     """Realized confidence-bound cost sum_i w_i exp(-eps^2/2 * hits_i)."""
-    w = (np.ones(len(obs_list)) if weights is None
-         else np.asarray(weights, dtype=float))
+    w = _weights(weights, len(obs_list))
+    _check_epsilon(epsilon)
     hits = plan_hit_counts(plan, obs_list)
     return float(np.sum(w * np.exp(-epsilon ** 2 / 2 * hits)))
 
@@ -237,8 +286,8 @@ def expected_random_cost(obs_list: Sequence[PauliString], shots: int,
                          weights: Sequence[float] | None = None,
                          epsilon: float = 0.3) -> float:
     """Expected confidence-bound cost of a uniform-random plan."""
-    w = (np.ones(len(obs_list)) if weights is None
-         else np.asarray(weights, dtype=float))
+    w = _weights(weights, len(obs_list))
+    _check_epsilon(epsilon)
     nu = 1.0 - math.exp(-epsilon ** 2 / 2)
     locality = np.array([p.weight() for p in obs_list], dtype=float)
     return float(np.sum(w * (1.0 - nu * 3.0 ** (-locality)) ** shots))

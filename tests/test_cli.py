@@ -200,6 +200,15 @@ def test_plan_shadow_file_estimates_as_prescribed(workdir, capsys):
     assert values[0] == values[1]
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "0"])
+def test_derandomize_rejects_a_bad_epsilon(workdir, capsys, epsilon):
+    assert main(["derandomize", "--observables", str(workdir / "ham.json"),
+                 "--shots", "10", "--epsilon", epsilon,
+                 "--out", str(workdir / "plan.txt")]) == 1
+    assert "epsilon" in capsys.readouterr().err
+    assert not (workdir / "plan.txt").exists()
+
+
 def test_derandomize_number_sector_zero_targets_the_norm(workdir, capsys):
     # H P_0 has no Pauli terms, but the plan also covers the norm terms of
     # P_0 = prod_j (I + Z_j) / 2, so the target set is not empty

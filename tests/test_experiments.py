@@ -187,8 +187,12 @@ def test_fig4_small_run_has_all_methods(tmp_path):
 PINNED_CSV_SHA256 = {
     "fig2": ({},
              "48aa8394495c003b3b4c006a6e8291bd821a5dc09475f6da5d941c0fe03804f9"),
+    "fig3": ({"shots": [100, 1000], "repeats": 3},
+             "3deb060596cca305d05ad5d3e95215862830adc27b79d835ff4337e485788386"),
     "fig4": ({"shots": [300], "repeats": 3},
              "bcb4785f29f54055c055dc8d1e362bc7e38bd5d740a90d79d18002f33085d6c4"),
+    "fig5": ({"shots": [1000], "repeats": 3},
+             "f31224508df86b1707e633e4b5a9bac4c5f6fa37a96de6fa525b40c6fc5b9999"),
 }
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowproj import rng as _rng
 from shadowproj.measurement import (MeasurementPlan, allocate_shots,
@@ -113,9 +115,53 @@ def test_derandomize_validation():
         derandomize_plan([], None, 5)
 
 
-def test_plan_file_roundtrip(tmp_path):
-    plan = random_plan(3, 11, seed=2)
-    path = tmp_path / "plan.txt"
+@pytest.mark.parametrize("func", [
+    lambda strings, eps: derandomize_plan(strings, None, 5, epsilon=eps),
+    lambda strings, eps: plan_cost(random_plan(2, 4, seed=1), strings,
+                                   epsilon=eps),
+    lambda strings, eps: expected_random_cost(strings, 4, epsilon=eps),
+    lambda strings, eps: shadow_norm_bound(strings, eps)],
+    ids=["derandomize_plan", "plan_cost", "expected_random_cost",
+         "shadow_norm_bound"])
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -0.3])
+def test_epsilon_must_be_finite_and_positive(func, epsilon):
+    # NaN ended derandomization in a bare StopIteration, at 0 every letter
+    # tied into an all-Z plan, and the cost functions returned NaN
+    strings = [PauliString.from_label("XI"), PauliString.from_label("ZZ")]
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        func(strings, epsilon)
+
+
+def test_derandomize_large_epsilon_with_an_identity_target():
+    # nu rounds to 1, so the identity target's round factor is 0; its
+    # infinite tail exponent once made the last round NaN
+    plan = derandomize_plan([PauliString.identity(2),
+                             PauliString.from_label("IX")], None, 3,
+                            epsilon=10.0)
+    assert plan.bases_sequence == (("X", "Z"),) * 3
+
+
+@pytest.mark.parametrize("cost", [
+    lambda strings, w: plan_cost(random_plan(2, 4, seed=1), strings, w),
+    lambda strings, w: expected_random_cost(strings, 4, w),
+    lambda strings, w: derandomize_plan(strings, w, 4)],
+    ids=["plan_cost", "expected_random_cost", "derandomize_plan"])
+@pytest.mark.parametrize("weights", [[2.0], [1.0, math.nan], [1.0, -1.0],
+                                     [1.0, 1.0, 1.0]])
+def test_cost_functions_check_weights(cost, weights):
+    # a single weight used to be broadcast, and a NaN to give a NaN cost
+    strings = [PauliString.from_label("XI"), PauliString.from_label("ZZ")]
+    with pytest.raises(ValueError, match="one finite, non-negative weight"):
+        cost(strings, weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda q: st.lists(
+    st.lists(st.sampled_from("XYZ"), min_size=q, max_size=q),
+    min_size=1, max_size=50)))
+def test_plan_file_roundtrip(tmp_path_factory, rows):
+    plan = MeasurementPlan(tuple(map(tuple, rows)), provenance="derandomized")
+    path = tmp_path_factory.mktemp("plan") / "plan.txt"
     save_plan(plan, path)
     again = load_plan(path)
     assert again.bases_sequence == plan.bases_sequence

@@ -3,11 +3,12 @@
 ``reference_derandomize_plan`` is the per-candidate loop that scored every
 letter with its own log-sum-exp, with the tie rule of ``measurement``:
 the first letter, in the order Z, X, Y, whose cost is within a relative
-``_TIE_RTOL`` of the cheapest. ``reference_rlf`` and ``reference_greedy``
+``_TIE_RTOL`` of the cheapest. It also returns the log cost of every
+committed letter. ``reference_rlf`` and ``reference_greedy``
 are the set-based colorings over the pairwise ``qwc_commutes``
 adjacency of ``reference_adjacency``.
-The table-driven plan and the boolean-mask colorings must reproduce them
-exactly.
+The block-table plan and the boolean-mask colorings must reproduce them
+exactly, and the plan's cost trace must match within a relative 1e-12.
 """
 
 import math
@@ -44,6 +45,7 @@ def reference_derandomize_plan(obs_list, weights, shots, epsilon=0.3):
         log_tail_base = np.log(1.0 - nu * 3.0 ** (-locality.astype(float)))
     hits = np.zeros(n_obs)
     plan = np.empty((shots, q), dtype=np.int8)
+    trace = []
     for m in range(shots):
         alive = np.ones(n_obs, dtype=bool)
         open_support = locality.astype(float).copy()
@@ -60,14 +62,15 @@ def reference_derandomize_plan(obs_list, weights, shots, epsilon=0.3):
                 costs.append(_logsumexp(log_w - decay * hits + log_round
                                         + log_tail))
             limit = min(costs) + math.log1p(_TIE_RTOL)
-            letter = next(b for b, c in zip(_CANDIDATE_ORDER, costs)
-                          if c <= limit)
+            letter, cost = next((b, c) for b, c in zip(_CANDIDATE_ORDER, costs)
+                                if c <= limit)
+            trace.append(cost)
             match = has_support & (codes[:, j] == BASIS_CODE[letter])
             open_support = open_support - (alive & match)
             alive &= ~(has_support & ~match)
             plan[m, j] = BASIS_CODE[letter]
         hits += alive & (open_support == 0)
-    return tuple(tuple(BASIS_LETTERS[c] for c in row) for row in plan)
+    return tuple(tuple(BASIS_LETTERS[c] for c in row) for row in plan), trace
 
 
 def reference_adjacency(obs):
@@ -137,14 +140,33 @@ def random_sum(gen, q, n_terms):
         for _ in range(n_terms)))
 
 
+def assert_plan_matches_reference(strings, weights, shots):
+    plan, trace = derandomize_plan(strings, weights, shots, return_cost=True)
+    rows, ref_trace = reference_derandomize_plan(strings, weights, shots)
+    assert plan.bases_sequence == rows
+    # log costs within 1e-12 are costs within a relative 1e-12
+    np.testing.assert_allclose(trace, ref_trace, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("q,spec,shots", [
     (4, {"type": "parity", "epsilon": 1}, 300),
     *[(6, spec, 200) for spec in Q6_SETS if spec.get("n0") != 0]])
 def test_plan_matches_reference_loop(q, spec, shots):
-    strings, weights = targets(projected_terms(q, spec))
-    plan = derandomize_plan(strings, weights, shots)
-    assert plan.bases_sequence == reference_derandomize_plan(
-        strings, weights, shots)
+    assert_plan_matches_reference(*targets(projected_terms(q, spec)), shots)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 8])
+def test_plan_matches_reference_on_random_sets(q):
+    # q = 1 and 2 fit in one short block and 3 in one full block; 5, 7 and
+    # 8 end in a short one
+    gen = np.random.default_rng(100 + q)
+    for _ in range(3):
+        n_terms = int(gen.integers(2, 30))
+        strings = [PauliString(tuple(gen.choice(list("IXYZ"), q)))
+                   for _ in range(n_terms - 1)] + [PauliString.identity(q)]
+        weights = gen.exponential(size=n_terms)
+        weights[gen.random(n_terms) < 0.2] = 0.0
+        assert_plan_matches_reference(strings, weights.tolist(), 60)
 
 
 def test_plan_does_not_depend_on_target_order():
