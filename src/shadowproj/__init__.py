@@ -7,8 +7,8 @@ post-processing, optionally with derandomized measurement bases or the
 direct-counts baseline for comparison.
 """
 
-from .paulis import (PauliString, SingleQubitGate, WeightedPauliSum,
-                     decompose_2x2, multiply, multiply_sums, qwc_commutes)
+from .paulis import (PauliString, WeightedPauliSum, decompose_2x2, multiply,
+                     multiply_sums, qwc_commutes)
 from .statevector import (Statevector, apply_gate, exact_expectation,
                           exact_projected_expectation, exact_projected_linear,
                           prepare_basis_state, prepare_gaussian,

@@ -4,7 +4,7 @@ Each experiment id prepares a documented state, runs repeated seeded
 estimations over a shots schedule and emits one row per (method, sector,
 shots) with the mean, the population standard deviation over repeats and
 the exact oracle target. Identical config and seed give bitwise identical
-output files; wall-clock times stay out of them for that reason.
+output files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -135,7 +134,6 @@ class ResultRow:
     stddev: float
     oracle: float
     seed: int
-    wall_clock: float = 0.0
 
 
 @dataclass
@@ -229,13 +227,11 @@ def _density_to_json(rho: np.ndarray) -> list:
 def _run_fig2(cfg: ExperimentConfig) -> ExperimentResult:
     state = prepare_fig2_state(cfg.q)
     shots = cfg.shots[-1]
-    t0 = time.perf_counter()
     shadow = acquire_shadow(state, shots, _rng.derive_seed(cfg.seed, 2))
     rho_exact = state.density_matrix()
     rho_shadow = reconstruct_density(shadow)
-    elapsed = time.perf_counter() - t0
     err = float(np.max(np.abs(rho_shadow - rho_exact)))
-    rows = [ResultRow("random", shots, 1, err, 0.0, 0.0, cfg.seed, elapsed)]
+    rows = [ResultRow("random", shots, 1, err, 0.0, 0.0, cfg.seed)]
     artifacts = {"exact_density": _density_to_json(rho_exact),
                  "reconstructed_density": _density_to_json(rho_shadow)}
     return ExperimentResult(cfg, rows, artifacts)
@@ -271,17 +267,15 @@ def _run_sector_decomposition(cfg: ExperimentConfig,
     ident = WeightedPauliSum.identity(cfg.q)
     rows = []
     for shots in cfg.shots:
-        t0 = time.perf_counter()
         tasks = [(state, ident, projectors, shots, s)
                  for s in _repeat_seeds(cfg, shots)]
         outcomes = _parallel_map(_shadow_sector_task, tasks)
-        elapsed = time.perf_counter() - t0
         for si, proj in enumerate(projectors):
             norms = np.array([out[si][1] for out in outcomes])
             rows.append(ResultRow(
                 f"random/{proj.label}", shots, cfg.repeats,
                 float(norms.mean()), float(norms.std()), oracles[si],
-                cfg.seed, elapsed))
+                cfg.seed))
     rows.sort(key=lambda r: (r.method, r.shots))
     artifacts = {}
     if spec.get("type") == "spin":
@@ -310,15 +304,13 @@ def _run_fig6(cfg: ExperimentConfig) -> ExperimentResult:
                                     exact_number_projector(cfg.q, n0))[0]
     rows = []
     for shots in cfg.shots:
-        t0 = time.perf_counter()
         tasks = [(state, ham, [proj], shots, s)
                  for s in _repeat_seeds(cfg, shots)]
         outcomes = _parallel_map(_shadow_sector_task, tasks)
-        elapsed = time.perf_counter() - t0
         nums = np.array([out[0][0] for out in outcomes])
         rows.append(ResultRow(f"random/{proj.label}", shots, cfg.repeats,
                               float(nums.mean()), float(nums.std()), oracle,
-                              cfg.seed, elapsed))
+                              cfg.seed))
     rows.sort(key=lambda r: (r.method, r.shots))
     return ExperimentResult(cfg, rows)
 
@@ -365,15 +357,13 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
                 groups, spg = None, 0
                 totals.setdefault(method, {})[str(shots)] = {
                     "total_measurements": shots}
-            t0 = time.perf_counter()
             tasks = [(method, state, expanded, ham, proj,
                       plans["derandomized"], groups, spg, shots, s)
                      for s in _repeat_seeds(cfg, shots, METHODS.index(method))]
             values = np.array(_parallel_map(_fig4_task, tasks))
-            elapsed = time.perf_counter() - t0
             rows.append(ResultRow(method, shots, cfg.repeats,
                                   float(values.mean()), float(values.std()),
-                                  oracle, cfg.seed, elapsed))
+                                  oracle, cfg.seed))
     rows.sort(key=lambda r: (r.method, r.shots))
     return ExperimentResult(cfg, rows, {"measurement_totals": totals})
 

@@ -152,38 +152,20 @@ def qwc_commutes(a: PauliString, b: PauliString) -> bool:
                for la, lb in zip(a.letters, b.letters))
 
 
-@dataclass(frozen=True)
-class SingleQubitGate:
-    """A 2x2 operator stored by its Pauli coefficients (c_I, c_X, c_Y, c_Z)."""
-
-    pauli_coeffs: tuple[complex, complex, complex, complex]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pauli_coeffs",
-                           tuple(complex(c) for c in self.pauli_coeffs))
-
-    def to_matrix(self) -> np.ndarray:
-        c = self.pauli_coeffs
-        return sum(c[i] * PAULI_MATRICES[l] for i, l in enumerate(LETTERS))
-
-    @classmethod
-    def identity(cls) -> "SingleQubitGate":
-        return cls((1 + 0j, 0j, 0j, 0j))
-
-
-def decompose_2x2(m: np.ndarray) -> SingleQubitGate:
+def decompose_2x2(m) -> np.ndarray:
     """Hilbert-Schmidt decomposition c_P = Tr(P m) / 2 for P in {I,X,Y,Z}.
 
-    Works for arbitrary complex 2x2 matrices, not only unitaries.
+    Maps (..., 2, 2) matrices to (..., 4) coefficients (c_I, c_X, c_Y, c_Z).
+    Works for arbitrary complex matrices, not only unitaries.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    c_i = (m[0, 0] + m[1, 1]) / 2
-    c_x = (m[0, 1] + m[1, 0]) / 2
-    c_y = (1j * m[0, 1] - 1j * m[1, 0]) / 2
-    c_z = (m[0, 0] - m[1, 1]) / 2
-    return SingleQubitGate((c_i, c_x, c_y, c_z))
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected (..., 2, 2) matrices, got shape {m.shape}")
+    c_i = (m[..., 0, 0] + m[..., 1, 1]) / 2
+    c_x = (m[..., 0, 1] + m[..., 1, 0]) / 2
+    c_y = (1j * m[..., 0, 1] - 1j * m[..., 1, 0]) / 2
+    c_z = (m[..., 0, 0] - m[..., 1, 1]) / 2
+    return np.stack([c_i, c_x, c_y, c_z], axis=-1)
 
 
 @dataclass(frozen=True)

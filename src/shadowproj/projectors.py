@@ -1,12 +1,16 @@
-"""Symmetry projectors as linear combinations of tensor-product unitaries,
+"""Symmetry projectors as linear combinations of tensor-power unitaries,
 and projected expectation values over classical shadows.
 
-Each projector is stored as sum_k beta_k (x)_j G_k^j with every single-qubit
-gate G kept by its four Pauli coefficients. Estimation over a shadow then
-factorizes per qubit: the observable letter multiplies each gate's Pauli
-expansion, and every product letter feeds the same {0, 1, +-3} trace kernel
-used for plain estimation. All sector information lives in the beta weights,
-so one shadow serves every eigenvalue channel of a symmetry at once.
+Every projector here applies the same single-qubit gate on each qubit, so it
+is stored as plain data: sum_k beta_k G_k^(x)q with one (K, 4) table of the
+Pauli coefficients (c_I, c_X, c_Y, c_Z) of the G_k and K beta weights.
+Estimation over a shadow then factorizes per qubit: the observable letter
+multiplies the gate's Pauli expansion, and every product letter feeds the
+same {0, 1, +-3} trace kernel used for plain estimation. The Pauli expansion
+of a projector groups strings by their letter counts (n_I, n_X, n_Y, n_Z):
+every string of one class has the coefficient sum_k beta_k prod_m c_km^n_m.
+All sector information lives in the beta weights, so one shadow serves every
+eigenvalue channel of a symmetry at once.
 
 Conventions fixed here: the particle-number operator counts 1-bits
 (n_j = (I - Z_j)/2), phase gates are diag(1, e^{i phi}), and Euler rotations
@@ -15,14 +19,16 @@ are rz(a) ry(b) rz(g) with rz/ry = exp(-i theta Z/2), exp(-i theta Y/2).
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .paulis import (LETTERS, PAULI_MATRICES, PauliString, SingleQubitGate,
+from .paulis import (LETTERS, MERGE_TOLERANCE, PAULI_MATRICES, PauliString,
                      WeightedPauliSum, decompose_2x2, letter_product,
                      multiply_sums)
 from .shadows import ClassicalShadow
@@ -59,121 +65,126 @@ def _build_letter_kernels():
 
 _LETTER_KERNEL = _build_letter_kernels()
 
+_PAULI_STACK = np.stack([PAULI_MATRICES[letter] for letter in LETTERS])
+
 
 class EmptySectorWarning(UserWarning):
     """Estimated sector norm is not positive; the ratio is undefined."""
 
 
-@dataclass(frozen=True)
-class ProjectorLCU:
-    """Projector sum_k beta_k (x)_j G_k^j over tensor-product gates.
+def _readonly(values) -> np.ndarray:
+    """Values as a read-only complex array; one that is already read-only is
+    kept as it is, so sector families share their gate table."""
+    arr = np.asarray(values, dtype=complex)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
-    ``gates[k][j]`` acts on qubit j in term k. Families of sectors of one
-    symmetry share the identical ``gates`` object and differ only in betas.
+
+@dataclass(frozen=True, eq=False)
+class ProjectorLCU:
+    """Projector sum_k beta_k G_k^(x)q: term k applies G_k on every qubit.
+
+    ``gates`` is a read-only (K, 4) complex array whose row k holds the
+    Pauli coefficients (c_I, c_X, c_Y, c_Z) of G_k, and ``betas`` a
+    read-only (K,) complex array. Families of sectors of one symmetry share
+    the identical ``gates`` array and differ only in betas.
     """
 
     num_qubits: int
-    betas: tuple[complex, ...]
-    gates: tuple[tuple[SingleQubitGate, ...], ...]
+    betas: np.ndarray
+    gates: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if len(self.betas) != len(self.gates):
-            raise ValueError("betas and gates lengths differ")
-        if any(len(row) != self.num_qubits for row in self.gates):
-            raise ValueError("every term needs one gate per qubit")
-        object.__setattr__(self, "betas",
-                           tuple(complex(b) for b in self.betas))
-
-    @property
-    def terms(self) -> tuple[tuple[complex, tuple[SingleQubitGate, ...]], ...]:
-        return tuple(zip(self.betas, self.gates))
+        betas, gates = _readonly(self.betas), _readonly(self.gates)
+        if gates.ndim != 2 or gates.shape[1] != 4 \
+                or betas.shape != gates.shape[:1]:
+            raise ValueError("need (K,) betas and a (K, 4) gate table, got "
+                             f"{betas.shape} and {gates.shape}")
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "gates", gates)
 
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix sum_k beta_k kron(G_k^{q-1}, ..., G_k^0).
+        """Dense matrix sum_k beta_k G_k^(x)q.
 
-        Terms are batched (chunked kron over the term axis) so large
-        quadrature meshes assemble in vectorized numpy.
+        The Kronecker power is built for a chunk of terms at once. Each
+        chunk is contracted with its betas by einsum, which does not call
+        BLAS: a complex matrix-vector product on threaded BLAS took tens of
+        milliseconds at these shapes.
         """
         q, n_terms = self.num_qubits, len(self.betas)
         dim = 2 ** q
-        pauli_stack = np.stack([PAULI_MATRICES[l] for l in LETTERS])
-        coeffs = np.array([[row[j].pauli_coeffs for j in range(q)]
-                           for row in self.gates])
-        mats = np.einsum("kjc,cab->kjab", coeffs, pauli_stack)
-        betas = np.asarray(self.betas)
+        mats = np.einsum("km,mab->kab", self.gates, _PAULI_STACK)
         out = np.zeros((dim, dim), dtype=complex)
         chunk = max(1, 2 ** 21 // dim ** 2)
         for start in range(0, n_terms, chunk):
-            sl = slice(start, min(start + chunk, n_terms))
-            block = mats[sl, q - 1]
-            for j in range(q - 2, -1, -1):
+            sl = slice(start, start + chunk)
+            block = mats[sl]
+            for _ in range(q - 1):
                 width = block.shape[1]
                 block = (block[:, :, None, :, None]
-                         * mats[sl, j][:, None, :, None, :]
+                         * mats[sl, None, :, None, :]
                          ).reshape(-1, width * 2, width * 2)
-            out += np.tensordot(betas[sl], block, axes=(0, 0))
+            out += np.einsum("k,kab->ab", self.betas[sl], block)
         return out
 
     def to_pauli_sum(self) -> WeightedPauliSum:
-        """Expansion into a merged weighted Pauli sum (cached)."""
+        """Expansion into a merged weighted Pauli sum (cached).
+
+        A string's coefficient depends only on its letter counts n_m:
+        sum_k beta_k prod_m c_km^n_m, computed once per count class. Only
+        letters that some term uses (|c_km| >= 1e-14) are enumerated, and
+        coefficients below 1e-14 are dropped.
+        """
         cached = getattr(self, "_pauli_sum", None)
         if cached is not None:
             return cached
-        accum: dict[tuple[str, ...], complex] = {}
-        for beta, row in zip(self.betas, self.gates):
-            paths: dict[tuple[str, ...], complex] = {(): beta}
-            for gate in row:
-                new: dict[tuple[str, ...], complex] = {}
-                for letters, coeff in paths.items():
-                    for m, c in enumerate(gate.pauli_coeffs):
-                        if abs(c) < 1e-14:
-                            continue
-                        key = letters + (LETTERS[m],)
-                        new[key] = new.get(key, 0j) + coeff * c
-                paths = new
-            for letters, coeff in paths.items():
-                accum[letters] = accum.get(letters, 0j) + coeff
-        result = WeightedPauliSum(
-            self.num_qubits,
-            tuple((c, PauliString(l)) for l, c in accum.items()))
+        used = np.flatnonzero((abs(self.gates) >= MERGE_TOLERANCE).any(axis=0))
+        strings = np.array(list(itertools.product(used,
+                                                  repeat=self.num_qubits)))
+        counts = (strings[:, :, None] == np.arange(4)).sum(axis=1)
+        classes, which = np.unique(counts, axis=0, return_inverse=True)
+        powers = (self.gates[:, None, :] ** classes).prod(axis=2)
+        values = np.einsum("k,kc->c", self.betas, powers)[which.ravel()]
+        keep = np.abs(values) >= MERGE_TOLERANCE
+        result = WeightedPauliSum(self.num_qubits, tuple(
+            (value, PauliString(tuple(LETTERS[m] for m in string)))
+            for value, string in zip(values[keep], strings[keep])))
         object.__setattr__(self, "_pauli_sum", result)
         return result
 
 
 def identity_lcu(num_qubits: int) -> ProjectorLCU:
-    row = (SingleQubitGate.identity(),) * num_qubits
-    return ProjectorLCU(num_qubits, (1 + 0j,), (row,), label="identity")
+    return ProjectorLCU(num_qubits, [1], [[1, 0, 0, 0]], label="identity")
 
 
 def parity_projector(num_qubits: int, epsilon: int) -> ProjectorLCU:
     """(I + epsilon Z^(x)q) / 2 as a two-term LCU."""
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    iden = (SingleQubitGate.identity(),) * num_qubits
-    zrow = (SingleQubitGate((0j, 0j, 0j, 1 + 0j)),) * num_qubits
-    return ProjectorLCU(num_qubits, (0.5 + 0j, 0.5 * epsilon + 0j),
-                        (iden, zrow), label=f"parity={epsilon:+d}")
+    return ProjectorLCU(num_qubits, [0.5, 0.5 * epsilon],
+                        [[1, 0, 0, 0], [0, 0, 0, 1]],
+                        label=f"parity={epsilon:+d}")
 
 
 def parity_sector_projectors(num_qubits: int) -> list[ProjectorLCU]:
     plus = parity_projector(num_qubits, +1)
-    minus = ProjectorLCU(num_qubits, (0.5 + 0j, -0.5 + 0j), plus.gates,
+    minus = ProjectorLCU(num_qubits, [0.5, -0.5], plus.gates,
                          label="parity=-1")
     return [plus, minus]
 
 
-def _number_gates(num_qubits: int) -> tuple:
-    rows = []
-    for k in range(num_qubits + 1):
-        phi = 2 * math.pi * k / (num_qubits + 1)
-        rows.append((decompose_2x2(phase_gate(phi)),) * num_qubits)
-    return tuple(rows)
-
-
-def _number_betas(num_qubits: int, n0: int) -> tuple[complex, ...]:
+def _number_gates(num_qubits: int) -> np.ndarray:
     q1 = num_qubits + 1
-    return tuple(np.exp(-2j * math.pi * k * n0 / q1) / q1 for k in range(q1))
+    return _readonly(decompose_2x2(
+        [phase_gate(2 * math.pi * k / q1) for k in range(q1)]))
+
+
+def _number_betas(num_qubits: int, n0: int) -> list[complex]:
+    q1 = num_qubits + 1
+    return [np.exp(-2j * math.pi * k * n0 / q1) / q1 for k in range(q1)]
 
 
 def number_projector(num_qubits: int, n0: int) -> ProjectorLCU:
@@ -252,11 +263,12 @@ def _validate_spin_labels(num_qubits: int, s: float, m: float) -> None:
         raise ValueError(f"m={m} incompatible with s={s}")
 
 
-def _spin_mesh(num_qubits: int, n_points: int):
-    """Midpoint mesh over the Euler angles and the per-node gate rows.
+def _spin_mesh(n_points: int):
+    """Midpoint mesh over the Euler angles and the gate table of its nodes.
 
     alpha, gamma in [0, 2pi), beta in [0, pi], each with n_points midpoint
-    nodes; the sin(beta) measure never hits its vanishing endpoints.
+    nodes; the sin(beta) measure never hits its vanishing endpoints. Node
+    (a, b, g) is row (a * n + b) * n + g of the (n**3, 4) gate table.
     """
     if n_points < 2:
         raise ValueError("need at least two quadrature points per angle")
@@ -265,29 +277,23 @@ def _spin_mesh(num_qubits: int, n_points: int):
     alphas = (np.arange(n_points) + 0.5) * d_alpha
     betas = (np.arange(n_points) + 0.5) * d_beta
     gammas = (np.arange(n_points) + 0.5) * d_alpha
-    nodes = []
-    rows = []
-    for a in alphas:
-        for b in betas:
-            for g in gammas:
-                nodes.append((a, b, g))
-                gate = decompose_2x2(rz(a) @ ry(b) @ rz(g))
-                rows.append((gate,) * num_qubits)
-    steps = (d_alpha, d_beta, d_alpha)
-    return nodes, tuple(rows), steps
+    rz_a = np.array([rz(a) for a in alphas])
+    ry_b = np.array([ry(b) for b in betas])
+    rz_g = np.array([rz(g) for g in gammas])
+    mats = rz_a[:, None, None] @ ry_b[None, :, None] @ rz_g[None, None, :]
+    gates = _readonly(decompose_2x2(mats).reshape(-1, 4))
+    return (alphas, betas, gammas), (d_alpha, d_beta, d_alpha), gates
 
 
-def _spin_betas(nodes, steps, s: float, m: float) -> tuple[complex, ...]:
+def _spin_betas(angles, steps, s: float, m: float) -> np.ndarray:
+    alphas, betas, gammas = angles
     d_alpha, d_beta, d_gamma = steps
     norm = (2 * s + 1) / (8 * math.pi ** 2) * d_alpha * d_beta * d_gamma
-    small_d = {}
-    betas = []
-    for a, b, g in nodes:
-        if b not in small_d:
-            small_d[b] = wigner_small_d(s, m, m, b)
-        d_val = small_d[b] * np.exp(-1j * m * a) * np.exp(-1j * m * g)
-        betas.append(norm * math.sin(b) * np.conj(d_val))
-    return tuple(betas)
+    small_d = np.array([wigner_small_d(s, m, m, b) for b in betas])
+    weight = np.array([norm * math.sin(b) for b in betas])
+    d_val = (small_d[None, :, None] * np.exp(-1j * m * alphas)[:, None, None]
+             * np.exp(-1j * m * gammas)[None, None, :])
+    return (weight[None, :, None] * np.conj(d_val)).ravel()
 
 
 def spin_projector(num_qubits: int, s: float, m: float,
@@ -298,15 +304,15 @@ def spin_projector(num_qubits: int, s: float, m: float,
     tests, roughly 1% at n_points = 10 for q = 4.
     """
     _validate_spin_labels(num_qubits, s, m)
-    nodes, rows, steps = _spin_mesh(num_qubits, n_points)
-    return ProjectorLCU(num_qubits, _spin_betas(nodes, steps, s, m), rows,
+    angles, steps, gates = _spin_mesh(n_points)
+    return ProjectorLCU(num_qubits, _spin_betas(angles, steps, s, m), gates,
                         label=f"s={s:g},m={m:g}")
 
 
 def spin_sector_projectors(num_qubits: int, n_points: int
                            ) -> list[ProjectorLCU]:
-    nodes, rows, steps = _spin_mesh(num_qubits, n_points)
-    return [ProjectorLCU(num_qubits, _spin_betas(nodes, steps, s, m), rows,
+    angles, steps, gates = _spin_mesh(n_points)
+    return [ProjectorLCU(num_qubits, _spin_betas(angles, steps, s, m), gates,
                          label=f"s={s:g},m={m:g}")
             for s, m in spin_sectors(num_qubits)]
 
@@ -324,37 +330,32 @@ def _distinct_symbols(shadow: ClassicalShadow
     return symbols[starts].astype(np.intp), counts / len(symbols)
 
 
-def _gate_coeffs(gates: tuple) -> np.ndarray:
-    """(terms, q, 4) Pauli coefficients of every gate."""
-    return np.array([[gate.pauli_coeffs for gate in row] for row in gates],
-                    dtype=complex)
-
-
 def _term_products(symbols: tuple[np.ndarray, np.ndarray],
-                   letters: Sequence[str], gate_coeffs: np.ndarray,
+                   letters: Sequence[str], gates: np.ndarray,
                    chunk: int = 1 << 16) -> np.ndarray:
     """Snapshot-mean of prod_j sum_m alpha_m Tr[P_j P'_m (3r - I)] per term.
 
-    A qubit's factor depends only on its (basis, bit) symbol, so every term
-    gets a table of six values per qubit, the product over qubits runs once
-    per distinct symbol row, and the rows are weighted by their frequency.
-    ``chunk`` bounds the (terms x rows) block in elements. Returns one
-    complex mean per LCU term; the caller contracts with betas. The
-    weighting is a product and a sum, not a matrix-vector product: threaded
-    BLAS takes milliseconds per call at these shapes.
+    A qubit's factor depends only on its letter and its (basis, bit)
+    symbol, so every distinct letter gets a (terms, 6) table, the product
+    over qubits runs once per distinct symbol row, and the rows are weighted
+    by their frequency. ``chunk`` bounds the (terms x rows) block in
+    elements. Returns one complex mean per LCU term; the caller contracts
+    with betas. The weighting is a product and a sum, not a matrix-vector
+    product: threaded BLAS takes milliseconds per call at these shapes.
     """
     rows, weights = symbols
-    n_terms, q, _ = gate_coeffs.shape
-    kernels = np.stack([_LETTER_KERNEL[letter] for letter in letters])
-    # table[j, k, s]: factor of term k on qubit j under symbol s
-    table = np.einsum("kjm,jms->jks", gate_coeffs, kernels)
+    n_terms = len(gates)
+    # tables[L][k, s]: factor of term k on a qubit with letter L, symbol s
+    tables = {letter: np.einsum("km,ms->ks", gates, _LETTER_KERNEL[letter])
+              for letter in set(letters)}
     step = max(1, chunk // n_terms)
     out = np.zeros(n_terms, dtype=complex)
     for start in range(0, rows.shape[0], step):
         sym = rows[start:start + step]
-        block = table[0].take(sym[:, 0], axis=1) * weights[start:start + step]
-        for j in range(1, q):
-            block *= table[j].take(sym[:, j], axis=1)
+        block = (tables[letters[0]].take(sym[:, 0], axis=1)
+                 * weights[start:start + step])
+        for j in range(1, len(letters)):
+            block *= tables[letters[j]].take(sym[:, j], axis=1)
         out += block.sum(axis=1)
     return out
 
@@ -420,15 +421,14 @@ def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
     for i, proj in enumerate(projectors):
         by_gates.setdefault(id(proj.gates), []).append(i)
     for indices in by_gates.values():
-        gate_coeffs = _gate_coeffs(projectors[indices[0]].gates)
-        prods_norm = _term_products(symbols, iden, gate_coeffs)
+        gates = projectors[indices[0]].gates
+        prods_norm = _term_products(symbols, iden, gates)
         prods_obs = [(coeff * string.phase,
                       prods_norm if string.letters == iden
-                      else _term_products(symbols, string.letters,
-                                          gate_coeffs))
+                      else _term_products(symbols, string.letters, gates))
                      for coeff, string in obs.terms]
         for i in indices:
-            betas = np.asarray(projectors[i].betas)
+            betas = projectors[i].betas
             norm = float((betas @ prods_norm).real)
             num = float(sum(c * (betas @ p) for c, p in prods_obs).real)
             results[i] = (num, norm)
@@ -499,6 +499,22 @@ def exact_spin_projector(num_qubits: int, s: float, m: float) -> np.ndarray:
     return proj
 
 
+def _spec_number(spec: dict, key: str, integer: bool = True, default=None):
+    """``spec[key]`` as an int, or a float when not ``integer``. A missing
+    key without default, booleans, strings and non-integral numbers for an
+    integer key are rejected."""
+    value = spec.get(key, default)
+    if value is None:
+        raise ValueError(f"projector spec {spec} lacks {key!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+            integer and not isinstance(value, numbers.Integral)
+            and not float(value).is_integer()):
+        raise ValueError(f"projector spec {key!r} must be "
+                         f"{'an integer' if integer else 'a number'}, "
+                         f"got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def projector_from_spec(num_qubits: int, spec: dict) -> ProjectorLCU:
     """Build a projector from the CLI/config mapping.
 
@@ -508,12 +524,14 @@ def projector_from_spec(num_qubits: int, spec: dict) -> ProjectorLCU:
     """
     kind = spec.get("type")
     if kind == "parity":
-        return parity_projector(num_qubits, int(spec["epsilon"]))
+        return parity_projector(num_qubits, _spec_number(spec, "epsilon"))
     if kind == "number":
-        return number_projector(num_qubits, int(spec["n0"]))
+        return number_projector(num_qubits, _spec_number(spec, "n0"))
     if kind == "spin":
-        return spin_projector(num_qubits, float(spec["s"]),
-                              float(spec["m"]), int(spec.get("n_p", 10)))
+        return spin_projector(num_qubits,
+                              _spec_number(spec, "s", integer=False),
+                              _spec_number(spec, "m", integer=False),
+                              _spec_number(spec, "n_p", default=10))
     raise ValueError(f"unknown projector type {kind!r}")
 
 
@@ -525,5 +543,6 @@ def all_sector_projectors(num_qubits: int, spec: dict) -> list[ProjectorLCU]:
     if kind == "number":
         return number_sector_projectors(num_qubits)
     if kind == "spin":
-        return spin_sector_projectors(num_qubits, int(spec.get("n_p", 10)))
+        return spin_sector_projectors(
+            num_qubits, _spec_number(spec, "n_p", default=10))
     raise ValueError(f"unknown projector type {kind!r}")

@@ -216,3 +216,16 @@ def test_derandomize_number_sector_zero_targets_the_norm(workdir, capsys):
                  "--projector", '{"type": "number", "n0": 0}',
                  "--shots", "10", "--out", str(workdir / "plan.txt")]) == 0
     assert last_json(capsys)["targets"] == 2 ** 4
+
+
+def test_project_rejects_a_malformed_projector_spec(workdir, capsys):
+    shadow = workdir / "shadow.txt"
+    assert main(["acquire", "--state", str(workdir / "state.json"),
+                 "--shots", "50", "--seed", "2", "--out", str(shadow)]) == 0
+    capsys.readouterr()
+    assert main(["project", "--shadow", str(shadow), "--observable",
+                 str(workdir / "ham.json"), "--projector",
+                 '{"type": "number", "n0": 2.5}']) == 1
+    captured = capsys.readouterr()
+    assert "'n0' must be an integer, got 2.5" in captured.err
+    assert "Traceback" not in captured.err

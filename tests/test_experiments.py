@@ -193,6 +193,10 @@ PINNED_CSV_SHA256 = {
              "bcb4785f29f54055c055dc8d1e362bc7e38bd5d740a90d79d18002f33085d6c4"),
     "fig5": ({"shots": [1000], "repeats": 3},
              "f31224508df86b1707e633e4b5a9bac4c5f6fa37a96de6fa525b40c6fc5b9999"),
+    "fig6": ({"shots": [100, 1000], "repeats": 3},
+             "565c179c94755f20637f85f334f91ba70c1e67d0b5bebfbc8c21eca92c396b35"),
+    "fig7": ({"shots": [1000], "repeats": 3},
+             "4bf32007c4163943d41a7ee5cabc27a2fd530df5a9b6eadfb9bbe2e3c441045e"),
 }
 
 

@@ -14,8 +14,8 @@ from shadowproj.experiments import prepare_spin_rotated_gaussian
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.paulis import PauliString, WeightedPauliSum
 from shadowproj.projectors import (_PERM, EmptySectorWarning,
-                                   _distinct_symbols, _gate_coeffs,
-                                   _term_products, all_sector_projectors,
+                                   _distinct_symbols, _term_products,
+                                   all_sector_projectors,
                                    projected_estimate_sectors)
 from shadowproj.shadows import acquire_shadow
 from shadowproj.statevector import Statevector, prepare_gaussian
@@ -23,13 +23,14 @@ from shadowproj.statevector import Statevector, prepare_gaussian
 
 def reference_term_products(codes, outcomes, letters, gates, chunk=4096):
     """Snapshot-mean of prod_j sum_m alpha_m Tr[P_j P'_m (3r - I)] per term,
-    one snapshot at a time."""
+    one snapshot at a time. ``gates`` is the (K, 4) table shared by every
+    qubit."""
     n_snap, q = codes.shape
     n_terms = len(gates)
     coeffs = np.empty((n_terms, q, 4), dtype=complex)
     for k, row in enumerate(gates):
         for j in range(q):
-            coeffs[k, j] = _PERM[letters[j]] @ np.asarray(row[j].pauli_coeffs)
+            coeffs[k, j] = _PERM[letters[j]] @ row
     sign3 = 3.0 * (1.0 - 2.0 * outcomes)
     out = np.zeros(n_terms, dtype=complex)
     for start in range(0, n_snap, chunk):
@@ -122,9 +123,9 @@ def test_distinct_rows_cross_the_chunk(letters):
     n_rows = len(symbols[0])
     step = 7
     assert n_rows > 10 * step
-    chunked = _term_products(symbols, letters, _gate_coeffs(gates),
+    chunked = _term_products(symbols, letters, gates,
                              chunk=step * len(gates))
-    whole = _term_products(symbols, letters, _gate_coeffs(gates))
+    whole = _term_products(symbols, letters, gates)
     want = reference_term_products(shadow.codes, shadow.outcomes, letters,
                                    gates)
     assert np.abs(chunked - want).max() <= 1e-12

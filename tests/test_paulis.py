@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowproj.paulis import (GAUSSIAN_UNITS, LETTERS, PauliString,
-                               SingleQubitGate, WeightedPauliSum,
-                               decompose_2x2, multiply, multiply_sums,
-                               qwc_commutes)
+from shadowproj.paulis import (GAUSSIAN_UNITS, LETTERS, PAULI_MATRICES,
+                               PauliString, WeightedPauliSum, decompose_2x2,
+                               multiply, multiply_sums, qwc_commutes)
 
 letters_strategy = st.sampled_from(LETTERS)
 
@@ -102,18 +101,23 @@ def test_label_roundtrip():
     assert PauliString.from_label(str(p)) == p
 
 
+def pauli_matrix(coeffs):
+    """The 2x2 matrix sum_m c_m P_m of Pauli coefficients."""
+    return sum(c * PAULI_MATRICES[l] for c, l in zip(coeffs, LETTERS))
+
+
 def test_decompose_identity_and_hadamard():
     ident = decompose_2x2(np.eye(2))
-    assert np.allclose(ident.pauli_coeffs, (1, 0, 0, 0), atol=1e-14)
+    assert np.allclose(ident, (1, 0, 0, 0), atol=1e-14)
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    coeffs = decompose_2x2(h).pauli_coeffs
+    coeffs = decompose_2x2(h)
     assert np.allclose(coeffs, (0, 1 / np.sqrt(2), 0, 1 / np.sqrt(2)),
                        atol=1e-14)
 
 
 def test_decompose_phase_gate_pi_is_z():
     q = np.diag([1.0, np.exp(1j * np.pi)])
-    coeffs = decompose_2x2(q).pauli_coeffs
+    coeffs = decompose_2x2(q)
     assert np.allclose(coeffs, (0, 0, 0, 1), atol=1e-12)
 
 
@@ -122,15 +126,27 @@ def test_decompose_phase_gate_pi_is_z():
 def test_decompose_reconstruct_roundtrip(vals):
     m = (np.array(vals[:4]).reshape(2, 2)
          + 1j * np.array(vals[4:]).reshape(2, 2))
-    gate = decompose_2x2(m)
-    assert np.max(np.abs(gate.to_matrix() - m)) < 1e-12
+    coeffs = decompose_2x2(m)
+    assert np.max(np.abs(pauli_matrix(coeffs) - m)) < 1e-12
 
 
 def test_decompose_roundtrip_random_dense():
     gen = np.random.default_rng(0)
     for _ in range(100):
         m = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
-        assert np.max(np.abs(decompose_2x2(m).to_matrix() - m)) < 1e-12
+        assert np.max(np.abs(pauli_matrix(decompose_2x2(m)) - m)) < 1e-12
+
+
+def test_decompose_batched_matches_one_by_one():
+    gen = np.random.default_rng(1)
+    mats = gen.normal(size=(5, 2, 2)) + 1j * gen.normal(size=(5, 2, 2))
+    coeffs = decompose_2x2(mats)
+    assert coeffs.shape == (5, 4)
+    for m, row in zip(mats, coeffs):
+        assert np.array_equal(row, decompose_2x2(m))
+        assert np.max(np.abs(pauli_matrix(row) - m)) < 1e-12
+    with pytest.raises(ValueError):
+        decompose_2x2(np.eye(3))
 
 
 def test_sum_merges_and_drops_tiny_terms():
@@ -177,6 +193,3 @@ def test_multiply_sums_matches_dense():
         dense = a.to_matrix() @ b.to_matrix()
         assert np.max(np.abs(multiply_sums(a, b).to_matrix() - dense)) < 1e-10
 
-
-def test_single_qubit_gate_identity():
-    assert np.allclose(SingleQubitGate.identity().to_matrix(), np.eye(2))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shadowproj.paulis import PauliString, WeightedPauliSum
-from shadowproj.projectors import (EmptySectorWarning,
+from shadowproj.projectors import (EmptySectorWarning, ProjectorLCU,
                                    all_sector_projectors,
                                    exact_number_projector,
                                    exact_parity_projector,
@@ -56,7 +56,8 @@ def test_parity_projector_dense_q2():
 def test_parity_projector_term_structure():
     proj = parity_projector(3, -1)
     assert len(proj.betas) == 2
-    assert proj.betas == (0.5, -0.5)
+    assert proj.betas.tolist() == [0.5, -0.5]
+    assert proj.gates.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
 
 
 def test_parity_resolution_of_identity():
@@ -438,6 +439,58 @@ def test_projector_from_spec_and_families():
     assert len(all_sector_projectors(4, {"type": "number"})) == 5
     assert len(all_sector_projectors(4, {"type": "spin", "n_p": 3})) == 9
 
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"type": "number", "n0": 2.5}, "n0"),
+    ({"type": "number", "n0": True}, "n0"),
+    ({"type": "number", "n0": "2"}, "n0"),
+    ({"type": "parity", "epsilon": 1.9}, "epsilon"),
+    ({"type": "parity", "epsilon": False}, "epsilon"),
+    ({"type": "spin", "s": 1, "m": 0, "n_p": 4.7}, "n_p"),
+    ({"type": "spin", "s": "1", "m": 0}, "s"),
+    ({"type": "spin", "s": 1, "m": True}, "m"),
+])
+def test_projector_spec_rejects_malformed_numbers(spec, key):
+    with pytest.raises(ValueError, match=f"'{key}' must be"):
+        projector_from_spec(2, spec)
+
+
+@pytest.mark.parametrize("spec", [{"type": "spin", "n_p": 4.7},
+                                  {"type": "spin", "n_p": "4"},
+                                  {"type": "spin", "n_p": True}])
+def test_all_sectors_rejects_a_malformed_mesh_size(spec):
+    with pytest.raises(ValueError, match="'n_p' must be an integer"):
+        all_sector_projectors(2, spec)
+
+
+@pytest.mark.parametrize("spec, key", [({"type": "number"}, "n0"),
+                                       ({"type": "parity"}, "epsilon"),
+                                       ({"type": "spin", "m": 0}, "s"),
+                                       ({"type": "spin", "s": 1}, "m")])
+def test_projector_spec_names_a_missing_key(spec, key):
+    with pytest.raises(ValueError, match=f"lacks '{key}'"):
+        projector_from_spec(2, spec)
+
+
+def test_projector_spec_accepts_integral_numbers():
+    assert projector_from_spec(3, {"type": "number", "n0": 2.0}).label \
+        == "n0=2"
+    assert projector_from_spec(3, {"type": "number",
+                                   "n0": np.int64(1)}).label == "n0=1"
+    assert len(projector_from_spec(2, {"type": "spin", "s": 1.0, "m": 0,
+                                       "n_p": 3.0}).betas) == 27
+
+
+def test_projector_arrays_are_read_only():
+    proj = spin_projector(2, 1, 0, 3)
+    assert proj.gates.shape == (27, 4) and proj.betas.shape == (27,)
+    assert proj.gates.dtype == complex and proj.betas.dtype == complex
+    for arr in (proj.gates, proj.betas):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(ValueError):
+        ProjectorLCU(2, [1, 1], [[1, 0, 0, 0]])
 
 def test_sector_family_shares_gates():
     projs = number_sector_projectors(4)
