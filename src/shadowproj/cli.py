@@ -32,11 +32,12 @@ def _read_state(path: str) -> sv.Statevector:
 
 
 def _projector_spec(text: str) -> dict:
-    """Inline JSON or a path to a JSON file."""
+    """Inline JSON or a path to a JSON file; it must hold an object."""
     candidate = Path(text)
-    if candidate.exists():
-        return json.loads(candidate.read_text())
-    return json.loads(text)
+    spec = json.loads(candidate.read_text() if candidate.exists() else text)
+    if not isinstance(spec, dict):
+        raise ValueError(f"projector spec must be a JSON object, got {text}")
+    return spec
 
 
 def _emit(payload) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .paulis import WeightedPauliSum
-from .statevector import BASIS_ROTATIONS, I2, Statevector, rotate_to_bases
+from .statevector import BASIS_ROTATIONS, I2, Statevector
 
 BASIS_LETTERS = ("X", "Y", "Z")
 BASIS_CODE = {"X": 0, "Y": 1, "Z": 2}
@@ -149,10 +149,12 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
     """Collect ``shots`` snapshots of ``state``.
 
     With ``bases=None`` every qubit's basis is drawn i.i.d. uniformly from
-    {X, Y, Z}; otherwise the prescribed per-round bases are used (length must
-    equal ``shots``). Snapshot n consumes row n of a counter-based uniform
-    block derived from the seed, so results are reproducible and independent
-    of any parallel execution order.
+    {X, Y, Z}; otherwise the prescribed per-round bases are used: ``shots``
+    rounds of q letters X, Y or Z, or ValueError naming the first bad round.
+    Snapshot n consumes row n of a counter-based uniform block derived from
+    the seed (q basis draws, unused for prescribed bases, then the outcome
+    draw), so results are reproducible and independent of any parallel
+    execution order, and of how the Born distributions are computed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -160,30 +162,134 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
     block = _rng.uniform_block(seed, (_ACQUIRE_TAG,), shots, q + 1)
     if bases is None:
         codes = np.minimum((block[:, :q] * 3).astype(np.int8), 2)
-        prescribed = False
     else:
-        bases = list(bases)
-        if len(bases) != shots:
-            raise ValueError("prescribed basis list length must equal shots")
-        codes = np.array([[BASIS_CODE[b] for b in row] for row in bases],
-                         dtype=np.int8)
-        if codes.shape != (shots, q):
-            raise ValueError("each prescribed entry needs q basis letters")
-        prescribed = True
+        codes = _prescribed_codes(list(bases), shots, q)
 
-    uniforms = block[:, q]
+    # key: the basis row as a base-3 number, qubit 0 the leading digit
+    keys = np.zeros(shots, dtype=np.int64)
+    for j in range(q):
+        keys *= 3
+        keys += codes[:, j]
+    rows = np.argsort(keys)  # the rows of each key form one run
+    keys = keys[rows]
+    bounds = np.append(np.flatnonzero(_run_starts(keys)), shots)
+    distinct, counts = keys[bounds[:-1]], np.diff(bounds)
+    uniforms = block[rows, q]
+    del keys, block
+    index = np.empty(shots, dtype=np.int32)
+    for start, cdf in _born_cdf(state, distinct):
+        stop = start + len(cdf)
+        run = slice(bounds[start], bounds[stop])
+        cdf_row = np.repeat(np.arange(len(cdf), dtype=np.int32),
+                            counts[start:stop])
+        index[rows[run]] = _search_rows(cdf, cdf_row, uniforms[run])
     outcomes = np.empty((shots, q), dtype=np.int8)
-    unique_rows, inverse = np.unique(codes, axis=0, return_inverse=True)
-    for gi, row in enumerate(unique_rows):
-        members = np.nonzero(inverse == gi)[0]
-        letters = [BASIS_LETTERS[c] for c in row]
-        cdf = np.cumsum(rotate_to_bases(state, letters).probabilities())
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, uniforms[members], side="right")
-        idx = np.minimum(idx, cdf.size - 1)
-        outcomes[members] = (idx[:, None] >> np.arange(q)) & 1
+    for j in range(q):
+        outcomes[:, j] = (index >> j) & 1
+    return ClassicalShadow.from_arrays(codes, outcomes, seed,
+                                       bases is not None)
 
-    return ClassicalShadow.from_arrays(codes, outcomes, seed, prescribed)
+
+def _prescribed_codes(bases: list, shots: int, q: int) -> np.ndarray:
+    """(shots, q) int8 codes of prescribed basis rows; ValueError names the
+    first round that is not q letters X, Y or Z."""
+    if len(bases) != shots:
+        raise ValueError("prescribed basis list length must equal shots")
+    rows = ["".join(row) for row in bases]
+    sizes = np.fromiter(map(len, bases), dtype=np.int64, count=shots)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=shots)
+    bad = np.flatnonzero((sizes != q) | (lengths != q))
+    if not bad.size:
+        codes = _BYTE_CODES[np.frombuffer(
+            "".join(rows).encode("ascii", "replace"),
+            dtype=np.uint8)].reshape(shots, q)
+        bad = np.flatnonzero((codes < 0).any(axis=1))
+    if bad.size:
+        raise ValueError(f"prescribed round {bad[0]}: expected {q} basis "
+                         f"letters X, Y or Z, got {bases[bad[0]]!r}")
+    return codes
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values."""
+    return np.append(True, ordered[1:] != ordered[:-1])
+
+
+# The basis rotations by code. rotate_to_bases skips Z; here Z is the
+# identity, whose product returns its input exactly, up to the sign of a
+# zero, which no later sum or probability can see.
+_LEVEL_GATES = np.stack([BASIS_ROTATIONS[b] for b in BASIS_LETTERS])
+
+# Amplitudes one level of the basis-prefix expansion may hold: 2^13 complex
+# values (128 KiB), so acquisition memory stays bounded up to q = 12.
+_AMPLITUDE_BUDGET = 1 << 13
+
+
+def _born_probabilities(state: Statevector, keys: np.ndarray
+                        ) -> Iterator[tuple[int, np.ndarray]]:
+    """Outcome distributions of ``state`` in the bases ``keys``, in chunks.
+
+    A key reads a basis row as a base-3 number with qubit 0 as its leading
+    digit; ``keys`` must be sorted and distinct. Yields ``(start, probs)``
+    with ``probs[i]`` equal, float for float, to
+    ``rotate_to_bases(state, row).probabilities()`` for ``keys[start + i]``:
+    the gates go on qubit 0 first, each as the same (2, 2) @ (2, 2^(q-1))
+    product, and Z applies the identity. Keys with the same codes on qubits
+    0..j share those rotations, which happen once per chunk. A chunk has at
+    most ``_AMPLITUDE_BUDGET >> q`` keys, so no level exceeds the budget.
+    """
+    q = state.num_qubits
+    dim = 1 << q
+    per_chunk = max(1, _AMPLITUDE_BUDGET >> q)
+    for start in range(0, keys.size, per_chunk):
+        chunk = keys[start:start + per_chunk]
+        prefixes, amps = np.zeros(1, dtype=np.int64), state.amplitudes[None]
+        for j in range(q):
+            prefix = chunk // 3 ** (q - 1 - j)
+            level = prefix[_run_starts(prefix)]
+            parent = np.searchsorted(prefixes, level // 3)
+            # qubit j moved to axis 1: apply_gate's (2, 2^(q-1)) layout
+            split = (-1, dim >> (j + 1), 2, 1 << j)
+            slab = np.take(amps.reshape(split).swapaxes(1, 2), parent, axis=0)
+            rotated = _LEVEL_GATES[level % 3] @ slab.reshape(level.size, 2, -1)
+            amps = rotated.reshape(slab.shape).swapaxes(1, 2).reshape(
+                level.size, dim)
+            prefixes = level
+        probs = np.abs(amps) ** 2
+        del amps
+        probs /= probs.sum(axis=1, keepdims=True)
+        yield start, probs
+
+
+def _born_cdf(state: Statevector, keys: np.ndarray
+              ) -> Iterator[tuple[int, np.ndarray]]:
+    """Chunks of :func:`_born_probabilities` as cumulative distributions,
+    the last entry clamped to 1."""
+    for start, probs in _born_probabilities(state, keys):
+        cdf = np.cumsum(probs, axis=1, out=probs)
+        cdf[:, -1] = 1.0
+        yield start, cdf
+
+
+def _search_rows(cdf: np.ndarray, row: np.ndarray,
+                 uniforms: np.ndarray) -> np.ndarray:
+    """``min(searchsorted(cdf[row[n]], uniforms[n], "right"), 2^q - 1)`` for
+    every n at once, by q halving steps over [0, 2^q - 1]."""
+    width = cdf.shape[1]
+    flat = cdf.reshape(-1)
+    before = row * width - 1  # flat index just before each row
+    pos = before.copy()  # last flat index known to hold a value <= u
+    probe = np.empty_like(pos)
+    seen = np.empty(pos.size)
+    take = np.empty(pos.size, dtype=bool)
+    step = width >> 1
+    while step:
+        np.add(pos, step, out=probe)
+        np.less_equal(np.take(flat, probe, out=seen), uniforms, out=take)
+        np.copyto(pos, probe, where=take)
+        step >>= 1
+    pos -= before
+    return pos
 
 
 def qubit_trace_factor(basis: str, outcome_bit: int, p: str) -> int:
@@ -292,14 +398,16 @@ def iter_snapshot_distribution(state: Statevector
     unbiasedness checks at small q.
     """
     q = state.num_qubits
-    for combo in itertools.product(BASIS_LETTERS, repeat=q):
-        probs = rotate_to_bases(state, combo).probabilities()
-        for k in range(2 ** q):
-            p = probs[k] / 3 ** q
-            if p == 0.0:
-                continue
-            bits = tuple((k >> j) & 1 for j in range(q))
-            yield Snapshot(combo, bits), float(p)
+    combos = itertools.product(BASIS_LETTERS, repeat=q)
+    # itertools.product order is key order: qubit 0 is the leading digit
+    for _, chunk in _born_probabilities(state, np.arange(3 ** q)):
+        for probs, combo in zip(chunk, combos):
+            for k in range(2 ** q):
+                p = probs[k] / 3 ** q
+                if p == 0.0:
+                    continue
+                bits = tuple((k >> j) & 1 for j in range(q))
+                yield Snapshot(combo, bits), float(p)
 
 
 _LETTER_BYTES = np.frombuffer("".join(BASIS_LETTERS).encode(), np.uint8)

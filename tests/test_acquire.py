@@ -1,0 +1,185 @@
+"""Born sampling in acquire_shadow against the per-basis-row reference.
+
+The reference rotates the state once per distinct basis row with
+``rotate_to_bases`` and searches that row's CDF; the shadow acquired through
+the prefix-shared expansion must match it byte for byte.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shadowproj import rng as _rng
+from shadowproj import shadows
+from shadowproj.experiments import (prepare_fig4_state,
+                                    prepare_spin_rotated_gaussian)
+from shadowproj.measurement import derandomize_plan
+from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
+from shadowproj.projectors import (expand_projected_observable,
+                                   projector_from_spec)
+from shadowproj.shadows import (BASIS_CODE, BASIS_LETTERS, ClassicalShadow,
+                                acquire_shadow, iter_snapshot_distribution)
+from shadowproj.statevector import (Statevector, prepare_basis_state,
+                                    prepare_gaussian, rotate_to_bases)
+
+
+def reference_acquire_shadow(state, shots, seed, bases=None):
+    """One rotate_to_bases and one searchsorted per distinct basis row."""
+    q = state.num_qubits
+    block = _rng.uniform_block(seed, (shadows._ACQUIRE_TAG,), shots, q + 1)
+    if bases is None:
+        codes = np.minimum((block[:, :q] * 3).astype(np.int8), 2)
+    else:
+        codes = np.array([[BASIS_CODE[b] for b in row] for row in bases],
+                         dtype=np.int8)
+    uniforms = block[:, q]
+    outcomes = np.empty((shots, q), dtype=np.int8)
+    unique_rows, inverse = np.unique(codes, axis=0, return_inverse=True)
+    for gi, row in enumerate(unique_rows):
+        members = np.nonzero(inverse.reshape(-1) == gi)[0]
+        letters = [BASIS_LETTERS[c] for c in row]
+        cdf = np.cumsum(rotate_to_bases(state, letters).probabilities())
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, uniforms[members], side="right")
+        idx = np.minimum(idx, cdf.size - 1)
+        outcomes[members] = (idx[:, None] >> np.arange(q)) & 1
+    return ClassicalShadow.from_arrays(codes, outcomes, seed,
+                                       bases is not None)
+
+
+def random_state(q, seed):
+    gen = np.random.default_rng(seed)
+    v = gen.normal(size=2 ** q) + 1j * gen.normal(size=2 ** q)
+    return Statevector(v / np.linalg.norm(v))
+
+
+def assert_same_shadow(got, want):
+    assert got.codes.tobytes() == want.codes.tobytes()
+    assert got.outcomes.tobytes() == want.outcomes.tobytes()
+    assert got.prescribed == want.prescribed
+    assert got.seed == want.seed
+
+
+STATES = {
+    "gaussian": lambda q: prepare_gaussian(q),
+    "spin": prepare_spin_rotated_gaussian,
+    "fig4": prepare_fig4_state,
+    "random": lambda q: random_state(q, 100 + q),
+    # exact zeros in the Z basis leave flat runs in the CDF
+    "basis": lambda q: prepare_basis_state(q, (1 << q) // 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+@pytest.mark.parametrize("q", range(1, 9))
+def test_random_shadow_matches_reference(kind, q):
+    state = STATES[kind](q)
+    shots = 3000 if q < 7 else 800
+    for seed in (0, 11):
+        assert_same_shadow(acquire_shadow(state, shots, seed),
+                           reference_acquire_shadow(state, shots, seed))
+
+
+def test_prescribed_shadow_on_a_derandomized_q6_plan_matches_reference():
+    q = 6
+    ham = build_pairing_hamiltonian(PairingSpec(q, 1.0, 1.0))
+    proj = projector_from_spec(q, {"type": "number", "n0": 3})
+    expanded = expand_projected_observable(ham, proj)
+    plan = derandomize_plan([s for _, s in expanded.terms],
+                            [abs(c) for c, _ in expanded.terms], 400,
+                            epsilon=0.3)
+    state = prepare_fig4_state(q)
+    for seed in (1, 2):
+        got = acquire_shadow(state, len(plan), seed,
+                             bases=plan.bases_sequence)
+        assert got.prescribed
+        assert_same_shadow(got, reference_acquire_shadow(
+            state, len(plan), seed, bases=plan.bases_sequence))
+
+
+def test_q10_shadow_matches_reference():
+    state = random_state(10, 7)
+    assert_same_shadow(acquire_shadow(state, 120, 5),
+                       reference_acquire_shadow(state, 120, 5))
+
+
+def test_keys_crossing_the_chunk_budget_match_reference(monkeypatch):
+    state = random_state(6, 3)
+    keys = np.arange(3 ** 6)
+    # the module budget alone splits the 729 q=6 bases into several chunks
+    assert len(list(shadows._born_cdf(state, keys))) > 2
+    assert_same_shadow(acquire_shadow(state, 6000, 4),
+                       reference_acquire_shadow(state, 6000, 4))
+    # two keys per chunk: every prefix is rebuilt many times over
+    monkeypatch.setattr(shadows, "_AMPLITUDE_BUDGET", 16)
+    state = random_state(3, 3)
+    assert len(list(shadows._born_cdf(state, np.arange(27)))) == 14
+    assert_same_shadow(acquire_shadow(state, 500, 4),
+                       reference_acquire_shadow(state, 500, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       shots=st.integers(1, 200))
+def test_acquire_matches_reference_property(q, seed, shots):
+    state = random_state(q, seed)
+    assert_same_shadow(acquire_shadow(state, shots, seed),
+                       reference_acquire_shadow(state, shots, seed))
+
+
+def test_search_rows_equals_clamped_searchsorted():
+    gen = np.random.default_rng(0)
+    for q in (1, 2, 3, 5):
+        probs = gen.random((7, 2 ** q))
+        probs[gen.random(probs.shape) < 0.4] = 0.0  # flat runs
+        probs[:, 0] += 1e-3
+        cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        cdf[:, -1] = 1.0
+        row = gen.integers(0, 7, 400).astype(np.int32)
+        u = gen.random(400)
+        u[:50] = cdf[row[:50], gen.integers(0, 2 ** q, 50)]  # exact hits
+        u[50:60] = 0.0
+        want = np.minimum([np.searchsorted(cdf[r], x, side="right")
+                           for r, x in zip(row, u)], 2 ** q - 1)
+        np.testing.assert_array_equal(shadows._search_rows(cdf, row, u),
+                                      want)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_snapshot_distribution_matches_per_basis_rotation(q):
+    state = random_state(q, 9)
+    want = []
+    for combo in itertools.product(BASIS_LETTERS, repeat=q):
+        probs = rotate_to_bases(state, combo).probabilities()
+        for k in range(2 ** q):
+            if probs[k] / 3 ** q != 0.0:
+                want.append((combo, tuple((k >> j) & 1 for j in range(q)),
+                             float(probs[k] / 3 ** q)))
+    got = [(s.bases, s.outcome, p) for s, p in iter_snapshot_distribution(
+        state)]
+    assert got == want
+
+
+@pytest.mark.parametrize("bases, round_", [
+    ([["Q", "Z"], ["Z", "Z"]], 0),
+    ([["Z", "Z"], ["Z"]], 1),
+    ([["Z", "Z"], ["X", "Y", "Z"]], 1),
+    ([["Z", "Z"], ["XY", "Z"]], 1),
+    ([["X", "x"], ["Z", "Z"]], 0),
+    (["ZZ", "Zé"], 1),
+])
+def test_prescribed_bases_are_validated(bases, round_):
+    with pytest.raises(ValueError, match=f"prescribed round {round_}:"):
+        acquire_shadow(prepare_gaussian(2), 2, 1, bases=bases)
+
+
+def test_prescribed_bases_accept_strings_and_tuples():
+    state = random_state(3, 1)
+    rows = ["XYZ", ("Z", "Z", "X"), ["Y", "X", "X"]]
+    got = acquire_shadow(state, 3, 8, bases=rows)
+    assert got.codes.tolist() == [[0, 1, 2], [2, 2, 0], [1, 0, 0]]
+    assert_same_shadow(got, reference_acquire_shadow(state, 3, 8,
+                                                     bases=rows))

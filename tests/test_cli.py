@@ -229,3 +229,17 @@ def test_project_rejects_a_malformed_projector_spec(workdir, capsys):
     captured = capsys.readouterr()
     assert "'n0' must be an integer, got 2.5" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("spec", ["[1]", '"x"', "3", "null"])
+def test_project_rejects_a_projector_spec_that_is_not_an_object(
+        workdir, capsys, spec):
+    shadow = workdir / "shadow.txt"
+    assert main(["acquire", "--state", str(workdir / "state.json"),
+                 "--shots", "50", "--seed", "2", "--out", str(shadow)]) == 0
+    capsys.readouterr()
+    assert main(["project", "--shadow", str(shadow), "--observable",
+                 str(workdir / "ham.json"), "--projector", spec]) == 1
+    captured = capsys.readouterr()
+    assert "projector spec must be a JSON object" in captured.err
+    assert "Traceback" not in captured.err
