@@ -10,6 +10,7 @@ the most significant qubit leftmost, e.g. ``"+1 ZIZY"``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -39,6 +40,8 @@ _XYZ_MUL = {
 }
 
 MERGE_TOLERANCE = 1e-14
+
+_PHASE_PREFIXES = {"+1": 1, "-1": -1, "+i": 1j, "-i": -1j}
 
 
 def letter_product(a: str, b: str) -> tuple[complex, str]:
@@ -93,7 +96,9 @@ class PauliString:
         label = label.strip()
         if " " in label:
             prefix, label = label.split(None, 1)
-            phase = phase * {"+1": 1, "-1": -1, "+i": 1j, "-i": -1j}[prefix]
+            if prefix not in _PHASE_PREFIXES:
+                raise ValueError(f"unknown phase prefix {prefix!r}")
+            phase = phase * _PHASE_PREFIXES[prefix]
             label = label.strip()
         return cls(tuple(reversed(label)), phase)
 
@@ -242,16 +247,40 @@ class WeightedPauliSum:
     @classmethod
     def from_json(cls, text: str, num_qubits: int | None = None
                   ) -> "WeightedPauliSum":
+        """Parse :meth:`to_json` output: a list of objects, each with finite
+        numbers ``coeff_re`` and ``coeff_im`` and a Pauli label ``string``.
+        ValueError names the first malformed entry."""
         entries = json.loads(text)
+        if not isinstance(entries, list):
+            raise ValueError("observable must be a JSON list of terms, got "
+                             f"{type(entries).__name__}")
         terms = []
-        for e in entries:
-            string = PauliString.from_label(e["string"])
-            terms.append((complex(e["coeff_re"], e["coeff_im"]), string))
+        for n, entry in enumerate(entries):
+            try:
+                terms.append(_json_term(entry))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"observable term {n}: {exc}") from None
         if num_qubits is None:
             if not terms:
                 raise ValueError("empty sum needs an explicit num_qubits")
             num_qubits = terms[0][1].num_qubits
         return cls(num_qubits, tuple(terms))
+
+
+def _json_term(entry) -> tuple[complex, PauliString]:
+    """One observable-file entry as (coefficient, string), or ValueError."""
+    if not isinstance(entry, dict) \
+            or not {"coeff_re", "coeff_im", "string"} <= entry.keys():
+        raise ValueError("need an object with coeff_re, coeff_im and "
+                         f"string, got {entry!r}")
+    parts = entry["coeff_re"], entry["coeff_im"]
+    if any(isinstance(v, bool) or not isinstance(v, (int, float))
+           or not math.isfinite(v) for v in parts):
+        raise ValueError(f"coefficients must be finite numbers, got {parts}")
+    if not isinstance(entry["string"], str):
+        raise ValueError(f"string must be a Pauli label, got "
+                         f"{entry['string']!r}")
+    return complex(*parts), PauliString.from_label(entry["string"])
 
 
 def multiply_sums(a: WeightedPauliSum, b: WeightedPauliSum) -> WeightedPauliSum:

@@ -6,7 +6,10 @@ is stored as plain data: sum_k beta_k G_k^(x)q with one (K, 4) table of the
 Pauli coefficients (c_I, c_X, c_Y, c_Z) of the G_k and K beta weights.
 Estimation over a shadow then factorizes per qubit: the observable letter
 multiplies the gate's Pauli expansion, and every product letter feeds the
-same {0, 1, +-3} trace kernel used for plain estimation. The Pauli expansion
+same {0, 1, +-3} trace kernel used for plain estimation. A string's product
+over qubits runs once per distinct snapshot row; the all-I string, which
+gives the norm, runs once per class of rows with equal counts of the six
+(basis, bit) symbols, at most C(q+5, 5) classes. The Pauli expansion
 of a projector groups strings by their letter counts (n_I, n_X, n_Y, n_Z):
 every string of one class has the coefficient sum_k beta_k prod_m c_km^n_m.
 All sector information lives in the beta weights, so one shadow serves every
@@ -330,6 +333,26 @@ def _distinct_symbols(shadow: ClassicalShadow
     return symbols[starts].astype(np.intp), counts / len(symbols)
 
 
+def _count_classes(symbols: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One distinct row per symbol-count class, and the class weights.
+
+    Rows with equal counts n_s = #{j: row[j] = s} of the six symbols form a
+    class. With every letter I, term k's product over a row is
+    prod_s T[k, s]^n_s, the same for every row of its class, so the all-I
+    string needs :func:`_term_products` on one row per class only: at most
+    C(q+5, 5) classes against up to 6^q distinct rows. Each class gets the
+    summed weight of its rows; classes come in order of sum_s n_s (q+1)^s.
+    """
+    rows, weights = symbols
+    radix = rows.shape[1] + 1
+    keys = (radix ** np.arange(6))[rows].sum(axis=1)  # sum_s n_s (q+1)^s
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    return rows[order[starts]], np.add.reduceat(weights[order], starts)
+
+
 def _term_products(symbols: tuple[np.ndarray, np.ndarray],
                    letters: Sequence[str], gates: np.ndarray,
                    chunk: int = 1 << 16) -> np.ndarray:
@@ -342,6 +365,8 @@ def _term_products(symbols: tuple[np.ndarray, np.ndarray],
     elements. Returns one complex mean per LCU term; the caller contracts
     with betas. The weighting is a product and a sum, not a matrix-vector
     product: threaded BLAS takes milliseconds per call at these shapes.
+    For the all-I string, which gives the norm, the caller passes one row
+    per symbol-count class from :func:`_count_classes`.
     """
     rows, weights = symbols
     n_terms = len(gates)
@@ -416,13 +441,14 @@ def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
                     ) -> list[tuple[float, float]]:
     results: list[tuple[float, float]] = [(0.0, 0.0)] * len(projectors)
     symbols = _distinct_symbols(shadow)
+    classes = _count_classes(symbols)
     iden = ("I",) * shadow.num_qubits
     by_gates: dict[int, list[int]] = {}
     for i, proj in enumerate(projectors):
         by_gates.setdefault(id(proj.gates), []).append(i)
     for indices in by_gates.values():
         gates = projectors[indices[0]].gates
-        prods_norm = _term_products(symbols, iden, gates)
+        prods_norm = _term_products(classes, iden, gates)
         prods_obs = [(coeff * string.phase,
                       prods_norm if string.letters == iden
                       else _term_products(symbols, string.letters, gates))

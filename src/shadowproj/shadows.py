@@ -195,10 +195,14 @@ def _prescribed_codes(bases: list, shots: int, q: int) -> np.ndarray:
     first round that is not q letters X, Y or Z."""
     if len(bases) != shots:
         raise ValueError("prescribed basis list length must equal shots")
-    rows = ["".join(row) for row in bases]
-    sizes = np.fromiter(map(len, bases), dtype=np.int64, count=shots)
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=shots)
-    bad = np.flatnonzero((sizes != q) | (lengths != q))
+    try:
+        rows = ["".join(row) for row in bases]
+        sizes = np.fromiter(map(len, bases), dtype=np.int64, count=shots)
+    except TypeError:  # some round is not a sequence of strings
+        bad = np.flatnonzero([not _letter_round(row, q) for row in bases])
+    else:
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=shots)
+        bad = np.flatnonzero((sizes != q) | (lengths != q))
     if not bad.size:
         codes = _BYTE_CODES[np.frombuffer(
             "".join(rows).encode("ascii", "replace"),
@@ -208,6 +212,14 @@ def _prescribed_codes(bases: list, shots: int, q: int) -> np.ndarray:
         raise ValueError(f"prescribed round {bad[0]}: expected {q} basis "
                          f"letters X, Y or Z, got {bases[bad[0]]!r}")
     return codes
+
+
+def _letter_round(row, q: int) -> bool:
+    """Whether one prescribed round is q letters X, Y or Z."""
+    try:
+        return len(row) == q and all(b in BASIS_CODE for b in row)
+    except TypeError:
+        return False
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -342,10 +354,14 @@ def estimate(shadow: ClassicalShadow, obs: WeightedPauliSum,
     per-qubit kernel; prescribed shadows switch to the direct
     compatible-count average (no factor 3), the only unbiased choice there.
     ``median_groups`` enables median-of-means on random shadows for
-    robustness studies; the plain mean is the default.
+    robustness studies; the plain mean is the default. It must lie in
+    1..len(shadow), or ValueError.
     """
     if obs.num_qubits != shadow.num_qubits:
         raise ValueError("observable and shadow qubit counts differ")
+    if median_groups is not None and not 1 <= median_groups <= len(shadow):
+        raise ValueError(f"median_groups must lie in 1..{len(shadow)}, "
+                         f"got {median_groups}")
     if shadow.prescribed:
         if median_groups not in (None, 1):
             raise ValueError("median-of-means applies to random shadows only")

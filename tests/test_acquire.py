@@ -183,3 +183,15 @@ def test_prescribed_bases_accept_strings_and_tuples():
     assert got.codes.tolist() == [[0, 1, 2], [2, 2, 0], [1, 0, 0]]
     assert_same_shadow(got, reference_acquire_shadow(state, 3, 8,
                                                      bases=rows))
+
+
+@pytest.mark.parametrize("bases, round_", [
+    ([["Z", "Z", "Z"], [2, 2, 2]], 1),
+    ([[0, "Z", "Z"], ["Z", "Z", "Z"]], 0),
+    (["ZZZ", 5], 1),
+    ([["Z", "Z"], ["X", ["Y"], "Z"]], 0),
+    (["ZZZ", ["X", ["Y"], "Z"]], 1),
+])
+def test_rounds_holding_non_strings_are_named(bases, round_):
+    with pytest.raises(ValueError, match=f"prescribed round {round_}:"):
+        acquire_shadow(prepare_gaussian(3), 2, 1, bases=bases)

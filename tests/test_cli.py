@@ -243,3 +243,42 @@ def test_project_rejects_a_projector_spec_that_is_not_an_object(
     captured = capsys.readouterr()
     assert "projector spec must be a JSON object" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("groups", ["500", "51", "0", "-1"])
+def test_estimate_rejects_median_groups_outside_the_shadow(workdir, capsys,
+                                                           groups):
+    shadow = workdir / "shadow.txt"
+    assert main(["acquire", "--state", str(workdir / "state.json"),
+                 "--shots", "50", "--seed", "2", "--out", str(shadow)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--shadow", str(shadow), "--observable",
+                 str(workdir / "ham.json"), "--median-groups", groups]) == 1
+    captured = capsys.readouterr()
+    assert f"median_groups must lie in 1..50, got {groups}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[{"coeff_re": 1.0, "string": "+1 ZIZI"}]',
+     "observable term 0: need an object with coeff_re, coeff_im and string"),
+    ('{"coeff_re": 1.0, "coeff_im": 0.0, "string": "+1 ZIZI"}',
+     "observable must be a JSON list of terms, got dict"),
+    ('[{"coeff_re": 1.0, "coeff_im": 0.0, "string": "+1 IIII"}, '
+     '{"coeff_re": NaN, "coeff_im": 0.0, "string": "+1 ZIZI"}]',
+     "observable term 1: coefficients must be finite numbers"),
+])
+def test_estimate_rejects_a_malformed_observable_file(workdir, capsys, text,
+                                                      message):
+    shadow = workdir / "shadow.txt"
+    assert main(["acquire", "--state", str(workdir / "state.json"),
+                 "--shots", "50", "--seed", "2", "--out", str(shadow)]) == 0
+    obs = workdir / "bad_obs.json"
+    obs.write_text(text)
+    capsys.readouterr()
+    assert main(["estimate", "--shadow", str(shadow), "--observable",
+                 str(obs)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -188,15 +188,15 @@ PINNED_CSV_SHA256 = {
     "fig2": ({},
              "48aa8394495c003b3b4c006a6e8291bd821a5dc09475f6da5d941c0fe03804f9"),
     "fig3": ({"shots": [100, 1000], "repeats": 3},
-             "3deb060596cca305d05ad5d3e95215862830adc27b79d835ff4337e485788386"),
+             "2f9e41037102f5f8901604e0d6035797b4e915d8d775c442f32599c025eef6f8"),
     "fig4": ({"shots": [300], "repeats": 3},
              "bcb4785f29f54055c055dc8d1e362bc7e38bd5d740a90d79d18002f33085d6c4"),
     "fig5": ({"shots": [1000], "repeats": 3},
-             "f31224508df86b1707e633e4b5a9bac4c5f6fa37a96de6fa525b40c6fc5b9999"),
+             "0314702208779349e12bfbcb5bc8866d98a27bc6f1ec2fc03c749b6bc8668145"),
     "fig6": ({"shots": [100, 1000], "repeats": 3},
-             "565c179c94755f20637f85f334f91ba70c1e67d0b5bebfbc8c21eca92c396b35"),
+             "97c692354c568d17bb98b5402e22494523676682131f18ccc2c2ce1afe900e57"),
     "fig7": ({"shots": [1000], "repeats": 3},
-             "4bf32007c4163943d41a7ee5cabc27a2fd530df5a9b6eadfb9bbe2e3c441045e"),
+             "f5c865ccfe5fbaa29700657a62d8fd79f113008278661bf50727e7e9469c26e5"),
 }
 
 

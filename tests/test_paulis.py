@@ -193,3 +193,45 @@ def test_multiply_sums_matches_dense():
         dense = a.to_matrix() @ b.to_matrix()
         assert np.max(np.abs(multiply_sums(a, b).to_matrix() - dense)) < 1e-10
 
+
+
+coefficients = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda q: st.tuples(
+    st.just(q), st.lists(st.tuples(coefficients, coefficients, strings(q)),
+                         min_size=1, max_size=12))))
+def test_observable_file_roundtrip_property(case):
+    q, raw = case
+    s = WeightedPauliSum(q, tuple((complex(re, im), string)
+                                  for re, im, string in raw))
+    again = WeightedPauliSum.from_json(s.to_json(), num_qubits=q)
+    assert again == s
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"coeff_re": 1.0}', "must be a JSON list of terms, got dict"),
+    ('"ZZ"', "must be a JSON list of terms, got str"),
+    ('[1]', "term 0: need an object"),
+    ('[{"coeff_re": 1.0, "string": "+1 ZZ"}]', "term 0: need an object"),
+    ('[{"coeff_re": 1, "coeff_im": 0, "string": "ZZ"}, '
+     '{"coeff_im": 0, "string": "ZZ"}]', "term 1: need an object"),
+    ('[{"coeff_re": NaN, "coeff_im": 0, "string": "ZZ"}]',
+     "term 0: coefficients must be finite"),
+    ('[{"coeff_re": 1, "coeff_im": Infinity, "string": "ZZ"}]',
+     "term 0: coefficients must be finite"),
+    ('[{"coeff_re": "1", "coeff_im": 0, "string": "ZZ"}]',
+     "term 0: coefficients must be finite"),
+    ('[{"coeff_re": true, "coeff_im": 0, "string": "ZZ"}]',
+     "term 0: coefficients must be finite"),
+    ('[{"coeff_re": 1, "coeff_im": 0, "string": 5}]',
+     "term 0: string must be a Pauli label"),
+    ('[{"coeff_re": 1, "coeff_im": 0, "string": "+1 QZ"}]',
+     "term 0: invalid letters"),
+    ('[{"coeff_re": 1, "coeff_im": 0, "string": "+2 ZZ"}]',
+     "term 0: unknown phase prefix"),
+])
+def test_malformed_observable_files_are_rejected(text, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedPauliSum.from_json(text)

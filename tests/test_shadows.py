@@ -193,6 +193,21 @@ def test_median_of_means_close_to_mean():
     assert abs(robust - exact_expectation(state, obs)) < 0.3
 
 
+
+@pytest.mark.parametrize("groups", [0, -1, 51, 500])
+def test_median_groups_outside_the_shadow_are_rejected(groups):
+    shadow = acquire_shadow(fig2_state(), 50, seed=3)
+    with pytest.raises(ValueError, match="median_groups must lie in 1..50"):
+        estimate(shadow, single("X", q=2), median_groups=groups)
+
+
+def test_median_groups_up_to_the_shadow_size_are_accepted():
+    shadow = acquire_shadow(fig2_state(), 50, seed=3)
+    obs = single("X", q=2)
+    values = [estimate(shadow, obs, median_groups=g) for g in (1, 50)]
+    assert values[0] == estimate(shadow, obs)
+    assert np.isfinite(values[1])
+
 # --- density reconstruction -------------------------------------------------
 
 def test_reconstruct_eigenstate_prescribed_z():
