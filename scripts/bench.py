@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Time the layers of the fig4 budget path and record them in a JSON file.
+
+For the pairing Hamiltonian times the half-filling number projector at
+q=6 (n0=3) and q=8 (n0=4), on the fig4 state, each layer is called k times
+and its median and minimum wall time (``time.perf_counter``) are kept:
+
+* expand: ``expand_projected_observable`` on a freshly built projector;
+* derandomize: ``derandomize_plan`` for the expanded terms, weighted by
+  |coefficient|, epsilon 0.3, with 2000 rounds at q=6 (as the ``budget-q6``
+  workload) and 4000 at q=8, the first round count that measures every one
+  of the 2048 terms there;
+* estimate: the prescribed ``estimate`` on a shadow measured on that plan;
+* rlf: ``group_qwc_rlf`` of the expanded sum;
+* counts: ``direct_counts_estimate`` with rounds // groups shots per group
+  and weighted allocation.
+
+    python scripts/bench.py --out BENCH_9.json --label change
+    python scripts/bench.py --src /path/to/other/checkout/src --label parent
+
+The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
+Python and the numpy version; other keys of an existing file are kept.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+EPSILON = 0.3
+# name: (q, n0, plan rounds)
+CASES = {"q6_n0_3": (6, 3, 2000), "q8_n0_4": (8, 4, 4000)}
+
+
+def machine() -> dict:
+    import numpy as np
+    cpu = platform.processor()
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"cpu": cpu, "cores": os.cpu_count(),
+            "arch": platform.machine(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def timed(fn, runs: int) -> tuple[dict, object]:
+    """Median and minimum ms of ``runs`` calls after one warm-up call."""
+    out = fn()
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        out = fn()
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"median_ms": round(statistics.median(times), 3),
+            "min_ms": round(min(times), 3)}, out
+
+
+def bench_case(q: int, n0: int, rounds: int, runs: int) -> dict:
+    from shadowproj import experiments, measurement, pairing, projectors
+    from shadowproj import shadows
+
+    state = experiments.prepare_fig4_state(q)
+    ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0, 1.0))
+    result = {}
+    result["expand"], expanded = timed(
+        lambda: projectors.expand_projected_observable(
+            ham, projectors.number_projector(q, n0)), runs)
+    strings = [s for _, s in expanded.terms]
+    weights = [abs(c) for c, _ in expanded.terms]
+    result["derandomize"], plan = timed(
+        lambda: measurement.derandomize_plan(strings, weights, rounds,
+                                             epsilon=EPSILON), runs)
+    shadow = shadows.acquire_shadow(state, rounds, 1,
+                                    bases=plan.bases_sequence)
+    result["estimate"], _ = timed(
+        lambda: shadows.estimate(shadow, expanded), runs)
+    result["rlf"], groups = timed(
+        lambda: measurement.group_qwc_rlf(expanded), runs)
+    per_group = max(1, rounds // len(groups))
+    result["counts"], _ = timed(
+        lambda: measurement.direct_counts_estimate(
+            state, groups, expanded, per_group, 1, weighted_allocation=True),
+        runs)
+    result["sizes"] = {"expanded_terms": len(expanded),
+                       "rlf_groups": len(groups)}
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="BENCH_9.json")
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--runs", type=int, default=7,
+                        help="timed calls per layer (median of k)")
+    parser.add_argument("--src", default=str(
+        Path(__file__).resolve().parent.parent / "src"),
+        help="source tree whose shadowproj is timed")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be >= 1")
+    sys.path.insert(0, args.src)
+
+    record = {"machine": machine(), "runs": args.runs,
+              "cases": {name: bench_case(*case, args.runs)
+                        for name, case in CASES.items()}}
+    out = Path(args.out)
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data.setdefault("layers", {})[args.label] = record
+    out.write_text(json.dumps(data, indent=1) + "\n")
+    print(json.dumps(record["cases"], indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

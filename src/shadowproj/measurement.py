@@ -20,9 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .paulis import PauliString, WeightedPauliSum
-from .shadows import BASIS_CODE, BASIS_LETTERS
-from .statevector import Statevector, rotate_to_bases, sample_bitstrings
+from .paulis import PauliString, WeightedPauliSum, letter_codes
+from .shadows import (BASIS_CODE, BASIS_LETTERS, _basis_keys,
+                      _born_probabilities, _sum_in_order)
+from .statevector import Statevector
 
 # Candidate order implementing the Z < X < Y tie-break.
 _CANDIDATE_ORDER = ("Z", "X", "Y")
@@ -129,11 +130,7 @@ def _observable_codes(obs_list: Sequence[PauliString]) -> np.ndarray:
     q = obs_list[0].num_qubits if obs_list else 0
     if any(p.num_qubits != q for p in obs_list):
         raise ValueError("observables must share num_qubits")
-    codes = np.full((len(obs_list), q), -1, dtype=np.int8)
-    for i, p in enumerate(obs_list):
-        for j in p.support():
-            codes[i, j] = BASIS_CODE[p.letters[j]]
-    return codes
+    return letter_codes(obs_list, q) - 1
 
 
 def _weights(weights: Sequence[float] | None, n: int) -> np.ndarray:
@@ -319,7 +316,7 @@ def group_qwc_rlf(obs: WeightedPauliSum) -> list[ObservableGroup]:
     wherever two terms fail qubit-wise commutation; each color class forms
     one measurable group.
     """
-    codes = _observable_codes([s for _, s in obs.terms])
+    codes = obs.codes - 1
     adj = _conflict_graph(codes)
     uncolored = np.ones(len(codes), dtype=bool)
     degree = adj.sum(axis=1)
@@ -346,7 +343,7 @@ def group_qwc_rlf(obs: WeightedPauliSum) -> list[ObservableGroup]:
 
 def group_qwc_greedy(obs: WeightedPauliSum) -> list[ObservableGroup]:
     """Largest-first greedy coloring baseline for comparison with RLF."""
-    codes = _observable_codes([s for _, s in obs.terms])
+    codes = obs.codes - 1
     adj = _conflict_graph(codes)
     color = np.full(len(codes), -1)
     n_colors = 0
@@ -360,7 +357,7 @@ def group_qwc_greedy(obs: WeightedPauliSum) -> list[ObservableGroup]:
 
 def singleton_groups(obs: WeightedPauliSum) -> list[ObservableGroup]:
     """One group per term: the ungrouped direct-counts baseline."""
-    codes = _observable_codes([s for _, s in obs.terms])
+    codes = obs.codes - 1
     return _groups(codes, np.eye(len(codes), dtype=bool))
 
 
@@ -381,7 +378,8 @@ def allocate_shots(groups: Sequence[ObservableGroup], obs: WeightedPauliSum,
     if not weighted:
         return [shots_per_group] * n
     total = n * shots_per_group
-    weight = np.array([sum(abs(obs.terms[i][0]) for i in g.members)
+    magnitudes = obs.magnitudes().tolist()
+    weight = np.array([sum(magnitudes[i] for i in g.members)
                        for g in groups])
     if weight.sum() == 0:
         return [shots_per_group] * n
@@ -393,6 +391,49 @@ def allocate_shots(groups: Sequence[ObservableGroup], obs: WeightedPauliSum,
     return alloc.tolist()
 
 
+def _check_counts_inputs(state: Statevector,
+                         groups: Sequence[ObservableGroup],
+                         obs: WeightedPauliSum) -> None:
+    if obs.num_qubits != state.num_qubits:
+        raise ValueError(f"state has {state.num_qubits} qubits but the "
+                         f"observable {obs.num_qubits}")
+    _check_cover(groups, len(obs))
+
+
+def _group_distributions(state: Statevector,
+                         groups: Sequence[ObservableGroup]) -> np.ndarray:
+    """(G, 2^q) outcome distributions of ``state`` in every group's shared
+    basis, from one :func:`_born_probabilities` pass over the distinct
+    bases; each row equals ``rotate_to_bases(state, basis).probabilities()``
+    float for float."""
+    q = state.num_qubits
+    if any(len(g.shared_basis) != q for g in groups):
+        raise ValueError(f"every shared basis needs {q} letters")
+    codes = np.array([[BASIS_CODE[b] for b in g.shared_basis]
+                      for g in groups], dtype=np.int8).reshape(-1, q)
+    distinct, which = np.unique(_basis_keys(codes), return_inverse=True)
+    probs = np.empty((distinct.size, 1 << q))
+    for start, chunk in _born_probabilities(state, distinct):
+        probs[start:start + len(chunk)] = chunk
+    return probs[which]
+
+
+def _odd_parities(obs: WeightedPauliSum, members: Sequence[int]
+                  ) -> np.ndarray:
+    """(len(members), 2^q) uint8: 1 where outcome k has odd parity on the
+    member's support, so its Pauli eigenvalue is -1."""
+    q = obs.num_qubits
+    support = ((obs.codes[list(members)] > 0) << np.arange(q)).sum(axis=1)
+    return np.bitwise_count(support[:, None] & np.arange(1 << q)) & 1
+
+
+def _recombine(obs: WeightedPauliSum, groups: Sequence[ObservableGroup],
+               means: np.ndarray) -> float:
+    """sum_a Re(gamma_a) <O_a>, added group by group, member by member."""
+    order = [i for group in groups for i in group.members]
+    return _sum_in_order(obs.coeffs.real[order] * means[order])
+
+
 def direct_counts_estimate(state: Statevector,
                            groups: Sequence[ObservableGroup],
                            obs: WeightedPauliSum, shots_per_group: int,
@@ -402,23 +443,25 @@ def direct_counts_estimate(state: Statevector,
 
     Every member's expectation is the mean of prod_{j in support} (-1)^{b_j}
     over that group's sampled bitstrings; the total recombines the gammas.
+    Group gi draws its shots with ``gen.choice`` from the stream
+    ``rng.stream(seed, 0xc0de, gi)`` over the group's Born distribution,
+    so the draws, and the estimate, do not depend on how the
+    distributions are computed. A member's signed count is an exact
+    integer sum over the outcome histogram.
     """
-    _check_cover(groups, len(obs.terms))
+    _check_counts_inputs(state, groups, obs)
     if shots_per_group < 1:
         raise ValueError("shots_per_group must be >= 1")
     alloc = allocate_shots(groups, obs, shots_per_group, weighted_allocation)
-    total = 0j
+    probs = _group_distributions(state, groups)
+    means = np.empty(len(obs))
     for gi, group in enumerate(groups):
         gen = _rng.stream(seed, 0xc0de, gi)
-        bits = sample_bitstrings(state, group.shared_basis, alloc[gi], gen)
-        sign = 1.0 - 2.0 * bits
-        for i in group.members:
-            coeff, string = obs.terms[i]
-            vals = np.ones(alloc[gi])
-            for j in string.support():
-                vals = vals * sign[:, j]
-            total += coeff * string.phase * vals.mean()
-    return float(total.real)
+        outcomes = gen.choice(probs.shape[1], size=alloc[gi], p=probs[gi])
+        counts = np.bincount(outcomes, minlength=probs.shape[1])
+        odd = (_odd_parities(obs, group.members) * counts).sum(axis=1)
+        means[list(group.members)] = (alloc[gi] - 2 * odd) / alloc[gi]
+    return _recombine(obs, groups, means)
 
 
 def counts_expectation_exact(state: Statevector,
@@ -429,17 +472,10 @@ def counts_expectation_exact(state: Statevector,
     Uses the rotated-basis Born distribution and diagonal parities only, so
     it is an independent route to <obs> for unbiasedness checks.
     """
-    _check_cover(groups, len(obs.terms))
-    q = state.num_qubits
-    k = np.arange(2 ** q)
-    bit_signs = 1.0 - 2.0 * ((k[:, None] >> np.arange(q)) & 1)
-    total = 0j
-    for group in groups:
-        probs = rotate_to_bases(state, group.shared_basis).probabilities()
-        for i in group.members:
-            coeff, string = obs.terms[i]
-            vals = np.ones(2 ** q)
-            for j in string.support():
-                vals = vals * bit_signs[:, j]
-            total += coeff * string.phase * float(probs @ vals)
-    return float(total.real)
+    _check_counts_inputs(state, groups, obs)
+    probs = _group_distributions(state, groups)
+    means = np.empty(len(obs))
+    for gi, group in enumerate(groups):
+        signs = 1.0 - 2.0 * _odd_parities(obs, group.members)
+        means[list(group.members)] = (signs * probs[gi]).sum(axis=1)
+    return _recombine(obs, groups, means)

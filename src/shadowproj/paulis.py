@@ -5,14 +5,24 @@ phase restricted to the four Gaussian units {+1, -1, +i, -i}; arbitrary
 complex scalars live only in the coefficients of :class:`WeightedPauliSum`.
 Qubit ``j = 0`` is the least significant one; text labels are written with
 the most significant qubit leftmost, e.g. ``"+1 ZIZY"``.
+
+A :class:`WeightedPauliSum` is held as arrays: an (L, q) int8 table of
+letter codes I=0, X=1, Y=2, Z=3 (column j is qubit j) and L complex
+coefficients. In that code the product of two letters is the letter
+``a ^ b`` up to a power of i, so :func:`multiply_sums` multiplies whole sums
+by array operations. Terms are merged and ordered by an integer key that
+reads a string's codes as a base-4 number with qubit 0 as the leading
+digit, two bits per qubit; the key order is the order of the sorted letter
+tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +50,8 @@ _XYZ_MUL = {
 }
 
 MERGE_TOLERANCE = 1e-14
+# Keys hold two bits per qubit in an int64.
+MAX_SUM_QUBITS = 31
 
 _PHASE_PREFIXES = {"+1": 1, "-1": -1, "+i": 1j, "-i": -1j}
 
@@ -173,30 +185,164 @@ def decompose_2x2(m) -> np.ndarray:
     return np.stack([c_i, c_x, c_y, c_z], axis=-1)
 
 
-@dataclass(frozen=True)
+# Letter code of each ASCII byte; -1 for bytes that are no letter.
+_BYTE_LETTER = np.full(256, -1, dtype=np.int8)
+_BYTE_LETTER[np.frombuffer("".join(LETTERS).encode(), np.uint8)] = range(4)
+_LETTER_ARRAY = np.array(LETTERS)
+# i^p for p = 0..3
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _build_product_powers() -> np.ndarray:
+    """[a, b] -> p with letter a * letter b = i^p * letter (a ^ b)."""
+    powers = np.zeros((4, 4), dtype=np.int8)
+    for a, b in itertools.product(range(4), repeat=2):
+        phase, _ = letter_product(LETTERS[a], LETTERS[b])
+        powers[a, b] = _I_POWERS.tolist().index(phase)
+    return powers
+
+
+_PRODUCT_POWER = _build_product_powers()
+
+
+def letter_codes(strings: Sequence[PauliString], num_qubits: int
+                 ) -> np.ndarray:
+    """(L, q) int8 letter codes (I=0, X=1, Y=2, Z=3) of strings that all
+    act on ``num_qubits`` qubits; phases are ignored."""
+    text = "".join("".join(string.letters) for string in strings)
+    return _BYTE_LETTER[np.frombuffer(text.encode(), np.uint8)].reshape(
+        len(strings), num_qubits)
+
+
+def _row_keys(codes: np.ndarray) -> np.ndarray:
+    """Each code row as a base-4 number, qubit 0 the leading digit."""
+    keys = np.zeros(len(codes), dtype=np.int64)
+    for column in codes.T:
+        keys <<= 2
+        keys |= column
+    return keys
+
+
+def _complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b rounded as Python's complex product rounds it: four real
+    products, one subtraction and one addition, none of them fused.
+    numpy's complex multiply may fuse them and differ in the last bit."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked later
+        re = a.real * b.real - a.imag * b.imag
+        im = a.real * b.imag + a.imag * b.real
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 class WeightedPauliSum:
     """Observable O = sum_a gamma_a O_a in canonical merged form.
 
-    Construction folds each string's phase into its coefficient, merges
-    duplicate letter patterns, drops |coeff| < 1e-14 and sorts terms, so two
-    sums built from the same operator compare equal.
+    The sum is two read-only arrays: ``codes``, an (L, q) int8 array of
+    letter codes (I=0, X=1, Y=2, Z=3; column j is qubit j), and ``coeffs``,
+    the (L,) complex coefficients with every string phase folded in.
+    Construction merges duplicate letter patterns by an integer key that
+    reads a row as a base-4 number with qubit 0 as the leading digit, adding
+    each key's coefficients in input order; it drops |coeff| < 1e-14 and
+    keeps the terms in key order, which is the order of the sorted letter
+    tuples. Two sums built from the same operator therefore compare equal.
+
+    ``WeightedPauliSum(q, terms)`` converts (coefficient, PauliString)
+    pairs; :meth:`from_arrays` takes letter codes directly. ``terms`` is a
+    tuple view of (coefficient, PauliString) pairs, built on first use.
+    Non-finite coefficients raise ValueError naming the term.
     """
 
-    num_qubits: int
-    terms: tuple[tuple[complex, PauliString], ...] = field(default=())
+    __slots__ = ("num_qubits", "codes", "coeffs", "_keys", "_terms")
 
-    def __post_init__(self):
-        merged: dict[tuple[str, ...], complex] = {}
-        for coeff, string in self.terms:
-            if string.num_qubits != self.num_qubits:
-                raise ValueError("all terms must share num_qubits")
-            key = string.letters
-            merged[key] = merged.get(key, 0j) + complex(coeff) * string.phase
-        canonical = tuple(
-            (coeff, PauliString(letters))
-            for letters, coeff in sorted(merged.items())
-            if abs(coeff) >= MERGE_TOLERANCE)
-        object.__setattr__(self, "terms", canonical)
+    def __init__(self, num_qubits: int,
+                 terms: Iterable[tuple[complex, PauliString]] = ()):
+        terms = tuple(terms)
+        if any(string.num_qubits != num_qubits for _, string in terms):
+            raise ValueError("all terms must share num_qubits")
+        codes = letter_codes([string for _, string in terms], num_qubits)
+        coeffs = np.array([complex(coeff) * string.phase
+                           for coeff, string in terms], dtype=complex)
+        self._assign(num_qubits, _row_keys(codes), coeffs)
+
+    @classmethod
+    def from_arrays(cls, num_qubits: int, codes, coeffs
+                    ) -> "WeightedPauliSum":
+        """Sum of ``coeffs[a]`` times the phase-free string ``codes[a]``,
+        merged like the constructor merges."""
+        codes = np.asarray(codes)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if codes.shape != (len(coeffs), num_qubits) or coeffs.ndim != 1:
+            raise ValueError(f"need ({len(coeffs)}, {num_qubits}) letter "
+                             f"codes and (L,) coefficients, got "
+                             f"{codes.shape} and {coeffs.shape}")
+        if codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0
+                           or codes.max() > 3):
+            raise ValueError("letter codes must be integers in 0..3 "
+                             "(I, X, Y, Z)")
+        obj = cls.__new__(cls)
+        obj._assign(num_qubits, _row_keys(codes.astype(np.int8)), coeffs)
+        return obj
+
+    def _assign(self, num_qubits: int, keys: np.ndarray,
+                coeffs: np.ndarray) -> None:
+        """Check, merge by key, drop negligible terms, freeze."""
+        if not 1 <= num_qubits <= MAX_SUM_QUBITS:
+            raise ValueError(f"num_qubits must lie in 1..{MAX_SUM_QUBITS}, "
+                             f"got {num_qubits}")
+        shifts = 2 * np.arange(num_qubits - 1, -1, -1)
+        bad = np.flatnonzero(~np.isfinite(coeffs))
+        if bad.size:
+            n = bad[0]
+            string = PauliString(tuple(LETTERS[k]
+                                       for k in (keys[n] >> shifts) & 3))
+            raise ValueError(f"term {n} ({string}): coefficient must be "
+                             f"finite, got {coeffs[n]}")
+        distinct, which = np.unique(keys, return_inverse=True)
+        sums = np.zeros(distinct.size, dtype=complex)
+        # a running sum per key in input order, from 0, as a dict merge adds
+        np.add.at(sums, which, coeffs)
+        # hypot is the abs of a Python complex; np.abs may round differently
+        keep = np.hypot(sums.real, sums.imag) >= MERGE_TOLERANCE
+        keys, coeffs = distinct[keep], sums[keep]
+        codes = ((keys[:, None] >> shifts) & 3).astype(np.int8)
+        for arr in (keys, codes, coeffs):
+            arr.setflags(write=False)
+        for name, value in (("num_qubits", int(num_qubits)), ("codes", codes),
+                            ("coeffs", coeffs), ("_keys", keys),
+                            ("_terms", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeightedPauliSum is immutable")
+
+    def __reduce__(self):
+        return WeightedPauliSum.from_arrays, (self.num_qubits, self.codes,
+                                              self.coeffs)
+
+    @property
+    def terms(self) -> tuple[tuple[complex, PauliString], ...]:
+        """(coefficient, PauliString) pairs in key order (cached)."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", tuple(
+                (coeff, PauliString(tuple(row)))
+                for coeff, row in zip(self.coeffs.tolist(),
+                                      _LETTER_ARRAY[self.codes].tolist())))
+        return self._terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightedPauliSum):
+            return NotImplemented
+        return (self.num_qubits == other.num_qubits
+                and np.array_equal(self.codes, other.codes)
+                and np.array_equal(self.coeffs, other.coeffs))
+
+    def __hash__(self) -> int:
+        return hash((self.num_qubits, self._keys.tobytes(),
+                     self.coeffs.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"WeightedPauliSum({self.num_qubits}, {self.terms!r})"
 
     @classmethod
     def from_terms(cls, num_qubits: int,
@@ -210,7 +356,7 @@ class WeightedPauliSum:
         return cls(num_qubits, ((coeff, PauliString.identity(num_qubits)),))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
     def __iter__(self):
         return iter(self.terms)
@@ -218,19 +364,26 @@ class WeightedPauliSum:
     def __add__(self, other: "WeightedPauliSum") -> "WeightedPauliSum":
         if other.num_qubits != self.num_qubits:
             raise ValueError("qubit count mismatch")
-        return WeightedPauliSum(self.num_qubits, self.terms + other.terms)
+        return WeightedPauliSum.from_arrays(
+            self.num_qubits, np.concatenate([self.codes, other.codes]),
+            np.concatenate([self.coeffs, other.coeffs]))
 
     def scaled(self, factor: complex) -> "WeightedPauliSum":
-        return WeightedPauliSum(
-            self.num_qubits,
-            tuple((factor * c, s) for c, s in self.terms))
+        factor = complex(factor)
+        return WeightedPauliSum.from_arrays(
+            self.num_qubits, self.codes,
+            _complex_product(np.array(factor), self.coeffs))
+
+    def magnitudes(self) -> np.ndarray:
+        """|gamma_a| per term, float for float as Python's ``abs``."""
+        return np.hypot(self.coeffs.real, self.coeffs.imag)
 
     def coefficient_bound(self) -> float:
         """sum_a |gamma_a|, an upper bound on |<O>| for Hermitian O."""
-        return float(sum(abs(c) for c, _ in self.terms))
+        return float(sum(self.magnitudes().tolist()))
 
     def max_weight(self) -> int:
-        return max((s.weight() for _, s in self.terms), default=0)
+        return int((self.codes > 0).sum(axis=1).max(initial=0))
 
     def to_matrix(self) -> np.ndarray:
         dim = 2 ** self.num_qubits
@@ -284,11 +437,20 @@ def _json_term(entry) -> tuple[complex, PauliString]:
 
 
 def multiply_sums(a: WeightedPauliSum, b: WeightedPauliSum) -> WeightedPauliSum:
-    """Operator product a @ b expanded and merged term by term."""
+    """Operator product a @ b, merged like the constructor merges.
+
+    Product string (m, n) has the codes ``a.codes[m] ^ b.codes[n]``, hence
+    the key of the XOR of their keys, and the phase i^p with p summed over
+    qubits from :func:`letter_product`. The products are merged in the
+    order of a loop over a's terms, then b's.
+    """
     if a.num_qubits != b.num_qubits:
         raise ValueError("qubit count mismatch")
-    terms = []
-    for ca, sa in a.terms:
-        for cb, sb in b.terms:
-            terms.append((ca * cb, multiply(sa, sb)))
-    return WeightedPauliSum(a.num_qubits, tuple(terms))
+    power = _PRODUCT_POWER[a.codes[:, None, :], b.codes[None, :, :]].sum(
+        axis=2)
+    coeffs = (_complex_product(a.coeffs[:, None], b.coeffs[None, :])
+              * _I_POWERS[power & 3])
+    keys = a._keys[:, None] ^ b._keys[None, :]
+    product = WeightedPauliSum.__new__(WeightedPauliSum)
+    product._assign(a.num_qubits, keys.ravel(), coeffs.ravel())
+    return product

@@ -34,7 +34,7 @@ import numpy as np
 from .paulis import (LETTERS, MERGE_TOLERANCE, PAULI_MATRICES, PauliString,
                      WeightedPauliSum, decompose_2x2, letter_product,
                      multiply_sums)
-from .shadows import ClassicalShadow
+from .shadows import ClassicalShadow, _distinct_snapshots
 from .shadows import estimate as shadow_estimate
 from .shadows import reconstruct_density
 from .statevector import phase_gate, ry, rz
@@ -152,9 +152,8 @@ class ProjectorLCU:
         powers = (self.gates[:, None, :] ** classes).prod(axis=2)
         values = np.einsum("k,kc->c", self.betas, powers)[which.ravel()]
         keep = np.abs(values) >= MERGE_TOLERANCE
-        result = WeightedPauliSum(self.num_qubits, tuple(
-            (value, PauliString(tuple(LETTERS[m] for m in string)))
-            for value, string in zip(values[keep], strings[keep])))
+        result = WeightedPauliSum.from_arrays(self.num_qubits, strings[keep],
+                                              values[keep])
         object.__setattr__(self, "_pauli_sum", result)
         return result
 
@@ -324,13 +323,8 @@ def _distinct_symbols(shadow: ClassicalShadow
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (M', q) symbol rows 2 * code + bit, in lexicographic order,
     and their weights: the fraction of snapshots equal to each row."""
-    symbols = 2 * shadow.codes + shadow.outcomes
-    symbols = symbols[np.lexsort(symbols.T[::-1])]
-    first = np.ones(len(symbols), dtype=bool)
-    first[1:] = (symbols[1:] != symbols[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=len(symbols))
-    return symbols[starts].astype(np.intp), counts / len(symbols)
+    rows, counts = _distinct_snapshots(shadow)
+    return rows, counts / len(shadow)
 
 
 def _count_classes(symbols: tuple[np.ndarray, np.ndarray]

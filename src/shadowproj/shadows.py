@@ -165,11 +165,7 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
     else:
         codes = _prescribed_codes(list(bases), shots, q)
 
-    # key: the basis row as a base-3 number, qubit 0 the leading digit
-    keys = np.zeros(shots, dtype=np.int64)
-    for j in range(q):
-        keys *= 3
-        keys += codes[:, j]
+    keys = _basis_keys(codes)
     rows = np.argsort(keys)  # the rows of each key form one run
     keys = keys[rows]
     bounds = np.append(np.flatnonzero(_run_starts(keys)), shots)
@@ -188,6 +184,16 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
         outcomes[:, j] = (index >> j) & 1
     return ClassicalShadow.from_arrays(codes, outcomes, seed,
                                        bases is not None)
+
+
+def _basis_keys(codes: np.ndarray) -> np.ndarray:
+    """Each basis row as a base-3 number, qubit 0 the leading digit: the
+    keys of :func:`_born_probabilities`."""
+    keys = np.zeros(len(codes), dtype=np.int64)
+    for column in codes.T:
+        keys *= 3
+        keys += column
+    return keys
 
 
 def _prescribed_codes(bases: list, shots: int, q: int) -> np.ndarray:
@@ -319,31 +325,69 @@ def _per_snapshot_values(shadow: ClassicalShadow,
     bases, outcomes = shadow.codes, shadow.outcomes
     sign3 = 3.0 * (1.0 - 2.0 * outcomes)
     totals = np.zeros(len(shadow), dtype=complex)
-    for coeff, string in obs.terms:
+    for coeff, row in zip(obs.coeffs, obs.codes - 1):
         v = np.ones(len(shadow))
-        for j in string.support():
-            v = v * (sign3[:, j] * (bases[:, j] == BASIS_CODE[string.letters[j]]))
-        totals += (coeff * string.phase) * v
+        for j in np.flatnonzero(row >= 0):
+            v = v * (sign3[:, j] * (bases[:, j] == row[j]))
+        totals += coeff * v
     return totals
 
 
+def _distinct_snapshots(shadow: ClassicalShadow
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (M', q) symbol rows 2 * code + bit, in lexicographic order,
+    and the number of snapshots equal to each."""
+    symbols = 2 * shadow.codes + shadow.outcomes
+    symbols = symbols[np.lexsort(symbols.T[::-1])]
+    first = np.ones(len(symbols), dtype=bool)
+    first[1:] = (symbols[1:] != symbols[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return symbols[starts].astype(np.intp), np.diff(starts,
+                                                    append=len(symbols))
+
+
+# _PRESCRIBED_FACTOR[letter, symbol]: a qubit's factor in the prescribed
+# estimator; 1 for I, (-1)^bit where the basis measured the letter, else 0.
+_PRESCRIBED_FACTOR = np.array([[1, 1, 1, 1, 1, 1],
+                               [1, -1, 0, 0, 0, 0],
+                               [0, 0, 1, -1, 0, 0],
+                               [0, 0, 0, 0, 1, -1]], dtype=np.int8)
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., left to right: the rounding of a
+    running total, which a pairwise ``sum`` does not keep."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
+
+
 def _estimate_prescribed(shadow: ClassicalShadow,
-                         obs: WeightedPauliSum) -> float:
-    bases, outcomes = shadow.codes, shadow.outcomes
-    sign = 1.0 - 2.0 * outcomes
-    total = 0j
-    for coeff, string in obs.terms:
-        support = string.support()
-        mask = np.ones(len(shadow), dtype=bool)
-        vals = np.ones(len(shadow))
-        for j in support:
-            mask &= bases[:, j] == BASIS_CODE[string.letters[j]]
-            vals = vals * sign[:, j]
-        hits = int(mask.sum())
-        if hits == 0:
-            raise ValueError(f"no compatible snapshots for term {string}")
-        total += (coeff * string.phase) * (vals[mask].sum() / hits)
-    return float(total.real)
+                         obs: WeightedPauliSum, chunk: int = 1 << 18
+                         ) -> float:
+    """sum_a Re(gamma_a) * (mean outcome parity of O_a over the snapshots
+    that measured every qubit of its support in its letter).
+
+    Compatibility and parity depend only on the distinct (basis, bit) row,
+    so each (term, row) pair is evaluated once, as the product over qubits
+    of a {1, -1, 0} factor, and weighted by the row's snapshot count. The
+    counts and signed counts are exact integers. ``chunk`` bounds the
+    (terms x rows) block in elements.
+    """
+    rows, counts = _distinct_snapshots(shadow)
+    signed = np.empty(len(obs), dtype=np.int64)
+    hits = np.empty(len(obs), dtype=np.int64)
+    step = max(1, chunk // len(rows))
+    for start in range(0, len(obs), step):
+        codes = obs.codes[start:start + step]
+        values = np.ones((len(codes), len(rows)), dtype=np.int8)
+        for j in range(shadow.num_qubits):
+            values *= _PRESCRIBED_FACTOR[:, rows[:, j]][codes[:, j]]
+        signed[start:start + step] = (values * counts).sum(axis=1)
+        hits[start:start + step] = ((values != 0) * counts).sum(axis=1)
+    empty = np.flatnonzero(hits == 0)
+    if empty.size:
+        raise ValueError(f"no compatible snapshots for term "
+                         f"{obs.terms[empty[0]][1]}")
+    return _sum_in_order(obs.coeffs.real * (signed / hits))
 
 
 def estimate(shadow: ClassicalShadow, obs: WeightedPauliSum,

@@ -67,6 +67,10 @@ class Statevector:
         q = amps.size.bit_length() - 1
         if q > MAX_QUBITS:
             raise ValueError(f"q={q} exceeds the dense ceiling of {MAX_QUBITS}")
+        bad = np.flatnonzero(~np.isfinite(amps))
+        if bad.size:
+            raise ValueError(f"amplitude {bad[0]} is not finite: "
+                             f"{amps[bad[0]]}")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"state not normalized: |psi| = {norm}")
@@ -90,8 +94,25 @@ class Statevector:
 
     @classmethod
     def from_json(cls, text: str) -> "Statevector":
+        """Parse :meth:`to_json` output: a list of [re, im] pairs of finite
+        numbers. ValueError names the first malformed entry."""
         pairs = json.loads(text)
-        return cls(np.array([complex(re, im) for re, im in pairs]))
+        if not isinstance(pairs, list):
+            raise ValueError("state must be a JSON list of [re, im] pairs, "
+                             f"got {type(pairs).__name__}")
+        amps = []
+        for n, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in pair)):
+                raise ValueError(f"amplitude {n}: need a pair [re, im] of "
+                                 f"numbers, got {pair!r}")
+            try:
+                amps.append(complex(*pair))
+            except OverflowError:
+                raise ValueError(f"amplitude {n}: {pair!r} is out of "
+                                 "range") from None
+        return cls(np.array(amps, dtype=complex))
 
 
 def prepare_basis_state(num_qubits: int, index: int = 0) -> Statevector:

@@ -282,3 +282,25 @@ def test_estimate_rejects_a_malformed_observable_file(workdir, capsys, text,
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[[1, 0], [NaN, 0]]", "amplitude 1 is not finite"),
+    ("[[1, 0], [0, Infinity]]", "amplitude 1 is not finite"),
+    ('[[1, "x"], [0, 0]]', "amplitude 0: need a pair [re, im] of numbers"),
+    ("[[1, 0, 0], [0, 0]]", "amplitude 0: need a pair [re, im] of numbers"),
+    ("[1, 0]", "amplitude 0: need a pair [re, im] of numbers"),
+    ('{"re": [1, 0]}', "state must be a JSON list of [re, im] pairs"),
+    ("[[1, 0], [1, 0]]", "state not normalized"),
+])
+def test_acquire_rejects_a_malformed_state_file(tmp_path, capsys, text,
+                                                message):
+    state = tmp_path / "bad_state.json"
+    state.write_text(text)
+    shadow = tmp_path / "shadow.txt"
+    assert main(["acquire", "--state", str(state), "--shots", "5",
+                 "--seed", "1", "--out", str(shadow)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not shadow.exists()

@@ -5,13 +5,25 @@ arrays: every term walks all letter paths qubit by qubit in Python dicts,
 skipping coefficients below 1e-14. ``ProjectorLCU.to_pauli_sum`` computes
 one coefficient per letter-count class instead; the two must give the same
 strings with coefficients within 1e-14.
+
+``reference_multiply_sums`` is ``multiply_sums`` as it ran on PauliString
+objects, one product per pair of terms merged in a dict. The array products
+must equal it exactly, coefficient for coefficient.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shadowproj.paulis import LETTERS, PauliString, WeightedPauliSum
-from shadowproj.projectors import (ProjectorLCU, number_sector_projectors,
+from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
+from shadowproj.paulis import (_PRODUCT_POWER, GAUSSIAN_UNITS, LETTERS,
+                               PauliString, WeightedPauliSum, letter_product,
+                               multiply, multiply_sums)
+from shadowproj.projectors import (ProjectorLCU, expand_projected_observable,
+                                   number_projector, number_sector_projectors,
                                    parity_sector_projectors, spin_projector,
                                    spin_sector_projectors)
 
@@ -78,3 +90,98 @@ def test_small_and_unused_letters():
     strings = [s.letters for _, s in proj.to_pauli_sum().terms]
     assert max(s.count("X") for s in strings) == 2
     assert not any("Y" in s for s in strings)
+
+
+# --- O P as array products against the per-pair reference ------------------
+
+def reference_merge(terms):
+    """The merge as WeightedPauliSum did it term by term: fold the phase,
+    add per letter tuple into 0j in input order, sort, drop |c| < 1e-14."""
+    merged = {}
+    for coeff, string in terms:
+        merged[string.letters] = (merged.get(string.letters, 0j)
+                                  + complex(coeff) * string.phase)
+    return [(c, letters) for letters, c in sorted(merged.items())
+            if abs(c) >= 1e-14]
+
+
+def reference_multiply_sums(a, b):
+    """a @ b by one PauliString product per pair of terms."""
+    return reference_merge([(ca * cb, multiply(sa, sb))
+                            for ca, sa in a.terms for cb, sb in b.terms])
+
+
+def as_list(total):
+    return [(c, s.letters) for c, s in total.terms]
+
+
+def test_letter_code_products_follow_letter_product():
+    for a, b in itertools.product(range(4), repeat=2):
+        phase, letter = letter_product(LETTERS[a], LETTERS[b])
+        assert LETTERS[a ^ b] == letter
+        assert 1j ** int(_PRODUCT_POWER[a, b]) == phase
+
+
+def test_budget_q6_expansions_match_the_pairwise_loop(budget_q6):
+    _, cases = budget_q6
+    sizes = []
+    for spec, ham, proj, expanded, _, _ in cases:
+        assert as_list(expanded) == reference_multiply_sums(
+            ham, proj.to_pauli_sum()), spec
+        sizes.append(len(expanded))
+    # median 331, the benchmark's traced expanded_terms
+    assert sizes == [74, 74, 540, 358, 304, 360, 544, 64]
+
+
+@pytest.mark.parametrize("q, size", [(8, 2048), (10, 12_544)])
+def test_half_filling_expansion_matches_the_pairwise_loop(q, size):
+    ham = build_pairing_hamiltonian(PairingSpec(q, 1.0, 1.0))
+    proj = number_projector(q, q // 2)
+    expanded = expand_projected_observable(ham, proj)
+    assert len(expanded) == size
+    assert as_list(expanded) == reference_multiply_sums(
+        ham, proj.to_pauli_sum())
+
+
+coefficients = st.floats(-4, 4, allow_nan=False).filter(lambda x: x != 0)
+
+
+def pauli_sums(q):
+    """Sums with phased strings, the identity string and, optionally, the
+    negation of their first terms, so that some coefficients cancel."""
+    string = st.builds(PauliString, st.lists(
+        st.sampled_from(LETTERS), min_size=q, max_size=q).map(tuple),
+        st.sampled_from(GAUSSIAN_UNITS))
+    term = st.tuples(st.builds(complex, coefficients, coefficients), string)
+    return st.tuples(st.lists(term, max_size=10),
+                     st.booleans(), st.integers(0, 4)).map(
+        lambda t: t[0] + ([(1.5, PauliString.identity(q))] if t[1] else [])
+        + [(-c, s) for c, s in t[0][:t[2]]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda q: st.tuples(st.just(q), pauli_sums(q), pauli_sums(q))))
+def test_array_products_match_the_pairwise_loop(case):
+    q, terms_a, terms_b = case
+    a, b = WeightedPauliSum(q, terms_a), WeightedPauliSum(q, terms_b)
+    assert as_list(a) == reference_merge(terms_a)
+    assert as_list(multiply_sums(a, b)) == reference_multiply_sums(a, b)
+    assert as_list(a + b) == reference_merge(a.terms + b.terms)
+
+
+def test_products_with_the_empty_sum_are_empty():
+    a = WeightedPauliSum(3, ((2.0, PauliString(("X", "Y", "Z"))),))
+    empty = WeightedPauliSum(3)
+    assert multiply_sums(a, empty) == empty == multiply_sums(empty, a)
+    assert multiply_sums(empty, empty).codes.shape == (0, 3)
+
+
+def test_cancelling_products_are_dropped():
+    # (X + Y)(X - Y) = -XY + YX = -2i Z, and (X + iY)(X + iY) = 0
+    x, y = PauliString(("X",)), PauliString(("Y",))
+    a = WeightedPauliSum(1, ((1, x), (1, y)))
+    b = WeightedPauliSum(1, ((1, x), (-1, y)))
+    assert as_list(multiply_sums(a, b)) == [(-2j, ("Z",))]
+    c = WeightedPauliSum(1, ((1, x), (1j, y)))
+    assert len(multiply_sums(c, c)) == 0

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowproj import rng as _rng
-from shadowproj.measurement import (MeasurementPlan, allocate_shots,
+from shadowproj.measurement import (MeasurementPlan, _group_distributions,
+                                    allocate_shots,
                                     counts_expectation_exact,
                                     derandomize_plan, direct_counts_estimate,
                                     expected_random_cost, group_qwc_greedy,
@@ -16,7 +17,8 @@ from shadowproj.measurement import (MeasurementPlan, allocate_shots,
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.paulis import PauliString, WeightedPauliSum, qwc_commutes
 from shadowproj.statevector import (Statevector, exact_expectation,
-                                    prepare_basis_state)
+                                    prepare_basis_state, rotate_to_bases,
+                                    sample_bitstrings)
 
 
 def pairing_observables(q=4):
@@ -292,3 +294,120 @@ def test_load_plan_names_the_bad_line(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_plan(path)
+
+
+# --- direct counts against the per-member reference ------------------------
+
+def reference_allocate(groups, obs, shots_per_group, weighted):
+    """allocate_shots summing abs() over the terms view."""
+    n = len(groups)
+    if not weighted:
+        return [shots_per_group] * n
+    total = n * shots_per_group
+    weight = np.array([sum(abs(obs.terms[i][0]) for i in g.members)
+                       for g in groups])
+    if weight.sum() == 0:
+        return [shots_per_group] * n
+    raw = weight / weight.sum() * (total - n)
+    alloc = np.ones(n, dtype=int) + raw.astype(int)
+    remainder = raw - raw.astype(int)
+    for i in np.argsort(-remainder)[: total - int(alloc.sum())]:
+        alloc[i] += 1
+    return alloc.tolist()
+
+
+def reference_direct_counts(state, groups, obs, shots_per_group, seed,
+                            weighted_allocation=False):
+    """One sample_bitstrings per group and one product per member."""
+    alloc = reference_allocate(groups, obs, shots_per_group,
+                               weighted_allocation)
+    total = 0j
+    for gi, group in enumerate(groups):
+        gen = _rng.stream(seed, 0xc0de, gi)
+        bits = sample_bitstrings(state, group.shared_basis, alloc[gi], gen)
+        sign = 1.0 - 2.0 * bits
+        for i in group.members:
+            coeff, string = obs.terms[i]
+            vals = np.ones(alloc[gi])
+            for j in string.support():
+                vals = vals * sign[:, j]
+            total += coeff * string.phase * vals.mean()
+    return float(total.real)
+
+
+def reference_counts_exact(state, groups, obs):
+    q = state.num_qubits
+    k = np.arange(2 ** q)
+    bit_signs = 1.0 - 2.0 * ((k[:, None] >> np.arange(q)) & 1)
+    total = 0j
+    for group in groups:
+        probs = rotate_to_bases(state, group.shared_basis).probabilities()
+        for i in group.members:
+            coeff, string = obs.terms[i]
+            vals = np.ones(2 ** q)
+            for j in string.support():
+                vals = vals * bit_signs[:, j]
+            total += coeff * string.phase * float(probs @ vals)
+    return float(total.real)
+
+
+def test_budget_q6_counts_match_the_reference(budget_q6):
+    state, cases = budget_q6
+    for n, (spec, _, _, expanded, _, groups) in enumerate(cases):
+        per_group = max(1, 2000 // len(groups))
+        got = direct_counts_estimate(state, groups, expanded, per_group,
+                                     900 + n, weighted_allocation=True)
+        assert got == reference_direct_counts(
+            state, groups, expanded, per_group, 900 + n,
+            weighted_allocation=True), spec
+        assert allocate_shots(groups, expanded, per_group, weighted=True) \
+            == reference_allocate(groups, expanded, per_group, True)
+        assert counts_expectation_exact(state, groups, expanded) \
+            == pytest.approx(reference_counts_exact(state, groups, expanded),
+                             abs=1e-12)
+
+
+def test_group_distributions_equal_rotated_probabilities(budget_q6):
+    state, cases = budget_q6
+    groups = cases[4][5]
+    probs = _group_distributions(state, groups)
+    for row, group in zip(probs, groups):
+        want = rotate_to_bases(state, group.shared_basis).probabilities()
+        assert np.array_equal(row, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32), st.integers(1, 9),
+       st.integers(1, 40), st.sampled_from(["rlf", "greedy", "single"]),
+       st.booleans())
+def test_counts_match_the_reference(q, seed, n_terms, shots, grouping,
+                                    weighted):
+    gen = np.random.default_rng(seed)
+    v = gen.normal(size=2 ** q) + 1j * gen.normal(size=2 ** q)
+    state = Statevector(v / np.linalg.norm(v))
+    obs = random_obs(q, seed, n_terms)
+    groups = {"rlf": group_qwc_rlf, "greedy": group_qwc_greedy,
+              "single": singleton_groups}[grouping](obs)
+    assert direct_counts_estimate(state, groups, obs, shots, seed,
+                                  weighted) \
+        == reference_direct_counts(state, groups, obs, shots, seed, weighted)
+    assert counts_expectation_exact(state, groups, obs) == pytest.approx(
+        reference_counts_exact(state, groups, obs), abs=1e-12)
+
+
+def test_counts_reject_a_qubit_count_mismatch():
+    obs = random_obs(3, 1, 4)
+    groups = group_qwc_rlf(obs)
+    state = prepare_basis_state(2)
+    with pytest.raises(ValueError, match="state has 2 qubits but the "
+                                         "observable 3"):
+        direct_counts_estimate(state, groups, obs, 10, 0)
+    with pytest.raises(ValueError, match="state has 2 qubits"):
+        counts_expectation_exact(state, groups, obs)
+
+
+def test_counts_of_the_empty_sum_are_zero():
+    empty = WeightedPauliSum(2)
+    state = prepare_basis_state(2)
+    assert direct_counts_estimate(state, [], empty, 5, 0) == 0.0
+    assert counts_expectation_exact(state, [], empty) == 0.0

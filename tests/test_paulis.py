@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,3 +237,126 @@ def test_observable_file_roundtrip_property(case):
 def test_malformed_observable_files_are_rejected(text, message):
     with pytest.raises(ValueError, match=message):
         WeightedPauliSum.from_json(text)
+
+
+# --- the array form ---------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda q: st.tuples(
+    st.just(q), st.lists(st.tuples(coefficients, coefficients, strings(q)),
+                         max_size=12))))
+def test_terms_and_arrays_round_trip(case):
+    q, raw = case
+    s = WeightedPauliSum(q, tuple((complex(re, im), string)
+                                  for re, im, string in raw))
+    assert s.codes.shape == (len(s), q) and s.codes.dtype == np.int8
+    assert s.coeffs.shape == (len(s),) and s.coeffs.dtype == complex
+    assert WeightedPauliSum.from_arrays(q, s.codes, s.coeffs) == s
+    assert WeightedPauliSum(q, s.terms) == s
+    assert [c for c, _ in s.terms] == s.coeffs.tolist()
+    assert [[LETTERS.index(x) for x in t.letters] for _, t in s.terms] \
+        == s.codes.tolist()
+    # key order is the order of the sorted letter tuples
+    letters = [t.letters for _, t in s.terms]
+    assert letters == sorted(set(letters))
+
+
+def test_from_arrays_merges_and_orders_like_the_constructor():
+    codes = [[3, 0], [1, 2], [3, 0], [0, 0]]
+    s = WeightedPauliSum.from_arrays(2, codes, [1.0, 2j, 0.5, 1e-15])
+    assert s.codes.tolist() == [[1, 2], [3, 0]]
+    assert s.coeffs.tolist() == [2j, 1.5]
+    assert s == WeightedPauliSum(2, (
+        (1.0, PauliString(("Z", "I"))), (2j, PauliString(("X", "Y"))),
+        (0.5, PauliString(("Z", "I"))), (1e-15, PauliString.identity(2))))
+
+
+def test_sum_equality_compares_the_arrays():
+    z, x = PauliString(("Z",)), PauliString(("X",))
+    s = WeightedPauliSum(1, ((1.0, z),))
+    assert s == WeightedPauliSum(1, ((0.5, z), (0.5, z)))
+    assert hash(s) == hash(WeightedPauliSum(1, ((0.5, z), (0.5, z))))
+    assert s != WeightedPauliSum(1, ((1.0 + 1e-9, z),))
+    assert s != WeightedPauliSum(1, ((1.0, x),))
+    assert s != WeightedPauliSum(2, ((1.0, PauliString(("Z", "I"))),))
+    assert WeightedPauliSum(3) == WeightedPauliSum(3, ())
+    assert s != "Z"
+
+
+def test_sum_arrays_are_read_only():
+    s = WeightedPauliSum(2, ((1.0, PauliString(("X", "Z"))),))
+    with pytest.raises(ValueError):
+        s.codes[0, 0] = 3
+    with pytest.raises(ValueError):
+        s.coeffs[0] = 2.0
+    with pytest.raises(AttributeError):
+        s.coeffs = np.zeros(1)
+    assert s.terms is s.terms
+    source = np.array([[1, 3]], dtype=np.int8)
+    t = WeightedPauliSum.from_arrays(2, source, [1.0])
+    source[0, 0] = 0
+    assert t.codes.tolist() == [[1, 3]]
+
+
+def test_sums_pickle():
+    s = WeightedPauliSum(2, ((0.5 - 1j, PauliString(("X", "Y"))),
+                             (2.0, PauliString(("I", "Z")))))
+    assert pickle.loads(pickle.dumps(s)) == s
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"),
+                                   complex(1, float("-inf")),
+                                   complex(float("nan"), 0)])
+def test_non_finite_coefficients_are_rejected(coeff):
+    z = PauliString(("Z", "I"))
+    terms = ((1.0, PauliString.identity(2)), (coeff, z))
+    with pytest.raises(ValueError, match=r"term 1 \(\+1 IZ\): coefficient "
+                                         "must be finite"):
+        WeightedPauliSum(2, terms)
+    with pytest.raises(ValueError, match="term 1 .*must be finite"):
+        WeightedPauliSum.from_arrays(2, [[0, 0], [3, 0]], [1.0, coeff])
+    s = WeightedPauliSum(2, ((1.0, z),))
+    with pytest.raises(ValueError, match=r"term 0 \(\+1 IZ\)"):
+        s.scaled(coeff)
+
+
+def test_scaling_into_overflow_is_rejected():
+    s = WeightedPauliSum(1, ((1e300, PauliString(("X",))),))
+    with pytest.raises(ValueError, match="must be finite"):
+        s.scaled(1e10)
+
+
+@pytest.mark.parametrize("q, codes, coeffs, message", [
+    (2, [[0, 1]], [1.0, 2.0], "need \\(2, 2\\) letter codes"),
+    (2, [[0, 1, 2]], [1.0], "need \\(1, 2\\) letter codes"),
+    (2, [[0, 4]], [1.0], "letter codes must be integers in 0..3"),
+    (2, [[-1, 0]], [1.0], "letter codes must be integers in 0..3"),
+    (2, [[0.5, 1]], [1.0], "letter codes must be integers in 0..3"),
+    (0, np.zeros((0, 0)), [], "num_qubits must lie in 1..31"),
+    (32, np.zeros((1, 32), dtype=int), [1.0],
+     "num_qubits must lie in 1..31"),
+])
+def test_malformed_arrays_are_rejected(q, codes, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedPauliSum.from_arrays(q, codes, coeffs)
+
+
+def test_scaled_matches_python_complex_products():
+    gen = np.random.default_rng(8)
+    s = WeightedPauliSum(3, tuple(
+        (complex(*gen.normal(size=2)),
+         PauliString(tuple(gen.choice(list(LETTERS), 3))))
+        for _ in range(20)))
+    for factor in (0.7, -1.3, 0.3 - 2.1j, 1j):
+        assert [c for c, _ in s.scaled(factor).terms] \
+            == [factor * c for c, _ in s.terms]
+
+
+def test_magnitudes_equal_python_abs():
+    gen = np.random.default_rng(12)
+    s = WeightedPauliSum(4, tuple(
+        (complex(*gen.normal(size=2) * 10.0 ** gen.integers(-12, 12, 2)),
+         PauliString(tuple(gen.choice(list(LETTERS), 4))))
+        for _ in range(200)))
+    assert s.magnitudes().tolist() == [abs(c) for c, _ in s.terms]
+    assert s.coefficient_bound() == sum(abs(c) for c, _ in s.terms)

@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowproj.paulis import PauliString, WeightedPauliSum
-from shadowproj.shadows import (ClassicalShadow, Snapshot, acquire_shadow,
-                                estimate, iter_snapshot_distribution,
+from shadowproj.shadows import (ClassicalShadow, Snapshot,
+                                _estimate_prescribed, _per_snapshot_values,
+                                acquire_shadow, estimate,
+                                iter_snapshot_distribution,
                                 load_shadow, qubit_trace_factor,
                                 reconstruct_density, save_shadow,
                                 snapshot_density)
@@ -359,3 +363,96 @@ def test_malformed_shadow_header_names_line_one(tmp_path, header):
     path.write_text(f"{header}\nXZ 01\n")
     with pytest.raises(ValueError, match="line 1"):
         load_shadow(path)
+
+
+# --- estimators against their per-term references --------------------------
+
+BASIS_CODE = {"X": 0, "Y": 1, "Z": 2}
+
+
+def reference_estimate_prescribed(shadow, obs):
+    """The prescribed estimator as one pass over all snapshots per term."""
+    bases, outcomes = shadow.codes, shadow.outcomes
+    sign = 1.0 - 2.0 * outcomes
+    total = 0j
+    for coeff, string in obs.terms:
+        mask = np.ones(len(shadow), dtype=bool)
+        vals = np.ones(len(shadow))
+        for j in string.support():
+            mask &= bases[:, j] == BASIS_CODE[string.letters[j]]
+            vals = vals * sign[:, j]
+        hits = int(mask.sum())
+        if hits == 0:
+            raise ValueError(f"no compatible snapshots for term {string}")
+        total += (coeff * string.phase) * (vals[mask].sum() / hits)
+    return float(total.real)
+
+
+def reference_per_snapshot_values(shadow, obs):
+    """Inverse-channel values walking each term's support()."""
+    sign3 = 3.0 * (1.0 - 2.0 * shadow.outcomes)
+    totals = np.zeros(len(shadow), dtype=complex)
+    for coeff, string in obs.terms:
+        v = np.ones(len(shadow))
+        for j in string.support():
+            v = v * (sign3[:, j] * (shadow.codes[:, j]
+                                    == BASIS_CODE[string.letters[j]]))
+        totals += (coeff * string.phase) * v
+    return totals
+
+
+def test_budget_q6_prescribed_estimates_match_the_reference(budget_q6):
+    _, cases = budget_q6
+    for spec, _, proj, expanded, shadow, _ in cases:
+        for obs in (expanded, proj.to_pauli_sum()):
+            assert estimate(shadow, obs) \
+                == reference_estimate_prescribed(shadow, obs), spec
+
+
+def test_prescribed_estimate_in_term_chunks_matches_the_reference(budget_q6):
+    _, cases = budget_q6
+    _, _, _, expanded, shadow, _ = cases[2]
+    want = reference_estimate_prescribed(shadow, expanded)
+    for chunk in (1, 997):
+        assert _estimate_prescribed(shadow, expanded, chunk) == want
+
+
+def sums_and_shadows(q):
+    term = st.tuples(st.floats(-3, 3), st.floats(-3, 3),
+                     st.lists(st.integers(0, 3), min_size=q, max_size=q))
+    rows = st.lists(st.tuples(
+        st.lists(st.integers(0, 2), min_size=q, max_size=q),
+        st.lists(st.integers(0, 1), min_size=q, max_size=q)),
+        min_size=1, max_size=40)
+    return st.tuples(st.just(q), st.lists(term, max_size=8), rows)
+
+
+def build_case(case, prescribed):
+    q, terms, rows = case
+    obs = WeightedPauliSum.from_arrays(
+        q, np.array([t[2] for t in terms], dtype=np.int8).reshape(-1, q),
+        [complex(re, im) for re, im, _ in terms])
+    shadow = ClassicalShadow.from_arrays([r[0] for r in rows],
+                                         [r[1] for r in rows], 0, prescribed)
+    return obs, shadow
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6).flatmap(sums_and_shadows))
+def test_prescribed_estimate_matches_the_reference(case):
+    obs, shadow = build_case(case, prescribed=True)
+    try:
+        want = reference_estimate_prescribed(shadow, obs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            estimate(shadow, obs)
+    else:
+        assert estimate(shadow, obs) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(sums_and_shadows))
+def test_per_snapshot_values_match_the_reference(case):
+    obs, shadow = build_case(case, prescribed=False)
+    assert np.array_equal(_per_snapshot_values(shadow, obs),
+                          reference_per_snapshot_values(shadow, obs))

@@ -261,3 +261,26 @@ def test_state_json_roundtrip():
     state = random_state(3, 8)
     again = Statevector.from_json(state.to_json())
     assert np.allclose(again.amplitudes, state.amplitudes, atol=1e-15)
+
+
+@pytest.mark.parametrize("amps", [[1, np.nan], [np.inf, 0],
+                                  [1, complex(0, np.nan)], [np.nan] * 4])
+def test_statevector_rejects_non_finite_amplitudes(amps):
+    with pytest.raises(ValueError, match="is not finite"):
+        Statevector(np.array(amps, dtype=complex))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[[1, 0], [NaN, 0]]", "amplitude 1 is not finite"),
+    ('[[1, "x"], [0, 0]]', "amplitude 0: need a pair"),
+    ("[[1, 0], [0, 0, 0]]", "amplitude 1: need a pair"),
+    ("[[1, 0], [true, 0]]", "amplitude 1: need a pair"),
+    ("[[1, 0], null]", "amplitude 1: need a pair"),
+    ("[[1e999, 0], [0, 0]]", "amplitude 0 is not finite"),
+    ("[[1" + "0" * 400 + ", 0], [0, 0]]", "amplitude 0: .* is out of range"),
+    ('"state"', "state must be a JSON list"),
+    ("[]", "amplitude count must be a power of two"),
+])
+def test_state_json_rejects_malformed_entries(text, message):
+    with pytest.raises(ValueError, match=message):
+        Statevector.from_json(text)
