@@ -15,8 +15,9 @@ and its median and minimum wall time (``time.perf_counter``) are kept:
 * counts: ``direct_counts_estimate`` with rounds // groups shots per group
   and weighted allocation.
 
-    python scripts/bench.py --out BENCH_9.json --label change
-    python scripts/bench.py --src /path/to/other/checkout/src --label parent
+    python scripts/bench.py --out BENCH_10.json --label change
+    python scripts/bench.py --out BENCH_10.json --label parent \
+        --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
 Python and the numpy version; other keys of an existing file are kept.
@@ -96,7 +97,8 @@ def bench_case(q: int, n0: int, rounds: int, runs: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_9.json")
+    parser.add_argument("--out", required=True,
+                        help="JSON file to record the timings in")
     parser.add_argument("--label", default="change")
     parser.add_argument("--runs", type=int, default=7,
                         help="timed calls per layer (median of k)")

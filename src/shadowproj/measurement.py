@@ -7,12 +7,20 @@ toward Z before X before Y. In derandomization a letter counts as tied with
 the cheapest one when its conditional cost is within a relative 1e-12 of
 the minimum, so floating-point rounding never decides a tie and the plan
 does not depend on the order of the targets.
+
+Between rounds the planner rescales its weights in place, one factor per
+distinct basis row, and rebuilds them exactly from the integer hit counts
+every max(1, int(64 (1 - nu))) rounds, nu = 1 - exp(-eps^2/2). The rounding
+drift this allows moves a cost by less than 3e-14 relative, far inside the
+tie margin (the bound is derived in ``derandomize_plan``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -33,6 +41,9 @@ _TIE_RTOL = 1e-12
 # Qubits per derandomization block. A block's table has one row per node of
 # its ternary prefix tree, (3^(d+1) - 3) / 2 of them: 39 at depth 3.
 _BLOCK_DEPTH = 3
+# Derandomization rounds between exact exponent rebuilds at nu -> 0; the
+# interval shrinks as 1 - nu, the bound on the cancellation in a cost.
+_REBUILD = 64
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,7 @@ def load_plan(path, provenance: str = "derandomized") -> MeasurementPlan:
 
 
 def random_plan(num_qubits: int, shots: int, seed: int) -> MeasurementPlan:
+    _check_shots(shots)
     gen = _rng.stream(seed, 0x91a7)
     codes = gen.integers(0, 3, size=(shots, num_qubits))
     rows = tuple(tuple(BASIS_LETTERS[c] for c in row) for row in codes)
@@ -101,6 +113,12 @@ class ObservableGroup:
 
     members: tuple[int, ...]
     shared_basis: tuple[str, ...]
+
+
+def _check_shots(shots, name: str = "shots") -> None:
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) \
+            or shots < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {shots!r}")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -167,11 +185,21 @@ def derandomize_plan(obs_list: Sequence[PauliString],
     ternary prefix tree and a table of ``mask (f - 1)``, so a round costs
     one matrix-vector product per block and a walk down the tree.
 
+    Between rebuilds the scaled weights keep the reference exponent ``ref``
+    of the last rebuild, so the next round's weights are this round's times
+    ``exp(-log(f(locality)) - eps^2/2 alive)``, one factor per distinct
+    row, cached with the row's alive mask. Every
+    ``max(1, int(_REBUILD (1 - nu)))`` rounds (61 at eps 0.3, 1 from
+    eps ~ 2.6 on) the exponent is rebuilt exactly from the integer hit
+    counts. A product of at most 64 (1 - nu) roundings drifts by at most
+    about 128 (1 - nu) units of roundoff, and the cancellation in
+    ``total + delta`` amplifies it by at most (1 + nu) / (1 - nu), so a
+    cost moves by less than 3e-14 relative, far below ``_TIE_RTOL``.
+
     With ``return_cost=True`` also returns the log conditional-cost trace
     after every committed letter (for the monotonicity guarantee check).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_shots(shots)
     _check_epsilon(epsilon)
     if not obs_list:
         raise ValueError("no target observables to derandomize a plan for")
@@ -211,23 +239,29 @@ def derandomize_plan(obs_list: Sequence[PauliString],
         letters = list(itertools.product(_CANDIDATE_ORDER, repeat=depth))
         blocks.append((table, masks[-1], offsets, letters))
 
-    hits = np.zeros(n_obs)
-    rows = []
+    interval = max(1, int(_REBUILD * (1.0 - nu)))
+    hits = np.zeros(n_obs, dtype=np.int64)
+    seen = {}                          # leaf path -> (row, factor, alive)
+    paths = []
     refs = []
     costs = []
+    last = len(blocks) - 1
     for m in range(shots):
-        # A candidate's conditional cost is exp(ref) * (total + delta); ref
-        # keeps the sums in range, the trace stays in log space.
-        expo = log_w - decay * hits + (shots - m - 1) * log_tail_base
-        ref = float(expo.max())
-        scaled = np.exp(expo - ref) if ref > -np.inf else np.zeros(n_obs)
+        if m % interval == 0:
+            for path, n in Counter(paths[m - interval:]).items():
+                hits += n * seen[path][2]
+            # A candidate's conditional cost is exp(ref) * (total + delta);
+            # ref keeps the sums in range, the trace stays in log space.
+            expo = log_w - decay * hits + (shots - m - 1) * log_tail_base
+            ref = float(expo.max())
+            scaled = np.exp(expo - ref) if ref > -np.inf else np.zeros(n_obs)
         total = float(scaled.sum())
         refs.append(ref)
-        alive = True
-        row = ()
-        for table, leaves, offsets, letters in blocks:
+        masked = scaled
+        path = ()
+        for b, (table, leaves, offsets, letters) in enumerate(blocks):
             # dot goes straight to BLAS gemv; @ and einsum cost more per call
-            delta = table.dot(scaled * alive).tolist()
+            delta = table.dot(masked).tolist()
             node = 0
             for offset in offsets:
                 base = offset + 3 * node
@@ -238,10 +272,21 @@ def derandomize_plan(obs_list: Sequence[PauliString],
                 k = 0 if z <= limit else 1 if x <= limit else 2
                 costs.append(total + delta[base + k])
                 node = 3 * node + k
-            row += letters[node]
-            alive = leaves[node] & alive
-        rows.append(row)
-        hits += alive
+            path += (node,)
+            if b < last:
+                masked = masked * leaves[node]
+        entry = seen.get(path)
+        if entry is None:
+            alive = np.ones(n_obs, dtype=bool)
+            row = ()
+            for (_, leaves, _, letters), node in zip(blocks, path):
+                alive &= leaves[node]
+                row += letters[node]
+            entry = seen[path] = (row, np.exp(-log_tail_base - decay * alive),
+                                  alive)
+        paths.append(path)
+        scaled *= entry[1]
+    rows = [seen[path][0] for path in paths]
     result = MeasurementPlan(tuple(rows), provenance="derandomized")
     if return_cost:
         with np.errstate(divide="ignore"):
@@ -283,6 +328,7 @@ def expected_random_cost(obs_list: Sequence[PauliString], shots: int,
                          weights: Sequence[float] | None = None,
                          epsilon: float = 0.3) -> float:
     """Expected confidence-bound cost of a uniform-random plan."""
+    _check_shots(shots)
     w = _weights(weights, len(obs_list))
     _check_epsilon(epsilon)
     nu = 1.0 - math.exp(-epsilon ** 2 / 2)
@@ -374,6 +420,7 @@ def allocate_shots(groups: Sequence[ObservableGroup], obs: WeightedPauliSum,
     The weighted split preserves the total budget
     len(groups) * shots_per_group and gives every group at least one shot.
     """
+    _check_shots(shots_per_group, "shots_per_group")
     n = len(groups)
     if not weighted:
         return [shots_per_group] * n
@@ -450,8 +497,6 @@ def direct_counts_estimate(state: Statevector,
     integer sum over the outcome histogram.
     """
     _check_counts_inputs(state, groups, obs)
-    if shots_per_group < 1:
-        raise ValueError("shots_per_group must be >= 1")
     alloc = allocate_shots(groups, obs, shots_per_group, weighted_allocation)
     probs = _group_distributions(state, groups)
     means = np.empty(len(obs))

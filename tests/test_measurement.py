@@ -267,6 +267,35 @@ def test_weighted_allocation_preserves_total():
     assert allocate_shots(groups, obs, 50) == [50] * len(groups)
 
 
+@pytest.mark.parametrize("func", [
+    lambda n: derandomize_plan([PauliString.from_label("XI")], None, n),
+    lambda n: expected_random_cost([PauliString.from_label("XI")], n),
+    lambda n: random_plan(2, n, 0),
+    lambda n: allocate_shots(*_two_groups(), n, weighted=True)],
+    ids=["derandomize_plan", "expected_random_cost", "random_plan",
+         "allocate_shots"])
+@pytest.mark.parametrize("shots", [0, -3, 2.5, True, "4", None])
+def test_shot_counts_must_be_positive_integers(func, shots):
+    # 2.5 once ended in a raw TypeError, True gave a 1-round plan, -3 a
+    # random cost above the weight sum, -1 a numpy shape error and 0 two
+    # shots from a budget of none
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        func(shots)
+
+
+def _two_groups():
+    obs = WeightedPauliSum.from_terms(2, [
+        (1.0, PauliString.from_label("XI")),
+        (2.0, PauliString.from_label("IZ"))])
+    return singleton_groups(obs), obs
+
+
+def test_shot_counts_accept_numpy_integers():
+    assert len(random_plan(2, np.int64(3), 0)) == 3
+    assert len(derandomize_plan([PauliString.from_label("XI")], None,
+                                np.int32(2))) == 2
+
+
 def test_counts_deterministic_in_seed():
     state = prepare_basis_state(3, 0b101)
     obs = random_obs(3, 2, 4)

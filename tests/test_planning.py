@@ -11,6 +11,7 @@ The block-table plan and the boolean-mask colorings must reproduce them
 exactly, and the plan's cost trace must match within a relative 1e-12.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ import pytest
 
 from shadowproj.measurement import (_CANDIDATE_ORDER, _TIE_RTOL,
                                     _observable_codes, derandomize_plan,
-                                    group_qwc_greedy, group_qwc_rlf)
+                                    group_qwc_greedy, group_qwc_rlf,
+                                    save_plan)
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.paulis import PauliString, WeightedPauliSum, qwc_commutes
 from shadowproj.projectors import (expand_projected_observable,
@@ -140,9 +142,11 @@ def random_sum(gen, q, n_terms):
         for _ in range(n_terms)))
 
 
-def assert_plan_matches_reference(strings, weights, shots):
-    plan, trace = derandomize_plan(strings, weights, shots, return_cost=True)
-    rows, ref_trace = reference_derandomize_plan(strings, weights, shots)
+def assert_plan_matches_reference(strings, weights, shots, epsilon=0.3):
+    plan, trace = derandomize_plan(strings, weights, shots, epsilon=epsilon,
+                                   return_cost=True)
+    rows, ref_trace = reference_derandomize_plan(strings, weights, shots,
+                                                 epsilon)
     assert plan.bases_sequence == rows
     # log costs within 1e-12 are costs within a relative 1e-12
     np.testing.assert_allclose(trace, ref_trace, rtol=0, atol=1e-12)
@@ -158,15 +162,66 @@ def test_plan_matches_reference_loop(q, spec, shots):
 @pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 8])
 def test_plan_matches_reference_on_random_sets(q):
     # q = 1 and 2 fit in one short block and 3 in one full block; 5, 7 and
-    # 8 end in a short one
+    # 8 end in a short one. 150 rounds cross the exponent rebuilds, which
+    # come every 61 rounds at epsilon 0.3, every 38 at 1 and every round
+    # at 3.
     gen = np.random.default_rng(100 + q)
-    for _ in range(3):
+    for epsilon in (0.3, 1.0, 3.0):
         n_terms = int(gen.integers(2, 30))
         strings = [PauliString(tuple(gen.choice(list("IXYZ"), q)))
                    for _ in range(n_terms - 1)] + [PauliString.identity(q)]
         weights = gen.exponential(size=n_terms)
         weights[gen.random(n_terms) < 0.2] = 0.0
-        assert_plan_matches_reference(strings, weights.tolist(), 60)
+        assert_plan_matches_reference(strings, weights.tolist(), 150,
+                                      epsilon)
+
+
+# sha256 of the save_plan file of each budget-q6 set (2000 rounds) and of
+# q=8 n0=4 (4000 rounds, the first round count that measures all 2048
+# terms), weighted by |coefficient| at epsilon 0.3
+PINNED_PLANS = [
+    (6, {"type": "parity", "epsilon": 1}, 2000,
+     "6b0c8340167990feeadf9f47c9f40f793eebaeb041de360be8d4245df403ece6"),
+    (6, {"type": "parity", "epsilon": -1}, 2000,
+     "6b0c8340167990feeadf9f47c9f40f793eebaeb041de360be8d4245df403ece6"),
+    (6, {"type": "number", "n0": 1}, 2000,
+     "71cf4d0f5c0d8c18fe4a4f3b89608149f2b62e6016db3233167f395a7209d344"),
+    (6, {"type": "number", "n0": 2}, 2000,
+     "92abed6c056f32ca0af5fbe74e1ab98778198676ad3973a351d9efa4cfa3e4a9"),
+    (6, {"type": "number", "n0": 3}, 2000,
+     "63874fe800d69186ffbad9d077352e41b852783a905f3981b5ea65a8b35296e6"),
+    (6, {"type": "number", "n0": 4}, 2000,
+     "e567a32b460f2f79b42e059ff6aaf58dd02d7ab4f3b6f8a1728b307b1018a87c"),
+    (6, {"type": "number", "n0": 5}, 2000,
+     "f07d9c7b1387aefbcb1a9a28cbfb1fa369c3b38a9a7928b0b0629b25f015af4d"),
+    (6, {"type": "number", "n0": 6}, 2000,
+     "8f15179b5a2a68b7d478b4feeb58012edd76f61c9883ca8d8ef0b485f67d0442"),
+    (8, {"type": "number", "n0": 4}, 4000,
+     "8646090426dd7c50d9a9ecab87036ac9733fcefb4345fa1511091ec246b65936"),
+]
+
+
+@pytest.mark.parametrize("q,spec,shots,digest", PINNED_PLANS, ids=[
+    f"q{q}-{spec['type']}{spec.get('epsilon', spec.get('n0'))}"
+    for q, spec, _, _ in PINNED_PLANS])
+def test_plan_bytes_are_pinned(q, spec, shots, digest, tmp_path):
+    plan = derandomize_plan(*targets(projected_terms(q, spec)), shots,
+                            epsilon=0.3)
+    save_plan(plan, tmp_path / "plan.txt")
+    assert hashlib.sha256((tmp_path / "plan.txt").read_bytes()).hexdigest() \
+        == digest
+
+
+@pytest.mark.parametrize("epsilon,shots", [(2.0, 1000), (3.0, 500)])
+def test_plan_matches_reference_at_large_epsilon(epsilon, shots):
+    # The log cost falls by about 1 (eps 2) or 2 (eps 3) a round, so
+    # weights held at the first round's reference would underflow before
+    # the last round; the rebuilds, every 8 rounds at eps 2 and every round
+    # at 3, keep them in range. Weights near 1e300 keep the log costs, and
+    # so their rounding, small against the absolute 1e-12 bound.
+    strings = [PauliString.from_label(label) for label in ("XI", "ZY", "IZ")]
+    assert_plan_matches_reference(strings, [1e300, 0.5e300, 2e300], shots,
+                                  epsilon)
 
 
 def test_plan_does_not_depend_on_target_order():
@@ -192,9 +247,13 @@ def test_exact_x_y_tie_picks_x():
 
 def test_all_zero_weights_choose_z():
     strings = [PauliString.from_label("XY"), PauliString.from_label("IX")]
-    plan, trace = derandomize_plan(strings, [0.0, 0.0], 3, return_cost=True)
-    assert all(row == ("Z", "Z") for row in plan.bases_sequence)
-    assert all(cost == -math.inf for cost in trace)
+    # 100 rounds run past the first exponent rebuild
+    for shots in (3, 100):
+        plan, trace = derandomize_plan(strings, [0.0, 0.0], shots,
+                                       return_cost=True)
+        assert all(row == ("Z", "Z") for row in plan.bases_sequence)
+        assert len(trace) == 2 * shots
+        assert all(cost == -math.inf for cost in trace)
 
 
 def assert_groups_match_reference(obs):
