@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the layers of the fig4 budget path and record them in a JSON file.
+"""Time the fig4 budget path, the all-sector norms and the distinct-snapshot
+pass, and record them in a JSON file.
 
 For the pairing Hamiltonian times the half-filling number projector at
 q=6 (n0=3) and q=8 (n0=4), on the fig4 state, each layer is called k times
@@ -15,8 +16,15 @@ and its median and minimum wall time (``time.perf_counter``) are kept:
 * counts: ``direct_counts_estimate`` with rounds // groups shots per group
   and weighted allocation.
 
-    python scripts/bench.py --out BENCH_10.json --label change
-    python scripts/bench.py --out BENCH_10.json --label parent \
+All-sector norms (``projected_estimate_sectors`` of the identity over the
+spin family, on the fig7 state) at q=4 and q=6 with n_p=10 and M=10^4, and
+at q=8 with n_p=4 and M=2000: ``first`` is the median of k calls, each on a
+freshly built family, and ``later`` the median of k calls on new shadows
+with one family that has seen one shadow before. The distinct-snapshot pass
+(``shadows._distinct_snapshots``) is timed at q=4 and q=8 with M=10^4.
+
+    python scripts/bench.py --out BENCH_11.json --label change
+    python scripts/bench.py --out BENCH_11.json --label parent \
         --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
@@ -35,6 +43,10 @@ from pathlib import Path
 EPSILON = 0.3
 # name: (q, n0, plan rounds)
 CASES = {"q6_n0_3": (6, 3, 2000), "q8_n0_4": (8, 4, 4000)}
+# name: (q, spin n_p, shots)
+SECTOR_CASES = {"q4_np10": (4, 10, 10_000), "q6_np10": (6, 10, 10_000),
+                "q8_np4": (8, 4, 2000)}
+DISTINCT_SHOTS = 10_000
 
 
 def machine() -> dict:
@@ -95,6 +107,49 @@ def bench_case(q: int, n0: int, rounds: int, runs: int) -> dict:
     return result
 
 
+def median_ms(times: list) -> float:
+    return round(statistics.median(times) * 1e3, 3)
+
+
+def bench_sectors(q: int, n_points: int, shots: int, runs: int) -> dict:
+    import warnings
+
+    from shadowproj import experiments, projectors, shadows
+    from shadowproj.paulis import WeightedPauliSum
+
+    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
+    state = experiments.prepare_spin_rotated_gaussian(q)
+    ident = WeightedPauliSum.identity(q)
+    spec = {"type": "spin", "n_p": n_points}
+    fresh = [shadows.acquire_shadow(state, shots, seed)
+             for seed in range(2 * runs + 1)]
+
+    def call(shadow, family) -> float:
+        start = time.perf_counter()
+        projectors.projected_estimate_sectors(shadow, ident, family)
+        return time.perf_counter() - start
+
+    call(fresh[0], projectors.all_sector_projectors(q, spec))  # warm-up
+    first = [call(shadow, projectors.all_sector_projectors(q, spec))
+             for shadow in fresh[1:runs + 1]]
+    family = projectors.all_sector_projectors(q, spec)
+    call(fresh[0], family)
+    later = [call(shadow, family) for shadow in fresh[runs + 1:]]
+    return {"first_ms": median_ms(first), "later_ms": median_ms(later),
+            "sectors": len(family), "lcu_terms": len(family[0].gates)}
+
+
+def bench_distinct(q: int, runs: int) -> dict:
+    from shadowproj import experiments, shadows
+
+    shadow = shadows.acquire_shadow(experiments.prepare_fig4_state(q),
+                                    DISTINCT_SHOTS, 1)
+    result, (rows, _) = timed(lambda: shadows._distinct_snapshots(shadow),
+                              runs)
+    result["distinct_rows"] = len(rows)
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True,
@@ -112,12 +167,18 @@ def main(argv=None) -> int:
 
     record = {"machine": machine(), "runs": args.runs,
               "cases": {name: bench_case(*case, args.runs)
-                        for name, case in CASES.items()}}
+                        for name, case in CASES.items()},
+              "sector_norms": {name: bench_sectors(*case, args.runs)
+                               for name, case in SECTOR_CASES.items()},
+              "distinct_snapshots": {f"q{q}": bench_distinct(q, args.runs)
+                                     for q in (4, 8)}}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("layers", {})[args.label] = record
     out.write_text(json.dumps(data, indent=1) + "\n")
-    print(json.dumps(record["cases"], indent=1))
+    print(json.dumps({key: record[key] for key in
+                      ("cases", "sector_norms", "distinct_snapshots")},
+                     indent=1))
     return 0
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,8 +28,8 @@ import numpy as np
 
 from . import rng as _rng
 from .paulis import PauliString, WeightedPauliSum, letter_codes
-from .shadows import (BASIS_CODE, BASIS_LETTERS, _basis_keys,
-                      _born_probabilities, _sum_in_order)
+from .shadows import (BASIS_CODE, BASIS_LETTERS, _born_probabilities,
+                      _check_count, _digit_keys, _sum_in_order)
 from .statevector import Statevector
 
 # Candidate order implementing the Z < X < Y tie-break.
@@ -57,6 +56,7 @@ class MeasurementPlan:
         if not self.bases_sequence:
             raise ValueError("empty plan")
         q = len(self.bases_sequence[0])
+        _check_count(q, "num_qubits")
         if any(len(row) != q for row in self.bases_sequence):
             raise ValueError("all rounds need the same number of qubits")
         object.__setattr__(self, "bases_sequence",
@@ -100,7 +100,8 @@ def load_plan(path, provenance: str = "derandomized") -> MeasurementPlan:
 
 
 def random_plan(num_qubits: int, shots: int, seed: int) -> MeasurementPlan:
-    _check_shots(shots)
+    _check_count(num_qubits, "num_qubits")
+    _check_count(shots)
     gen = _rng.stream(seed, 0x91a7)
     codes = gen.integers(0, 3, size=(shots, num_qubits))
     rows = tuple(tuple(BASIS_LETTERS[c] for c in row) for row in codes)
@@ -113,12 +114,6 @@ class ObservableGroup:
 
     members: tuple[int, ...]
     shared_basis: tuple[str, ...]
-
-
-def _check_shots(shots, name: str = "shots") -> None:
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) \
-            or shots < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {shots!r}")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -199,7 +194,7 @@ def derandomize_plan(obs_list: Sequence[PauliString],
     With ``return_cost=True`` also returns the log conditional-cost trace
     after every committed letter (for the monotonicity guarantee check).
     """
-    _check_shots(shots)
+    _check_count(shots)
     _check_epsilon(epsilon)
     if not obs_list:
         raise ValueError("no target observables to derandomize a plan for")
@@ -328,7 +323,7 @@ def expected_random_cost(obs_list: Sequence[PauliString], shots: int,
                          weights: Sequence[float] | None = None,
                          epsilon: float = 0.3) -> float:
     """Expected confidence-bound cost of a uniform-random plan."""
-    _check_shots(shots)
+    _check_count(shots)
     w = _weights(weights, len(obs_list))
     _check_epsilon(epsilon)
     nu = 1.0 - math.exp(-epsilon ** 2 / 2)
@@ -420,7 +415,7 @@ def allocate_shots(groups: Sequence[ObservableGroup], obs: WeightedPauliSum,
     The weighted split preserves the total budget
     len(groups) * shots_per_group and gives every group at least one shot.
     """
-    _check_shots(shots_per_group, "shots_per_group")
+    _check_count(shots_per_group, "shots_per_group")
     n = len(groups)
     if not weighted:
         return [shots_per_group] * n
@@ -458,7 +453,7 @@ def _group_distributions(state: Statevector,
         raise ValueError(f"every shared basis needs {q} letters")
     codes = np.array([[BASIS_CODE[b] for b in g.shared_basis]
                       for g in groups], dtype=np.int8).reshape(-1, q)
-    distinct, which = np.unique(_basis_keys(codes), return_inverse=True)
+    distinct, which = np.unique(_digit_keys(codes, 3), return_inverse=True)
     probs = np.empty((distinct.size, 1 << q))
     for start, chunk in _born_probabilities(state, distinct):
         probs[start:start + len(chunk)] = chunk

@@ -7,13 +7,15 @@ Pauli coefficients (c_I, c_X, c_Y, c_Z) of the G_k and K beta weights.
 Estimation over a shadow then factorizes per qubit: the observable letter
 multiplies the gate's Pauli expansion, and every product letter feeds the
 same {0, 1, +-3} trace kernel used for plain estimation. A string's product
-over qubits runs once per distinct snapshot row; the all-I string, which
-gives the norm, runs once per class of rows with equal counts of the six
-(basis, bit) symbols, at most C(q+5, 5) classes. The Pauli expansion
-of a projector groups strings by their letter counts (n_I, n_X, n_Y, n_Z):
-every string of one class has the coefficient sum_k beta_k prod_m c_km^n_m.
-All sector information lives in the beta weights, so one shadow serves every
-eigenvalue channel of a symmetry at once.
+over qubits runs once per distinct snapshot row. The all-I string, which
+gives the norm, has one value per class of rows with equal counts of the six
+(basis, bit) symbols, at most C(q+5, 5) classes, and that value depends on
+the projector alone: each projector keeps a table of it, filled on first
+use, and a shadow's norm is the sum of its class weights times the table
+entries. The Pauli expansion of a projector groups strings by their letter
+counts (n_I, n_X, n_Y, n_Z): every string of one class has the coefficient
+sum_k beta_k prod_m c_km^n_m. All sector information lives in the beta
+weights, so one shadow serves every eigenvalue channel of a symmetry at once.
 
 Conventions fixed here: the particle-number operator counts 1-bits
 (n_j = (I - Z_j)/2), phase gates are diag(1, e^{i phi}), and Euler rotations
@@ -26,6 +28,7 @@ import itertools
 import math
 import numbers
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -319,32 +322,103 @@ def spin_sector_projectors(num_qubits: int, n_points: int
             for s, m in spin_sectors(num_qubits)]
 
 
-def _distinct_symbols(shadow: ClassicalShadow
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (M', q) symbol rows 2 * code + bit, in lexicographic order,
-    and their weights: the fraction of snapshots equal to each row."""
-    rows, counts = _distinct_snapshots(shadow)
-    return rows, counts / len(shadow)
+# Each projector's exact norm Tr[P rho_c] on the symbol-count classes c met
+# so far: sorted class keys and their values. Keyed by the projector, which
+# compares by identity, so a table lives exactly as long as its projector.
+_CLASS_NORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_NO_CLASSES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=complex))
 
 
-def _count_classes(symbols: tuple[np.ndarray, np.ndarray]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """One distinct row per symbol-count class, and the class weights.
+def _symbol_classes(rows: np.ndarray, counts: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys of the symbol-count classes of distinct rows, and the
+    fraction of snapshots in each.
 
     Rows with equal counts n_s = #{j: row[j] = s} of the six symbols form a
-    class. With every letter I, term k's product over a row is
-    prod_s T[k, s]^n_s, the same for every row of its class, so the all-I
-    string needs :func:`_term_products` on one row per class only: at most
-    C(q+5, 5) classes against up to 6^q distinct rows. Each class gets the
-    summed weight of its rows; classes come in order of sum_s n_s (q+1)^s.
+    class, keyed by sum_s n_s (q+1)^s. With every letter I, term k's product
+    over a row is prod_s T[k, s]^n_s, the same for every row of its class:
+    at most C(q+5, 5) classes against up to 6^q distinct rows.
     """
-    rows, weights = symbols
     radix = rows.shape[1] + 1
-    keys = (radix ** np.arange(6))[rows].sum(axis=1)  # sum_s n_s (q+1)^s
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
-    return rows[order[starts]], np.add.reduceat(weights[order], starts)
+    keys, which = np.unique((radix ** np.arange(6))[rows].sum(axis=1),
+                            return_inverse=True)
+    return keys, np.bincount(which, counts) / counts.sum()
+
+
+def _norms_on_classes(gates: np.ndarray, betas: np.ndarray,
+                      keys: np.ndarray, num_qubits: int,
+                      chunk: int = 1 << 14) -> np.ndarray:
+    """(S, C) values sum_k betas[i, k] prod_s T[k, s]^n_s of the classes
+    ``keys``, T the all-I trace kernel of the gates.
+
+    The per-term products of a chunk of classes (at most ``chunk`` elements,
+    256 KiB, so the factors of a block stay in cache) are built from a table
+    per basis of T[k, 2b]^i T[k, 2b + 1]^j over the pairs (i, j) in use.
+    Every (projector, class) value is a dot product of its own, so it is the
+    same whichever classes and projectors are filled with it: a column of a
+    matrix product can change in its last bits with the other columns of
+    the call, and threaded BLAS took milliseconds per call at these shapes.
+    """
+    radix = num_qubits + 1
+    counts = keys[:, None] // radix ** np.arange(6) % radix
+    factor = np.einsum("km,ms->sk", gates, _LETTER_KERNEL["I"])
+    powers = np.ones((6, radix, len(gates)), dtype=complex)
+    for n in range(1, radix):
+        powers[:, n] = powers[:, n - 1] * factor
+    by_basis, pairs = [], np.empty((len(keys), 3), dtype=np.intp)
+    for b in range(3):
+        used, pairs[:, b] = np.unique(
+            counts[:, 2 * b] * radix + counts[:, 2 * b + 1],
+            return_inverse=True)
+        by_basis.append(powers[2 * b, used // radix]
+                        * powers[2 * b + 1, used % radix])
+    out = np.empty((len(betas), len(keys)), dtype=complex)
+    step = max(1, chunk // len(gates))
+    for start in range(0, len(keys), step):
+        pair = pairs[start:start + step]
+        block = by_basis[0][pair[:, 0]] * by_basis[1][pair[:, 1]]
+        block *= by_basis[2][pair[:, 2]]
+        out[:, start:start + step] = np.matmul(
+            betas[:, None, None, :], block[None, :, :, None])[:, :, 0, 0]
+    return out
+
+
+def _class_norms(family: Sequence[ProjectorLCU], keys: np.ndarray,
+                 weights: np.ndarray) -> list[complex]:
+    """Norm of each projector of a family sharing one gate table on a shadow
+    with the sorted class ``keys`` and their ``weights``: sum_c w_c
+    table[c], one dot product per projector.
+
+    Classes that some table lacks are computed for the whole family in one
+    pass, and each table gains the ones it lacked. Projectors filled in one
+    pass share one key array, which is searched once.
+    """
+    tables = [_CLASS_NORMS.get(proj, _NO_CLASSES) for proj in family]
+    known = {id(k): k for k, _ in tables}
+    lacking = {i: ~np.isin(keys, k, assume_unique=True)
+               for i, k in known.items()}
+    new = np.logical_or.reduce(list(lacking.values()))
+    if new.any():
+        fresh = keys[new]
+        values = _norms_on_classes(family[0].gates,
+                                   np.stack([p.betas for p in family]),
+                                   fresh, family[0].num_qubits)
+        merged = {}
+        for i, k in known.items():
+            add = lacking[i][new]
+            joined = np.concatenate([k, fresh[add]])
+            order = np.argsort(joined)
+            merged[i] = add, order, joined[order]
+        for n, (proj, (k, vals)) in enumerate(zip(family, tables)):
+            add, order, joined = merged[id(k)]
+            tables[n] = joined, np.concatenate([vals, values[n, add]])[order]
+            _CLASS_NORMS[proj] = tables[n]
+    where = {}
+    for k, _ in tables:
+        if id(k) not in where:
+            where[id(k)] = np.searchsorted(k, keys)
+    weights = weights.astype(complex)
+    return [vals[where[id(k)]] @ weights for k, vals in tables]
 
 
 def _term_products(symbols: tuple[np.ndarray, np.ndarray],
@@ -359,8 +433,8 @@ def _term_products(symbols: tuple[np.ndarray, np.ndarray],
     elements. Returns one complex mean per LCU term; the caller contracts
     with betas. The weighting is a product and a sum, not a matrix-vector
     product: threaded BLAS takes milliseconds per call at these shapes.
-    For the all-I string, which gives the norm, the caller passes one row
-    per symbol-count class from :func:`_count_classes`.
+    The all-I string, which gives the norm, goes through
+    :func:`_class_norms` instead.
     """
     rows, weights = symbols
     n_terms = len(gates)
@@ -412,7 +486,8 @@ def projected_estimate_sectors(shadow: ClassicalShadow,
 
     Projectors sharing their ``gates`` object (sector families) reuse the
     per-term snapshot products, so the whole decomposition costs one pass
-    over the distinct snapshots. Results match :func:`projected_estimate`.
+    over the distinct snapshots, and fill their class-norm tables in one
+    pass. Results match :func:`projected_estimate`.
     """
     if obs.num_qubits != shadow.num_qubits \
             or any(p.num_qubits != shadow.num_qubits for p in projectors):
@@ -434,24 +509,26 @@ def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
                     projectors: Sequence[ProjectorLCU]
                     ) -> list[tuple[float, float]]:
     results: list[tuple[float, float]] = [(0.0, 0.0)] * len(projectors)
-    symbols = _distinct_symbols(shadow)
-    classes = _count_classes(symbols)
+    rows, counts = _distinct_snapshots(shadow)
+    symbols = rows, counts / len(shadow)
+    keys, weights = _symbol_classes(rows, counts)
     iden = ("I",) * shadow.num_qubits
     by_gates: dict[int, list[int]] = {}
     for i, proj in enumerate(projectors):
         by_gates.setdefault(id(proj.gates), []).append(i)
     for indices in by_gates.values():
-        gates = projectors[indices[0]].gates
-        prods_norm = _term_products(classes, iden, gates)
+        family = [projectors[i] for i in indices]
+        norms = _class_norms(family, keys, weights)
+        # None stands for the all-I string, whose value is the norm
         prods_obs = [(coeff * string.phase,
-                      prods_norm if string.letters == iden
-                      else _term_products(symbols, string.letters, gates))
+                      None if string.letters == iden
+                      else _term_products(symbols, string.letters,
+                                          family[0].gates))
                      for coeff, string in obs.terms]
-        for i in indices:
-            betas = projectors[i].betas
-            norm = float((betas @ prods_norm).real)
-            num = float(sum(c * (betas @ p) for c, p in prods_obs).real)
-            results[i] = (num, norm)
+        for i, proj, norm in zip(indices, family, norms):
+            num = sum(c * (norm if p is None else proj.betas @ p)
+                      for c, p in prods_obs)
+            results[i] = (float(num.real), float(norm.real))
     return results
 
 

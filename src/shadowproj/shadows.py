@@ -10,6 +10,7 @@ averages when the bases were prescribed by a measurement plan.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -61,6 +62,14 @@ class Snapshot:
         return len(self.bases)
 
 
+def _check_count(value, name: str = "shots") -> None:
+    """ValueError unless ``value`` is an integer of at least 1 (not a
+    bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class InvalidSnapshot(ValueError):
     """A snapshot with a basis code outside {X, Y, Z} or a bit outside
     {0, 1}; ``index`` is its position in the shadow."""
@@ -89,6 +98,7 @@ class ClassicalShadow:
 
     def __init__(self, num_qubits: int, snapshots: Sequence[Snapshot],
                  seed: int, prescribed: bool = False):
+        _check_count(num_qubits, "num_qubits")
         snapshots = tuple(snapshots)
         if any(s.num_qubits != num_qubits for s in snapshots):
             raise ValueError("all snapshots must share num_qubits")
@@ -113,6 +123,7 @@ class ClassicalShadow:
             raise ValueError("codes and outcomes must be equal (M, q) arrays")
         if codes.shape[0] < 1:
             raise ValueError("a shadow needs at least one snapshot")
+        _check_count(codes.shape[1], "num_qubits")
         bad = ((codes < 0) | (codes > 2) | (outcomes < 0) | (outcomes > 1)
                ).any(axis=1)
         if bad.any():
@@ -165,7 +176,7 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
     else:
         codes = _prescribed_codes(list(bases), shots, q)
 
-    keys = _basis_keys(codes)
+    keys = _digit_keys(codes, 3)
     rows = np.argsort(keys)  # the rows of each key form one run
     keys = keys[rows]
     bounds = np.append(np.flatnonzero(_run_starts(keys)), shots)
@@ -186,12 +197,12 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
                                        bases is not None)
 
 
-def _basis_keys(codes: np.ndarray) -> np.ndarray:
-    """Each basis row as a base-3 number, qubit 0 the leading digit: the
-    keys of :func:`_born_probabilities`."""
-    keys = np.zeros(len(codes), dtype=np.int64)
-    for column in codes.T:
-        keys *= 3
+def _digit_keys(digits: np.ndarray, base: int) -> np.ndarray:
+    """Each row of digits as one int64 number, column 0 the leading digit.
+    Basis rows in base 3 are the keys of :func:`_born_probabilities`."""
+    keys = np.zeros(len(digits), dtype=np.int64)
+    for column in digits.T:
+        keys *= base
         keys += column
     return keys
 
@@ -333,17 +344,31 @@ def _per_snapshot_values(shadow: ClassicalShadow,
     return totals
 
 
+# Qubits per int64 word of a snapshot key: 6^24 < 2^63.
+_SYMBOLS_PER_WORD = 24
+
+
 def _distinct_snapshots(shadow: ClassicalShadow
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (M', q) symbol rows 2 * code + bit, in lexicographic order,
-    and the number of snapshots equal to each."""
+    and the number of snapshots equal to each.
+
+    A row is read as base-6 int64 words of 24 qubits, qubit 0 the leading
+    digit of the first word, so rows sort as their keys. A single word is
+    sorted unstably: the rows of a run of equal keys are equal.
+    """
     symbols = 2 * shadow.codes + shadow.outcomes
-    symbols = symbols[np.lexsort(symbols.T[::-1])]
-    first = np.ones(len(symbols), dtype=bool)
-    first[1:] = (symbols[1:] != symbols[:-1]).any(axis=1)
+    words = np.stack([
+        _digit_keys(symbols[:, start:start + _SYMBOLS_PER_WORD], 6)
+        for start in range(0, shadow.num_qubits, _SYMBOLS_PER_WORD)])
+    order = (np.argsort(words[0]) if len(words) == 1
+             else np.lexsort(words[::-1]))
+    words = words[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
     starts = np.flatnonzero(first)
-    return symbols[starts].astype(np.intp), np.diff(starts,
-                                                    append=len(symbols))
+    return (symbols[order[starts]].astype(np.intp),
+            np.diff(starts, append=len(order)))
 
 
 # _PRESCRIBED_FACTOR[letter, symbol]: a qubit's factor in the prescribed

@@ -188,15 +188,15 @@ PINNED_CSV_SHA256 = {
     "fig2": ({},
              "48aa8394495c003b3b4c006a6e8291bd821a5dc09475f6da5d941c0fe03804f9"),
     "fig3": ({"shots": [100, 1000], "repeats": 3},
-             "2f9e41037102f5f8901604e0d6035797b4e915d8d775c442f32599c025eef6f8"),
+             "78d1c1a7ee7a1eca76dd354d8b193c9e2903a7fb1eda6f13776b169b2c86d181"),
     "fig4": ({"shots": [300], "repeats": 3},
-             "bcb4785f29f54055c055dc8d1e362bc7e38bd5d740a90d79d18002f33085d6c4"),
+             "278d5364145121007a2d092af419d1b91bcfc514b99f9630b8ee39b8970af621"),
     "fig5": ({"shots": [1000], "repeats": 3},
-             "0314702208779349e12bfbcb5bc8866d98a27bc6f1ec2fc03c749b6bc8668145"),
+             "fc09e3b0a395a8cc80282f7b06c9c387b3d1aec2f0ee47d71200c190e7939d89"),
     "fig6": ({"shots": [100, 1000], "repeats": 3},
-             "97c692354c568d17bb98b5402e22494523676682131f18ccc2c2ce1afe900e57"),
+             "ba7dc5037e33bf05d80993857dd70545a14823688defb40900716c695ae80741"),
     "fig7": ({"shots": [1000], "repeats": 3},
-             "f5c865ccfe5fbaa29700657a62d8fd79f113008278661bf50727e7e9469c26e5"),
+             "ae2374baaf755f299e28261933108ad20d5a8f910d172fed8f817169ebe10258"),
 }
 
 

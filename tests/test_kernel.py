@@ -3,9 +3,11 @@
 ``reference_term_products`` is the kernel as it ran before it was collapsed
 over distinct snapshots: the full product over qubits for every snapshot, in
 chunks of snapshots. The collapsed kernel must agree with it to 1e-12, both
-per distinct row and, for the all-I string, per symbol-count class.
+per distinct row and, for the all-I string, through the per-projector
+tables of norms on symbol-count classes.
 """
 
+import gc
 import math
 import warnings
 
@@ -17,11 +19,13 @@ from hypothesis import strategies as st
 from shadowproj.experiments import prepare_spin_rotated_gaussian
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.paulis import PauliString, WeightedPauliSum
-from shadowproj.projectors import (_PERM, EmptySectorWarning,
-                                   _count_classes, _distinct_symbols,
+from shadowproj import projectors
+from shadowproj.projectors import (_CLASS_NORMS, _PERM, EmptySectorWarning,
+                                   _norms_on_classes, _symbol_classes,
                                    _term_products, all_sector_projectors,
                                    projected_estimate_sectors)
-from shadowproj.shadows import ClassicalShadow, acquire_shadow
+from shadowproj.shadows import (ClassicalShadow, _distinct_snapshots,
+                                acquire_shadow)
 from shadowproj.statevector import (Statevector, prepare_basis_state,
                                     prepare_gaussian)
 
@@ -69,6 +73,23 @@ def reference_sectors(shadow, obs, projectors):
     return out
 
 
+def reference_distinct_snapshots(codes, outcomes):
+    """Distinct symbol rows and their counts by a lexsort over the q
+    columns and a row compare."""
+    symbols = 2 * codes + outcomes
+    symbols = symbols[np.lexsort(symbols.T[::-1])]
+    first = np.ones(len(symbols), dtype=bool)
+    first[1:] = (symbols[1:] != symbols[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return symbols[starts], np.diff(starts, append=len(symbols))
+
+
+def distinct_symbols(shadow):
+    """Distinct symbol rows and the fraction of snapshots equal to each."""
+    rows, counts = _distinct_snapshots(shadow)
+    return rows, counts / len(shadow)
+
+
 def random_state(q, seed):
     gen = np.random.default_rng(seed)
     v = gen.normal(size=2 ** q) + 1j * gen.normal(size=2 ** q)
@@ -110,7 +131,7 @@ def test_number_family_with_pairing_hamiltonian():
 def test_q8_shadow_with_nearly_all_rows_distinct():
     q = 8
     shadow = acquire_shadow(random_state(q, 4), 3000, seed=12)
-    rows, _ = _distinct_symbols(shadow)
+    rows, _ = _distinct_snapshots(shadow)
     assert len(rows) > 0.95 * len(shadow)
     for spec in ({"type": "number"}, {"type": "spin", "n_p": 3}):
         family = all_sector_projectors(q, spec)
@@ -124,7 +145,7 @@ def test_distinct_rows_cross_the_chunk(letters):
     shadow = acquire_shadow(random_state(q, 6), 2000, seed=3)
     family = all_sector_projectors(q, {"type": "spin", "n_p": 4})
     gates = family[0].gates
-    symbols = _distinct_symbols(shadow)
+    symbols = distinct_symbols(shadow)
     n_rows = len(symbols[0])
     step = 7
     assert n_rows > 10 * step
@@ -139,23 +160,57 @@ def test_distinct_rows_cross_the_chunk(letters):
 
 def test_distinct_symbols_count_every_snapshot():
     shadow = acquire_shadow(random_state(3, 9), 500, seed=1)
-    rows, weights = _distinct_symbols(shadow)
+    rows, counts = _distinct_snapshots(shadow)
     symbols = 2 * shadow.codes + shadow.outcomes
     assert len(np.unique(rows, axis=0)) == len(rows)
-    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-    for row, weight in zip(rows, weights):
-        hits = (symbols == row).all(axis=1).sum()
-        assert weight == hits / len(shadow)
+    assert counts.sum() == len(shadow)
+    for row, count in zip(rows, counts):
+        assert count == (symbols == row).all(axis=1).sum()
+
+
+def assert_distinct_match_reference(shadow):
+    rows, counts = _distinct_snapshots(shadow)
+    want_rows, want_counts = reference_distinct_snapshots(shadow.codes,
+                                                          shadow.outcomes)
+    assert rows.dtype == np.intp
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("q", [1, 4, 8])
+def test_distinct_snapshots_match_the_lexsort_version(q):
+    for shots, seed in ((1, 0), (50, 1), (3000, 2)):
+        assert_distinct_match_reference(
+            acquire_shadow(random_state(q, 40 + q), shots, seed=seed))
+
+
+def test_distinct_snapshots_over_two_key_words():
+    # q = 25 needs two base-6 words; few distinct rows per word keep runs
+    # that tie on the first word and differ on the second
+    gen = np.random.default_rng(3)
+    q, shots = 25, 4000
+    codes = gen.integers(0, 3, size=(shots, q))
+    outcomes = gen.integers(0, 2, size=(shots, q))
+    codes[:, 1:24] = codes[gen.integers(0, 5, shots), 1:24]
+    outcomes[:, 1:24] = 0
+    codes[:, 24] = gen.integers(0, 2, shots) * 2
+    shadow = ClassicalShadow.from_arrays(codes, outcomes, seed=0)
+    rows, _ = _distinct_snapshots(shadow)
+    assert len(rows) < shots
+    assert len(np.unique(rows[:, :24], axis=0)) < len(rows)
+    assert_distinct_match_reference(shadow)
 
 
 # --- the all-I string over symbol-count classes -----------------------------
 
-def assert_classes_match_reference(shadow, gates, **kwargs):
+def assert_classes_match_reference(shadow, family, **kwargs):
     q = shadow.num_qubits
-    got = _term_products(_count_classes(_distinct_symbols(shadow)),
-                         ("I",) * q, gates, **kwargs)
-    want = reference_term_products(shadow.codes, shadow.outcomes, ("I",) * q,
-                                   gates)
+    keys, weights = _symbol_classes(*_distinct_snapshots(shadow))
+    betas = np.stack([p.betas for p in family])
+    got = _norms_on_classes(family[0].gates, betas, keys, q,
+                            **kwargs) @ weights
+    want = betas @ reference_term_products(shadow.codes, shadow.outcomes,
+                                           ("I",) * q, family[0].gates)
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -167,20 +222,19 @@ def symbol_counts(rows):
 def test_class_products_match_reference(q):
     shadow = acquire_shadow(random_state(q, 20 + q), 2000, seed=q)
     for spec in ({"type": "number"}, {"type": "spin", "n_p": 3}):
-        gates = all_sector_projectors(q, spec)[0].gates
-        assert_classes_match_reference(shadow, gates)
+        assert_classes_match_reference(shadow, all_sector_projectors(q, spec))
 
 
 def test_class_products_on_the_q4_spin_and_number_families():
     q = 4
     spin = acquire_shadow(prepare_spin_rotated_gaussian(q), 3000, seed=5)
-    gates = all_sector_projectors(q, {"type": "spin", "n_p": 10})[0].gates
-    assert len(gates) == 1000
-    assert_classes_match_reference(spin, gates)
+    family = all_sector_projectors(q, {"type": "spin", "n_p": 10})
+    assert len(family[0].gates) == 1000
+    assert_classes_match_reference(spin, family)
     number = acquire_shadow(prepare_gaussian(q), 5000, seed=8)
     family = all_sector_projectors(q, {"type": "number"})
-    assert_classes_match_reference(number, family[0].gates)
-    # the pairing H holds the all-I string, which reuses the class products
+    assert_classes_match_reference(number, family)
+    # the pairing H holds the all-I string, whose value is the norm
     ham = build_pairing_hamiltonian(PairingSpec(q, 1.0, 1.0))
     assert ("I",) * q in [s.letters for _, s in ham.terms]
     assert_sectors_agree(number, ham, family)
@@ -189,53 +243,169 @@ def test_class_products_on_the_q4_spin_and_number_families():
 def test_classes_cross_the_chunk():
     q = 6
     shadow = acquire_shadow(random_state(q, 7), 3000, seed=2)
-    gates = all_sector_projectors(q, {"type": "spin", "n_p": 3})[0].gates
-    reps, _ = _count_classes(_distinct_symbols(shadow))
+    family = all_sector_projectors(q, {"type": "spin", "n_p": 3})
+    keys, _ = _symbol_classes(*_distinct_snapshots(shadow))
     step = 5
-    assert len(reps) > 10 * step
-    assert_classes_match_reference(shadow, gates, chunk=step * len(gates))
-    assert_classes_match_reference(shadow, gates, chunk=1)
+    assert len(keys) > 10 * step
+    assert_classes_match_reference(shadow, family,
+                                   chunk=step * len(family[0].gates))
+    assert_classes_match_reference(shadow, family, chunk=1)
 
 
 def test_basis_state_rows_fall_in_few_classes():
     q = 5
     shadow = acquire_shadow(prepare_basis_state(q, 0b10110), 2000, seed=4)
-    symbols = _distinct_symbols(shadow)
-    reps, weights = _count_classes(symbols)
-    assert len(reps) < len(symbols[0])
+    rows, counts = _distinct_snapshots(shadow)
+    keys, weights = _symbol_classes(rows, counts)
+    assert len(keys) < len(rows)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     for spec in ({"type": "number"}, {"type": "spin", "n_p": 4}):
-        gates = all_sector_projectors(q, spec)[0].gates
-        assert_classes_match_reference(shadow, gates)
+        assert_classes_match_reference(shadow, all_sector_projectors(q, spec))
     # every snapshot equal: one class holding all the weight
     same = ClassicalShadow.from_arrays(np.full((40, q), 2), np.zeros((40, q)),
                                        seed=0)
-    reps, weights = _count_classes(_distinct_symbols(same))
-    assert reps.tolist() == [[4] * q]
+    keys, weights = _symbol_classes(*_distinct_snapshots(same))
+    assert keys.tolist() == [q * (q + 1) ** 4]  # n_4 = q: Z basis, bit 0
     assert weights.tolist() == [1.0]
-    gates = all_sector_projectors(q, {"type": "number"})[0].gates
-    assert_classes_match_reference(same, gates)
+    assert_classes_match_reference(
+        same, all_sector_projectors(q, {"type": "number"}))
 
 
 def test_count_classes_partition_the_rows():
     q = 4
     shadow = acquire_shadow(random_state(q, 3), 1500, seed=6)
-    rows, weights = _distinct_symbols(shadow)
-    reps, class_weights = _count_classes((rows, weights))
-    assert len(reps) <= math.comb(q + 5, 5)
-    classes = symbol_counts(reps)
-    assert len({tuple(c) for c in classes.tolist()}) == len(classes)
+    rows, counts = _distinct_snapshots(shadow)
+    keys, weights = _symbol_classes(rows, counts)
+    assert len(keys) <= math.comb(q + 5, 5)
+    assert np.all(np.diff(keys) > 0)
+    classes = keys[:, None] // (q + 1) ** np.arange(6) % (q + 1)
+    assert np.all(classes.sum(axis=1) == q)
     row_counts = symbol_counts(rows)
-    for rep, counts, weight in zip(reps, classes, class_weights):
-        assert (rows == rep).all(axis=1).any()
-        members = (row_counts == counts).all(axis=1)
-        assert weight == pytest.approx(weights[members].sum(), abs=1e-15)
-    assert class_weights.sum() == pytest.approx(1.0, abs=1e-12)
+    for counts_c, weight in zip(classes, weights):
+        members = (row_counts == counts_c).all(axis=1)
+        assert members.any()
+        assert weight == pytest.approx(counts[members].sum() / len(shadow),
+                                       abs=1e-15)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2 ** 16), st.integers(1, 300))
 def test_class_products_property(q, seed, shots):
     shadow = acquire_shadow(random_state(q, seed), shots, seed=seed)
-    gates = all_sector_projectors(q, {"type": "spin", "n_p": 3})[0].gates
-    assert_classes_match_reference(shadow, gates)
+    family = all_sector_projectors(q, {"type": "spin", "n_p": 3})
+    assert_classes_match_reference(shadow, family)
+
+
+# --- per-projector tables of norms on symbol-count classes ------------------
+
+def sector_norms(shadow, family, obs=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySectorWarning)
+        return projected_estimate_sectors(
+            shadow, obs or WeightedPauliSum.identity(shadow.num_qubits),
+            family)
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """The class keys and beta rows of every call of the fill step."""
+    calls = []
+
+    def spy(gates, betas, keys, num_qubits, **kwargs):
+        calls.append((keys.copy(), betas.shape[0]))
+        return _norms_on_classes(gates, betas, keys, num_qubits, **kwargs)
+
+    monkeypatch.setattr(projectors, "_norms_on_classes", spy)
+    return calls
+
+
+def test_second_call_computes_no_class_twice(fills):
+    q = 4
+    family = all_sector_projectors(q, {"type": "spin", "n_p": 10})
+    first = acquire_shadow(prepare_spin_rotated_gaussian(q), 2000, seed=1)
+    second = acquire_shadow(prepare_spin_rotated_gaussian(q), 2000, seed=2)
+    assert sector_norms(first, family) == sector_norms(first, family)
+    assert len(fills) == 1
+    keys, _ = _symbol_classes(*_distinct_snapshots(first))
+    assert np.array_equal(fills[0][0], keys)
+    sizes = [len(_CLASS_NORMS[p][0]) for p in family]
+    assert sizes == [len(keys)] * len(family)
+    sector_norms(second, family)
+    seen = np.concatenate([k for k, _ in fills])
+    assert len(np.unique(seen)) == len(seen)
+    both = np.union1d(keys, _symbol_classes(*_distinct_snapshots(second))[0])
+    assert all(np.array_equal(_CLASS_NORMS[p][0], both) for p in family)
+
+
+@pytest.mark.parametrize("spec", [{"type": "number"},
+                                  {"type": "spin", "n_p": 10}])
+def test_new_classes_extend_the_tables(fills, spec):
+    q = 4
+    family = all_sector_projectors(q, spec)
+    state = random_state(q, 11)
+    # a basis state meets few classes; the random state then adds more
+    narrow = acquire_shadow(prepare_basis_state(q, 0b0110), 400, seed=3)
+    wide = acquire_shadow(state, 3000, seed=4)
+    obs = random_obs(q, 5, nterms=3)
+    for shadow in (narrow, wide, narrow):
+        got = sector_norms(shadow, family, obs)
+        want = reference_sectors(shadow, obs, family)
+        assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
+    narrow_keys = _symbol_classes(*_distinct_snapshots(narrow))[0]
+    wide_keys = _symbol_classes(*_distinct_snapshots(wide))[0]
+    assert len(fills) == 2
+    assert np.array_equal(fills[1][0], np.setdiff1d(wide_keys, narrow_keys))
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_families_match_reference_through_the_tables(q):
+    state = random_state(q, 60 + q)
+    obs = random_obs(q, q, nterms=2)
+    specs = [{"type": "parity"}, {"type": "number"},
+             {"type": "spin", "n_p": 3}, {"type": "spin", "n_p": 10}]
+    for spec in specs:
+        family = all_sector_projectors(q, spec)
+        for seed in (1, 2):
+            shadow = acquire_shadow(state, 300, seed=seed)
+            got = sector_norms(shadow, family, obs)
+            want = reference_sectors(shadow, obs, family)
+            assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
+
+
+def test_tables_die_with_their_projectors():
+    gc.collect()
+    before = len(_CLASS_NORMS)
+    family = all_sector_projectors(3, {"type": "spin", "n_p": 3})
+    sector_norms(acquire_shadow(random_state(3, 1), 200, seed=1), family)
+    assert len(_CLASS_NORMS) == before + len(family)
+    del family
+    gc.collect()
+    assert len(_CLASS_NORMS) == before
+
+
+def test_a_family_fills_in_one_pass(fills):
+    q = 4
+    shadow = acquire_shadow(random_state(q, 2), 1000, seed=7)
+    family = all_sector_projectors(q, {"type": "spin", "n_p": 4})
+    assert all(p.gates is family[0].gates for p in family)
+    sector_norms(shadow, family)
+    assert [rows for _, rows in fills] == [len(family)]
+    # copied gate tables split the family: one pass per sector
+    split = [projectors.ProjectorLCU(q, p.betas, p.gates.copy(), p.label)
+             for p in family]
+    fills.clear()
+    assert np.allclose(sector_norms(shadow, split),
+                       sector_norms(shadow, family), rtol=0, atol=1e-12)
+    assert [rows for _, rows in fills] == [1] * len(family)
+
+
+def test_class_values_do_not_depend_on_the_fill_order():
+    q = 4
+    state = random_state(q, 8)
+    shadows = [acquire_shadow(state, 500, seed=s) for s in range(3)]
+    spec = {"type": "spin", "n_p": 4}
+    reused = all_sector_projectors(q, spec)
+    for shadow in shadows:
+        once = sector_norms(shadow, all_sector_projectors(q, spec))
+        assert sector_norms(shadow, reused) == once

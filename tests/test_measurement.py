@@ -283,6 +283,19 @@ def test_shot_counts_must_be_positive_integers(func, shots):
         func(shots)
 
 
+def test_plan_of_zero_qubit_rounds_is_rejected():
+    with pytest.raises(ValueError, match="num_qubits must be an integer >= 1"):
+        MeasurementPlan(((), ()))
+
+
+@pytest.mark.parametrize("q", [0, -1, 2.5, True, "4"])
+def test_random_plan_qubit_count_must_be_a_positive_integer(q):
+    # 0 once gave rounds with no letters, -1 a numpy shape error and 2.5 a
+    # raw TypeError
+    with pytest.raises(ValueError, match="num_qubits must be an integer >= 1"):
+        random_plan(q, 3, 0)
+
+
 def _two_groups():
     obs = WeightedPauliSum.from_terms(2, [
         (1.0, PauliString.from_label("XI")),

@@ -346,6 +346,19 @@ def test_outcome_bits_outside_zero_one_rejected():
         ClassicalShadow.from_arrays([[3]], [[0]], 0)
 
 
+def test_zero_qubit_arrays_are_rejected():
+    with pytest.raises(ValueError, match="num_qubits must be an integer >= 1"):
+        ClassicalShadow.from_arrays(np.zeros((3, 0)), np.zeros((3, 0)), 1)
+
+
+@pytest.mark.parametrize("q", [0, -1, 2.5, True])
+def test_no_zero_qubit_shadow_reaches_save_shadow(q):
+    # a q=0 shadow was once accepted, and save_shadow wrote a file that
+    # load_shadow rejects
+    with pytest.raises(ValueError, match="num_qubits must be an integer >= 1"):
+        ClassicalShadow(q, (Snapshot((), ()),), seed=0)
+
+
 @pytest.mark.parametrize("line", ["XZ 02", "XW 01", "XZ_01", "XZ 0", "XZ 011",
                                   "XZ  01", "XZ 0é"])
 def test_malformed_shadow_line_names_the_line(tmp_path, line):
