@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the fig4 budget path, the all-sector norms and the distinct-snapshot
-pass, and record them in a JSON file.
+"""Time the fig4 budget path, planning on every budget-q6 target set, the
+all-sector norms and the distinct-snapshot pass, and record them in a JSON
+file.
 
 For the pairing Hamiltonian times the half-filling number projector at
 q=6 (n0=3) and q=8 (n0=4), on the fig4 state, each layer is called k times
@@ -14,7 +15,12 @@ and its median and minimum wall time (``time.perf_counter``) are kept:
 * estimate: the prescribed ``estimate`` on a shadow measured on that plan;
 * rlf: ``group_qwc_rlf`` of the expanded sum;
 * counts: ``direct_counts_estimate`` with rounds // groups shots per group
-  and weighted allocation.
+  and weighted allocation;
+* plan_peak_mb: the ``tracemalloc`` peak of one ``derandomize_plan`` call.
+
+Planning on every ``budget-q6`` target set (parity +-1 and n0 = 1..6 at q=6,
+64 to 544 expanded terms): derandomize (2000 rounds) and rlf, timed as
+above, per set and summed over the sets.
 
 All-sector norms (``projected_estimate_sectors`` of the identity over the
 spin family, on the fig7 state) at q=4 and q=6 with n_p=10 and M=10^4, and
@@ -23,8 +29,8 @@ freshly built family, and ``later`` the median of k calls on new shadows
 with one family that has seen one shadow before. The distinct-snapshot pass
 (``shadows._distinct_snapshots``) is timed at q=4 and q=8 with M=10^4.
 
-    python scripts/bench.py --out BENCH_11.json --label change
-    python scripts/bench.py --out BENCH_11.json --label parent \
+    python scripts/bench.py --out BENCH_12.json --label change
+    python scripts/bench.py --out BENCH_12.json --label parent \
         --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
@@ -38,11 +44,16 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 EPSILON = 0.3
 # name: (q, n0, plan rounds)
 CASES = {"q6_n0_3": (6, 3, 2000), "q8_n0_4": (8, 4, 4000)}
+# the budget-q6 target sets; n0 = 0 expands to no terms
+PLANNING_SETS = ([{"type": "parity", "epsilon": e} for e in (1, -1)]
+                 + [{"type": "number", "n0": n} for n in range(1, 7)])
+PLANNING_ROUNDS = 2000
 # name: (q, spin n_p, shots)
 SECTOR_CASES = {"q4_np10": (4, 10, 10_000), "q6_np10": (6, 10, 10_000),
                 "q8_np4": (8, 4, 2000)}
@@ -91,6 +102,11 @@ def bench_case(q: int, n0: int, rounds: int, runs: int) -> dict:
     result["derandomize"], plan = timed(
         lambda: measurement.derandomize_plan(strings, weights, rounds,
                                              epsilon=EPSILON), runs)
+    tracemalloc.start()
+    measurement.derandomize_plan(strings, weights, rounds, epsilon=EPSILON)
+    result["plan_peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 2**20,
+                                   3)
+    tracemalloc.stop()
     shadow = shadows.acquire_shadow(state, rounds, 1,
                                     bases=plan.bases_sequence)
     result["estimate"], _ = timed(
@@ -104,6 +120,29 @@ def bench_case(q: int, n0: int, rounds: int, runs: int) -> dict:
         runs)
     result["sizes"] = {"expanded_terms": len(expanded),
                        "rlf_groups": len(groups)}
+    return result
+
+
+def bench_planning(runs: int) -> dict:
+    from shadowproj import measurement, pairing, projectors
+
+    ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(6, 1.0, 1.0))
+    result = {}
+    for spec in PLANNING_SETS:
+        expanded = projectors.expand_projected_observable(
+            ham, projectors.projector_from_spec(6, spec))
+        strings = [s for _, s in expanded.terms]
+        weights = [abs(c) for c, _ in expanded.terms]
+        name = f"{spec['type']}{spec.get('epsilon', spec.get('n0'))}"
+        result[name] = {"terms": len(expanded)}
+        result[name]["derandomize"], _ = timed(
+            lambda: measurement.derandomize_plan(
+                strings, weights, PLANNING_ROUNDS, epsilon=EPSILON), runs)
+        result[name]["rlf"], _ = timed(
+            lambda: measurement.group_qwc_rlf(expanded), runs)
+    result["sum_median_ms"] = {
+        layer: round(sum(case[layer]["median_ms"] for case in result.values()),
+                     3) for layer in ("derandomize", "rlf")}
     return result
 
 
@@ -168,6 +207,7 @@ def main(argv=None) -> int:
     record = {"machine": machine(), "runs": args.runs,
               "cases": {name: bench_case(*case, args.runs)
                         for name, case in CASES.items()},
+              "planning_q6": bench_planning(args.runs),
               "sector_norms": {name: bench_sectors(*case, args.runs)
                                for name, case in SECTOR_CASES.items()},
               "distinct_snapshots": {f"q{q}": bench_distinct(q, args.runs)
@@ -177,7 +217,8 @@ def main(argv=None) -> int:
     data.setdefault("layers", {})[args.label] = record
     out.write_text(json.dumps(data, indent=1) + "\n")
     print(json.dumps({key: record[key] for key in
-                      ("cases", "sector_norms", "distinct_snapshots")},
+                      ("cases", "planning_q6", "sector_norms",
+                       "distinct_snapshots")},
                      indent=1))
     return 0
 

@@ -12,7 +12,9 @@ Between rounds the planner rescales its weights in place, one factor per
 distinct basis row, and rebuilds them exactly from the integer hit counts
 every max(1, int(64 (1 - nu))) rounds, nu = 1 - exp(-eps^2/2). The rounding
 drift this allows moves a cost by less than 3e-14 relative, far inside the
-tie margin (the bound is derived in ``derandomize_plan``).
+tie margin (the bound is derived in ``derandomize_plan``). Within a round
+the planner weighs, past the first block of qubits, only the targets still
+alive; RLF coloring scores only the candidates still free.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ _TIE_RTOL = 1e-12
 # Qubits per derandomization block. A block's table has one row per node of
 # its ternary prefix tree, (3^(d+1) - 3) / 2 of them: 39 at depth 3.
 _BLOCK_DEPTH = 3
+# Leaves of a full block; a plan row is keyed by its leaves in base _LEAVES.
+_LEAVES = 3 ** _BLOCK_DEPTH
 # Derandomization rounds between exact exponent rebuilds at nu -> 0; the
 # interval shrinks as 1 - nu, the bound on the cancellation in a cost.
 _REBUILD = 64
@@ -139,8 +143,11 @@ def shadow_norm_bound(obs_list: Sequence[PauliString], epsilon: float,
 
 
 def _observable_codes(obs_list: Sequence[PauliString]) -> np.ndarray:
-    """(L, q) basis codes with -1 marking identity positions."""
-    q = obs_list[0].num_qubits if obs_list else 0
+    """(L, q) basis codes with -1 marking identity positions; ValueError for
+    an empty list."""
+    if not obs_list:
+        raise ValueError("no target observables")
+    q = obs_list[0].num_qubits
     if any(p.num_qubits != q for p in obs_list):
         raise ValueError("observables must share num_qubits")
     return letter_codes(obs_list, q) - 1
@@ -178,7 +185,14 @@ def derandomize_plan(obs_list: Sequence[PauliString],
     ``f(k) = 1 - nu 3^(-k)``. The qubits are grouped into blocks of at most
     ``_BLOCK_DEPTH``; each block keeps the compatibility masks of its
     ternary prefix tree and a table of ``mask (f - 1)``, so a round costs
-    one matrix-vector product per block and a walk down the tree.
+    one matrix-vector product per block and a walk down the tree. Block 0's
+    table has an extra row of ones, so its product also gives ``total``.
+    Block 1 only weighs the targets that block 0's leaf left alive, about
+    a quarter of them, so it keeps one table per block-0 leaf restricted
+    to those targets, with their indices. A round thus costs one product
+    over all targets, one over the leaf's survivors, and for q >= 7 one
+    masked product per further block. Plan rows are keyed by their leaf
+    path, one base-``_LEAVES`` digit per block.
 
     Between rebuilds the scaled weights keep the reference exponent ``ref``
     of the last rebuild, so the next round's weights are this round's times
@@ -192,12 +206,11 @@ def derandomize_plan(obs_list: Sequence[PauliString],
     cost moves by less than 3e-14 relative, far below ``_TIE_RTOL``.
 
     With ``return_cost=True`` also returns the log conditional-cost trace
-    after every committed letter (for the monotonicity guarantee check).
+    after every committed letter (for the monotonicity guarantee check);
+    otherwise no trace is kept.
     """
     _check_count(shots)
     _check_epsilon(epsilon)
-    if not obs_list:
-        raise ValueError("no target observables to derandomize a plan for")
     codes = _observable_codes(obs_list)
     n_obs, q = codes.shape
     w = _weights(weights, n_obs)
@@ -221,26 +234,54 @@ def derandomize_plan(obs_list: Sequence[PauliString],
                                        == cand_codes[None, :, None])
     # Per block: the (nodes, L) table, the (leaves, L) leaf masks, the row
     # offset of each tree level and the letters of each leaf. Node 3c + k
-    # of a level is letter k below node c of the level above.
+    # of a level is letter k below node c of the level above. Block 0's
+    # table ends in a row of ones (the total); block 1 holds, per block-0
+    # leaf, its table restricted to the targets alive there, with their
+    # indices.
     blocks = []
     for start in range(0, q, _BLOCK_DEPTH):
         depth = min(_BLOCK_DEPTH, q - start)
         masks = [np.ones((1, n_obs), dtype=bool)]
         for j in range(start, start + depth):
             masks.append((masks[-1][:, None] & compat[j]).reshape(-1, n_obs))
-        table = np.concatenate([masks[level] * gain[start + level - 1]
-                                for level in range(1, depth + 1)])
+        levels = [masks[level] * gain[start + level - 1]
+                  for level in range(1, depth + 1)]
+        if start == 0:
+            levels.append(masks[0])
+        table = np.concatenate(levels)
+        if start == _BLOCK_DEPTH:
+            table = [(table.take(idx, axis=1), idx)
+                     for idx in map(np.flatnonzero, blocks[0][1])]
         offsets = [(3 ** level - 3) // 2 for level in range(1, depth + 1)]
         letters = list(itertools.product(_CANDIDATE_ORDER, repeat=depth))
         blocks.append((table, masks[-1], offsets, letters))
+    (head, first_leaves, head_offsets, _), *rest = blocks
 
     interval = max(1, int(_REBUILD * (1.0 - nu)))
     hits = np.zeros(n_obs, dtype=np.int64)
-    seen = {}                          # leaf path -> (row, factor, alive)
+    seen = {}                     # flat leaf path -> (row, factor, alive)
     paths = []
     refs = []
     costs = []
-    last = len(blocks) - 1
+
+    def walk(delta, offsets, total):
+        """Leaf of one block's tree reached by the cheapest letters."""
+        node = 0
+        for offset in offsets:
+            base = offset + 3 * node
+            z, x, y = delta[base:base + 3]
+            # tied: cost within a relative _TIE_RTOL of the cheapest;
+            # two comparisons cost half a call of min()
+            low = z if z < x else x
+            if y < low:
+                low = y
+            limit = low + abs(total + low) * _TIE_RTOL
+            k = 0 if z <= limit else 1 if x <= limit else 2
+            if return_cost:
+                costs.append(total + delta[base + k])
+            node = 3 * node + k
+        return node
+
     for m in range(shots):
         if m % interval == 0:
             for path, n in Counter(paths[m - interval:]).items():
@@ -250,31 +291,29 @@ def derandomize_plan(obs_list: Sequence[PauliString],
             expo = log_w - decay * hits + (shots - m - 1) * log_tail_base
             ref = float(expo.max())
             scaled = np.exp(expo - ref) if ref > -np.inf else np.zeros(n_obs)
-        total = float(scaled.sum())
-        refs.append(ref)
-        masked = scaled
-        path = ()
-        for b, (table, leaves, offsets, letters) in enumerate(blocks):
-            # dot goes straight to BLAS gemv; @ and einsum cost more per call
-            delta = table.dot(masked).tolist()
-            node = 0
-            for offset in offsets:
-                base = offset + 3 * node
-                z, x, y = delta[base:base + 3]
-                # tied: cost within a relative _TIE_RTOL of the cheapest
-                low = min(z, x, y)
-                limit = low + abs(total + low) * _TIE_RTOL
-                k = 0 if z <= limit else 1 if x <= limit else 2
-                costs.append(total + delta[base + k])
-                node = 3 * node + k
-            path += (node,)
-            if b < last:
-                masked = masked * leaves[node]
+        if return_cost:
+            refs.append(ref)
+        # dot goes straight to BLAS gemv; @ and einsum cost more per call
+        delta = head.dot(scaled).tolist()
+        total = delta[-1]
+        path = walk(delta, head_offsets, total)
+        if rest:
+            leaf = path
+            table, idx = rest[0][0][leaf]
+            node = walk(table.dot(scaled[idx]).tolist(), rest[0][2], total)
+            path = path * _LEAVES + node
+            if len(rest) > 1:
+                masked = scaled * first_leaves[leaf]
+                for (table, _, offsets, _), above in zip(rest[1:], rest):
+                    masked = masked * above[1][node]
+                    node = walk(table.dot(masked).tolist(), offsets, total)
+                    path = path * _LEAVES + node
         entry = seen.get(path)
         if entry is None:
             alive = np.ones(n_obs, dtype=bool)
             row = ()
-            for (_, leaves, _, letters), node in zip(blocks, path):
+            for b, (_, leaves, _, letters) in enumerate(blocks):
+                node = path // _LEAVES ** (len(blocks) - 1 - b) % _LEAVES
                 alive &= leaves[node]
                 row += letters[node]
             entry = seen[path] = (row, np.exp(-log_tail_base - decay * alive),
@@ -299,7 +338,7 @@ def plan_hit_counts(plan: MeasurementPlan,
     if rows.shape[1] != codes.shape[1]:
         raise ValueError("plan and observables differ in num_qubits")
     counts = np.zeros(len(obs_list), dtype=int)
-    chunk = max(1, 2 ** 20 // max(len(obs_list), 1))
+    chunk = max(1, 2 ** 20 // len(obs_list))
     for start in range(0, len(rows), chunk):
         block = rows[start:start + chunk]
         covered = np.ones((len(block), len(obs_list)), dtype=bool)
@@ -356,6 +395,13 @@ def group_qwc_rlf(obs: WeightedPauliSum) -> list[ObservableGroup]:
     The incompatibility graph has the Pauli terms as vertices and an edge
     wherever two terms fail qubit-wise commutation; each color class forms
     one measurable group.
+
+    Each class starts at the uncolored vertex of largest uncolored degree
+    and grows by the candidate (uncolored, not adjacent to the class) with
+    the most blocked neighbors, lowest index first. Only candidates are
+    scored: a pick adds the rows of the vertices it blocks, summed over
+    the remaining candidates' columns, and candidates that conflict with
+    no other candidate join without being scored.
     """
     codes = obs.codes - 1
     adj = _conflict_graph(codes)
@@ -367,15 +413,26 @@ def group_qwc_rlf(obs: WeightedPauliSum) -> list[ObservableGroup]:
         group = np.zeros_like(uncolored)
         group[first] = True
         blocked = adj[first] & uncolored
-        candidates = uncolored & ~blocked
-        candidates[first] = False
-        score = adj[blocked].sum(axis=0)
-        while candidates.any():
-            pick = int(np.argmax(np.where(candidates, score, -1)))
+        free = uncolored & ~blocked
+        free[first] = False
+        cand = np.flatnonzero(free)
+        # A candidate in conflict with no other candidate is never blocked
+        # and blocks nothing when picked, so it joins now.
+        lone = ~adj[np.ix_(cand, cand)].any(axis=0)
+        group[cand[lone]] = True
+        # ascending, so argmax keeps the lowest-index tie rule
+        cand = cand[~lone]
+        score = adj[cand][:, blocked].sum(axis=1)
+        while cand.size:
+            k = int(np.argmax(score))
+            pick = cand[k]
             group[pick] = True
-            score += adj[adj[pick] & candidates].sum(axis=0)
-            candidates &= ~adj[pick]
-            candidates[pick] = False
+            conflict = adj[pick, cand]
+            keep = ~conflict
+            keep[k] = False
+            newly = cand[conflict]
+            cand, score = cand[keep], score[keep]
+            score += adj[newly][:, cand].sum(axis=0)
         uncolored &= ~group
         degree -= adj[group].sum(axis=0)
         classes.append(group)

@@ -167,8 +167,7 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
     draw), so results are reproducible and independent of any parallel
     execution order, and of how the Born distributions are computed.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_count(shots)
     q = state.num_qubits
     block = _rng.uniform_block(seed, (_ACQUIRE_TAG,), shots, q + 1)
     if bases is None:

@@ -195,3 +195,10 @@ def test_prescribed_bases_accept_strings_and_tuples():
 def test_rounds_holding_non_strings_are_named(bases, round_):
     with pytest.raises(ValueError, match=f"prescribed round {round_}:"):
         acquire_shadow(prepare_gaussian(3), 2, 1, bases=bases)
+
+
+@pytest.mark.parametrize("shots", [0, -2, 2.5, True, "3"])
+def test_shot_count_must_be_a_positive_integer(shots):
+    # 2.5, True and "3" once ended in raw TypeErrors from the sampler
+    with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+        acquire_shadow(prepare_basis_state(2, 0), shots, 0)

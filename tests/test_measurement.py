@@ -82,6 +82,16 @@ def test_plan_hit_counts_rejects_a_qubit_count_mismatch():
                         [PauliString.from_label("ZZ")])
 
 
+@pytest.mark.parametrize("count", [
+    plan_hit_counts, lambda plan, strings: plan_cost(plan, strings),
+    lambda plan, strings: plan_cost(plan, strings, [])],
+    ids=["plan_hit_counts", "plan_cost", "plan_cost_weighted"])
+def test_plan_counts_reject_an_empty_target_list(count):
+    # an empty list once raised "plan and observables differ in num_qubits"
+    with pytest.raises(ValueError, match="no target observables"):
+        count(random_plan(2, 4, seed=1), [])
+
+
 def test_derandomize_pairing_set_coverage_and_cost():
     """Every observable is hit and the plan beats random plans on cost."""
     ham, strings, weights = pairing_observables()

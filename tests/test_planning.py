@@ -224,6 +224,19 @@ def test_plan_matches_reference_at_large_epsilon(epsilon, shots):
                                   epsilon)
 
 
+@pytest.mark.parametrize("q", [3, 4, 6, 7])
+def test_plan_does_not_depend_on_return_cost(q):
+    # q = 3 has no block 1, 4 a short one, 6 two full blocks and 7 three
+    gen = np.random.default_rng(300 + q)
+    strings = [PauliString(tuple(gen.choice(list("IXYZ"), q)))
+               for _ in range(40)]
+    weights = gen.exponential(size=40).tolist()
+    plan, trace = derandomize_plan(strings, weights, 200, return_cost=True)
+    assert len(trace) == 200 * q
+    assert derandomize_plan(strings, weights, 200).bases_sequence == \
+        plan.bases_sequence
+
+
 def test_plan_does_not_depend_on_target_order():
     strings, weights = targets(projected_terms(4, {"type": "parity",
                                                    "epsilon": 1}))
@@ -273,3 +286,25 @@ def test_groups_match_reference_on_random_sets():
     for _ in range(60):
         assert_groups_match_reference(random_sum(
             gen, int(gen.integers(1, 7)), int(gen.integers(0, 40))))
+
+
+def sum_of(*labels):
+    return WeightedPauliSum(len(labels[0]), tuple(
+        (1.0, PauliString.from_label(label)) for label in labels))
+
+
+@pytest.mark.parametrize("obs", [
+    sum_of("XZ"),
+    sum_of("ZI", "IZ", "ZZ", "II"),
+    sum_of("X", "Y", "Z"),
+    sum_of("XI", "YI", "ZI", "IX", "IY", "IZ"),
+    sum_of("XII", "IYI", "IIZ", "YII", "IZI", "IIX", "ZII", "IXI", "IIY"),
+    sum_of("IIIIIXI", "IIIIIZZ", "IIYIIYI", "IIZIYZZ", "IXIIIII",
+           "IXIYYIZ", "IZIZIII", "XIYIIIY")],
+    ids=["single", "edgeless", "complete", "degrees-tie-q2",
+         "degrees-tie-q3", "blocked-by-a-pick"])
+def test_groups_match_reference_on_edge_graphs(obs):
+    # In the last set the first class comes out wrong unless the vertices
+    # that a pick blocks add to the candidates' scores; no random set of
+    # test_groups_match_reference_on_random_sets depends on that.
+    assert_groups_match_reference(obs)
