@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the fig4 budget path, planning on every budget-q6 target set, the
-all-sector norms and the distinct-snapshot pass, and record them in a JSON
-file.
+all-sector norms and estimates, the distinct-snapshot pass and shadow file
+I/O, and record them in a JSON file.
 
 For the pairing Hamiltonian times the half-filling number projector at
 q=6 (n0=3) and q=8 (n0=4), on the fig4 state, each layer is called k times
@@ -29,8 +29,18 @@ freshly built family, and ``later`` the median of k calls on new shadows
 with one family that has seen one shadow before. The distinct-snapshot pass
 (``shadows._distinct_snapshots``) is timed at q=4 and q=8 with M=10^4.
 
-    python scripts/bench.py --out BENCH_12.json --label change
-    python scripts/bench.py --out BENCH_12.json --label parent \
+Shadow file I/O: ``save_shadow`` and ``load_shadow`` of an M=10^4 shadow
+of the Gaussian state at q=4 and q=8, timed as above, with the file size.
+
+Number sectors: ``projected_estimate_sectors`` of the pairing Hamiltonian
+over every number sector, M=10^4 on the Gaussian state, at q=4 and q=6,
+timed as above on one family (the warm-up call fills its norm tables).
+Spin sectors with H: one such call over every spin sector at q=6,
+n_p=10, M=10^4 on the fig7 state, on a fresh family, with its time and
+``tracemalloc`` peak.
+
+    python scripts/bench.py --out BENCH_13.json --label change
+    python scripts/bench.py --out BENCH_13.json --label parent \
         --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
@@ -43,6 +53,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -58,6 +69,10 @@ PLANNING_ROUNDS = 2000
 SECTOR_CASES = {"q4_np10": (4, 10, 10_000), "q6_np10": (6, 10, 10_000),
                 "q8_np4": (8, 4, 2000)}
 DISTINCT_SHOTS = 10_000
+IO_SHOTS = 10_000
+NUMBER_SHOTS = 10_000
+# q, spin n_p, shots of the spin-sector estimate of H
+SPIN_HAMILTONIAN = (6, 10, 10_000)
 
 
 def machine() -> dict:
@@ -189,6 +204,57 @@ def bench_distinct(q: int, runs: int) -> dict:
     return result
 
 
+def bench_shadow_io(q: int, runs: int) -> dict:
+    from shadowproj import shadows, statevector
+
+    shadow = shadows.acquire_shadow(statevector.prepare_gaussian(q),
+                                    IO_SHOTS, 1)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "shadow.txt"
+        result = {"save": timed(lambda: shadows.save_shadow(shadow, path),
+                                runs)[0],
+                  "load": timed(lambda: shadows.load_shadow(path), runs)[0],
+                  "file_bytes": path.stat().st_size}
+    return result
+
+
+def bench_number_sectors(q: int, runs: int) -> dict:
+    import warnings
+
+    from shadowproj import pairing, projectors, shadows, statevector
+
+    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
+    shadow = shadows.acquire_shadow(statevector.prepare_gaussian(q),
+                                    NUMBER_SHOTS, 1)
+    ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0, 1.0))
+    family = projectors.number_sector_projectors(q)
+    result, _ = timed(lambda: projectors.projected_estimate_sectors(
+        shadow, ham, family), runs)
+    result["strings"] = len(ham)
+    return result
+
+
+def bench_spin_hamiltonian(q: int, n_points: int, shots: int) -> dict:
+    import warnings
+
+    from shadowproj import experiments, pairing, projectors, shadows
+
+    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
+    shadow = shadows.acquire_shadow(
+        experiments.prepare_spin_rotated_gaussian(q), shots, 1)
+    ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0, 1.0))
+    family = projectors.all_sector_projectors(q, {"type": "spin",
+                                                  "n_p": n_points})
+    tracemalloc.start()
+    start = time.perf_counter()
+    projectors.projected_estimate_sectors(shadow, ham, family)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"ms": round(elapsed * 1e3, 3), "peak_mb": round(peak / 2**20, 3),
+            "sectors": len(family), "lcu_terms": len(family[0].gates)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True,
@@ -211,14 +277,20 @@ def main(argv=None) -> int:
               "sector_norms": {name: bench_sectors(*case, args.runs)
                                for name, case in SECTOR_CASES.items()},
               "distinct_snapshots": {f"q{q}": bench_distinct(q, args.runs)
-                                     for q in (4, 8)}}
+                                     for q in (4, 8)},
+              "shadow_io": {f"q{q}": bench_shadow_io(q, args.runs)
+                            for q in (4, 8)},
+              "number_sectors": {f"q{q}": bench_number_sectors(q, args.runs)
+                                 for q in (4, 6)},
+              "spin_hamiltonian": bench_spin_hamiltonian(*SPIN_HAMILTONIAN)}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("layers", {})[args.label] = record
     out.write_text(json.dumps(data, indent=1) + "\n")
     print(json.dumps({key: record[key] for key in
                       ("cases", "planning_q6", "sector_norms",
-                       "distinct_snapshots")},
+                       "distinct_snapshots", "shadow_io", "number_sectors",
+                       "spin_hamiltonian")},
                      indent=1))
     return 0
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import rng as _rng
 from .paulis import PauliString, WeightedPauliSum, letter_codes
 from .shadows import (BASIS_CODE, BASIS_LETTERS, _born_probabilities,
-                      _check_count, _digit_keys, _sum_in_order)
+                      _check_count, _digit_keys, _line_text, _sum_in_order)
 from .statevector import Statevector
 
 # Candidate order implementing the Z < X < Y tie-break.
@@ -85,11 +85,11 @@ def save_plan(plan: MeasurementPlan, path) -> None:
 
 
 def load_plan(path, provenance: str = "derandomized") -> MeasurementPlan:
-    """Read a ``save_plan`` file; a malformed line raises ValueError naming
-    it."""
+    """Read a ``save_plan`` file; a malformed line, or one that is not
+    UTF-8, raises ValueError naming it."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        text = line.strip()
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        text = _line_text(path, lineno, raw).strip()
         if not text:
             continue
         bad = sorted(set(text) - set(BASIS_CODE))

@@ -7,7 +7,8 @@ Pauli coefficients (c_I, c_X, c_Y, c_Z) of the G_k and K beta weights.
 Estimation over a shadow then factorizes per qubit: the observable letter
 multiplies the gate's Pauli expansion, and every product letter feeds the
 same {0, 1, +-3} trace kernel used for plain estimation. A string's product
-over qubits runs once per distinct snapshot row. The all-I string, which
+over qubits runs once per distinct snapshot row, and strings that agree on
+their first qubits share the product over them. The all-I string, which
 gives the norm, has one value per class of rows with equal counts of the six
 (basis, bit) symbols, at most C(q+5, 5) classes, and that value depends on
 the projector alone: each projector keeps a table of it, filled on first
@@ -422,34 +423,57 @@ def _class_norms(family: Sequence[ProjectorLCU], keys: np.ndarray,
 
 
 def _term_products(symbols: tuple[np.ndarray, np.ndarray],
-                   letters: Sequence[str], gates: np.ndarray,
+                   codes: np.ndarray, gates: np.ndarray,
                    chunk: int = 1 << 16) -> np.ndarray:
-    """Snapshot-mean of prod_j sum_m alpha_m Tr[P_j P'_m (3r - I)] per term.
+    """Snapshot-mean of prod_j sum_m alpha_m Tr[P_j P'_m (3r - I)] for S
+    strings and K terms: an (S, K) array, given the (S, q) letter codes
+    (I=0, X=1, Y=2, Z=3) of the strings and the (K, 4) ``gates``.
 
     A qubit's factor depends only on its letter and its (basis, bit)
-    symbol, so every distinct letter gets a (terms, 6) table, the product
+    symbol, so every letter in use gets a (terms, 6) table, the product
     over qubits runs once per distinct symbol row, and the rows are weighted
     by their frequency. ``chunk`` bounds the (terms x rows) block in
-    elements. Returns one complex mean per LCU term; the caller contracts
-    with betas. The weighting is a product and a sum, not a matrix-vector
-    product: threaded BLAS takes milliseconds per call at these shapes.
-    The all-I string, which gives the norm, goes through
+    elements. The strings run in lexicographic order with one block per
+    qubit, so the product over the qubits a string shares with the one
+    before is not formed again. Each product still runs from the row
+    weights and qubit 0 up, and each chunk is summed on its own, so a
+    string's values do not depend on the other strings. The caller
+    contracts with betas. The weighting is a product and a sum, not a
+    matrix-vector product: threaded BLAS takes milliseconds per call at
+    these shapes. The all-I string, which gives the norm, goes through
     :func:`_class_norms` instead.
     """
     rows, weights = symbols
+    n_strings, q = codes.shape
     n_terms = len(gates)
     # tables[L][k, s]: factor of term k on a qubit with letter L, symbol s
-    tables = {letter: np.einsum("km,ms->ks", gates, _LETTER_KERNEL[letter])
-              for letter in set(letters)}
+    tables = {code: np.einsum("km,ms->ks", gates,
+                              _LETTER_KERNEL[LETTERS[code]])
+              for code in np.unique(codes).tolist()}
+    order = np.lexsort(codes.T[::-1])
+    # first qubit at which each string differs from the one before it
+    changed = codes[order[1:]] != codes[order[:-1]]
+    fresh = [0] + np.where(changed.any(axis=1), changed.argmax(axis=1),
+                           q).tolist()
+    visits = list(zip(order.tolist(), codes[order].tolist(), fresh))
     step = max(1, chunk // n_terms)
-    out = np.zeros(n_terms, dtype=complex)
-    for start in range(0, rows.shape[0], step):
-        sym = rows[start:start + step]
-        block = (tables[letters[0]].take(sym[:, 0], axis=1)
-                 * weights[start:start + step])
-        for j in range(1, len(letters)):
-            block *= tables[letters[j]].take(sym[:, j], axis=1)
-        out += block.sum(axis=1)
+    # one block per qubit, shared by the chunks of rows; the factors of a
+    # qubit are gathered into its block and multiplied there in place
+    pool = np.empty(q * n_terms * min(step, len(rows)), dtype=complex)
+    out = np.zeros((n_strings, n_terms), dtype=complex)
+    for start in range(0, len(rows), step):
+        sym = rows[start:start + step].T.copy()
+        prefix = pool[:sym.size * n_terms].reshape(q, n_terms, -1)
+        for s, letters, first in visits:
+            for j in range(first, q):
+                tables[letters[j]].take(sym[j], axis=1, out=prefix[j],
+                                        mode="clip")
+                if j == 0:
+                    prefix[0] *= weights[start:start + step]
+                else:  # prefix first: a SIMD complex product with FMA
+                    # need not give the same bits with its operands swapped
+                    np.multiply(prefix[j - 1], prefix[j], out=prefix[j])
+            out[s] += prefix[-1].sum(axis=1)
     return out
 
 
@@ -512,19 +536,20 @@ def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
     rows, counts = _distinct_snapshots(shadow)
     symbols = rows, counts / len(shadow)
     keys, weights = _symbol_classes(rows, counts)
-    iden = ("I",) * shadow.num_qubits
+    live = obs.codes.any(axis=1)  # the strings other than all-I
+    live_codes = obs.codes[live]
     by_gates: dict[int, list[int]] = {}
     for i, proj in enumerate(projectors):
         by_gates.setdefault(id(proj.gates), []).append(i)
     for indices in by_gates.values():
         family = [projectors[i] for i in indices]
         norms = _class_norms(family, keys, weights)
+        products = iter(_term_products(symbols, live_codes, family[0].gates)
+                        if len(live_codes) else ())
         # None stands for the all-I string, whose value is the norm
         prods_obs = [(coeff * string.phase,
-                      None if string.letters == iden
-                      else _term_products(symbols, string.letters,
-                                          family[0].gates))
-                     for coeff, string in obs.terms]
+                      next(products) if is_live else None)
+                     for (coeff, string), is_live in zip(obs.terms, live)]
         for i, proj, norm in zip(indices, family, norms):
             num = sum(c * (norm if p is None else proj.betas @ p)
                       for c, p in prods_obs)

@@ -124,10 +124,10 @@ class ClassicalShadow:
         if codes.shape[0] < 1:
             raise ValueError("a shadow needs at least one snapshot")
         _check_count(codes.shape[1], "num_qubits")
-        bad = ((codes < 0) | (codes > 2) | (outcomes < 0) | (outcomes > 1)
-               ).any(axis=1)
+        # one flat test: a reduction along rows of q entries is slow
+        bad = (codes < 0) | (codes > 2) | (outcomes < 0) | (outcomes > 1)
         if bad.any():
-            raise InvalidSnapshot(int(np.argmax(bad)))
+            raise InvalidSnapshot(int(np.argmax(bad)) // codes.shape[1])
         for name, arr in (("codes", codes), ("outcomes", outcomes)):
             arr = arr.astype(np.int8)
             arr.setflags(write=False)
@@ -494,9 +494,10 @@ def iter_snapshot_distribution(state: Statevector
                 yield Snapshot(combo, bits), float(p)
 
 
-_LETTER_BYTES = np.frombuffer("".join(BASIS_LETTERS).encode(), np.uint8)
 _BYTE_CODES = np.full(256, -1, dtype=np.int8)
-_BYTE_CODES[_LETTER_BYTES] = np.arange(3)
+_BYTE_CODES[[ord(letter) for letter in BASIS_LETTERS]] = np.arange(3)
+# X, Y and Z are consecutive bytes, so a basis code is its letter minus X.
+_FIRST_LETTER = ord(BASIS_LETTERS[0])
 
 
 def save_shadow(shadow: ClassicalShadow, path: str | Path) -> None:
@@ -506,13 +507,37 @@ def save_shadow(shadow: ClassicalShadow, path: str | Path) -> None:
     header = f"q={shadow.num_qubits} M={len(shadow)} seed={shadow.seed}"
     if shadow.prescribed:
         header += " protocol=prescribed"
-    q = shadow.num_qubits
-    rows = np.empty((len(shadow), 2 * q + 2), dtype=np.uint8)
-    rows[:, :q] = _LETTER_BYTES[shadow.codes[:, ::-1]]
-    rows[:, q] = ord(" ")
-    rows[:, q + 1:-1] = ord("0") + shadow.outcomes[:, ::-1]
-    rows[:, -1] = ord("\n")
+    column = (len(shadow), 1)
+    rows = np.concatenate([shadow.codes[:, ::-1] + _FIRST_LETTER,
+                           np.full(column, ord(" "), dtype=np.int8),
+                           shadow.outcomes[:, ::-1] + ord("0"),
+                           np.full(column, ord("\n"), dtype=np.int8)],
+                          axis=1)
     Path(path).write_bytes(header.encode() + b"\n" + rows.tobytes())
+
+
+def _line_text(path, lineno: int, raw: bytes) -> str:
+    """One line of a text file, decoded for an error message; ValueError
+    naming the line if it is not UTF-8."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} line {lineno}: byte {raw[exc.start]:#04x} "
+                         "is not UTF-8 text") from None
+
+
+def _body_error(path, q: int, m: int, body: bytes) -> ValueError:
+    """The error for a body that is not M lines of q letters, a space and q
+    bits: the M= mismatch, or else the first line of the wrong form."""
+    lines = body.splitlines()
+    if len(lines) != m:
+        return ValueError(f"{path}: header says M={m} but found {len(lines)} "
+                          "snapshot lines")
+    n = next(n for n, line in enumerate(lines)
+             if len(line) != 2 * q + 1 or line[q] != ord(" "))
+    return ValueError(f"{path} line {n + 2}: expected {q} basis letters, a "
+                      f"space and {q} bits, got "
+                      f"{_line_text(path, n + 2, lines[n])!r}")
 
 
 def load_shadow(path: str | Path, prescribed: bool = False) -> ClassicalShadow:
@@ -520,36 +545,41 @@ def load_shadow(path: str | Path, prescribed: bool = False) -> ClassicalShadow:
 
     The protocol comes from the header; a file without ``protocol=`` reads
     as a random shadow, and ``prescribed=True`` forces the prescribed one.
-    Malformed input raises ValueError naming the offending line.
+    Lines may end in LF, CRLF or CR, and the last one may lack its line
+    end; whitespace around the text and between header fields is ignored.
+    Malformed input, a byte that is not UTF-8 included, raises ValueError
+    naming the offending line.
+
+    The body is viewed as one (M, 2q + 2) byte array; a row must hold a
+    space at column q and a line end at its last column. Only a body that
+    fails this is split into lines, to name the first bad one.
     """
-    lines = Path(path).read_text().strip().splitlines()
+    data = Path(path).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head, _, body = data.strip().partition(b"\n")
     try:
-        header = dict(item.split("=") for item in lines[0].split())
+        header = dict(item.split("=") for item in head.decode().split())
         q, m, seed = int(header["q"]), int(header["M"]), int(header["seed"])
         protocol = header.get("protocol", "random")
-        if q < 1 or protocol not in ("random", "prescribed"):
-            raise ValueError(f"q={q} protocol={protocol}")
-    except (IndexError, KeyError, ValueError) as exc:
+        if q < 1 or m < 1 or protocol not in ("random", "prescribed"):
+            raise ValueError(f"q={q} M={m} protocol={protocol}")
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"{path} line 1: bad header: {exc}") from None
-    body = lines[1:]
-    if len(body) != m:
-        raise ValueError(f"{path}: header says M={m} but found {len(body)} "
-                         "snapshot lines")
-    width = 2 * q + 1
-    lengths = np.fromiter(map(len, body), dtype=np.int64, count=m)
-    bad = np.flatnonzero(lengths != width)
-    if not bad.size:
-        rows = np.frombuffer("".join(body).encode("ascii", "replace"),
-                             dtype=np.uint8).reshape(m, width)
-        bad = np.flatnonzero(rows[:, q] != ord(" "))
-    if bad.size:
-        raise ValueError(f"{path} line {bad[0] + 2}: expected {q} basis "
-                         f"letters, a space and {q} bits, got "
-                         f"{body[bad[0]]!r}")
+    if body:
+        body += b"\n"
+    width = 2 * q + 2
+    fits = len(body) == m * width
+    if fits:
+        rows = np.frombuffer(body, dtype=np.uint8).reshape(m, width)
+        fits = ((rows[:, q] == ord(" ")) & (rows[:, -1] == ord("\n"))).all()
+    if not fits:
+        raise _body_error(path, q, m, body)
     try:
         return ClassicalShadow.from_arrays(
-            _BYTE_CODES[rows[:, q - 1::-1]], rows[:, :q:-1] - ord("0"),
+            rows[:, q - 1::-1] - _FIRST_LETTER, rows[:, 2 * q:q:-1] - ord("0"),
             seed, prescribed or protocol == "prescribed")
     except InvalidSnapshot as exc:
+        line = _line_text(path, exc.index + 2, rows[exc.index, :-1].tobytes())
         raise ValueError(f"{path} line {exc.index + 2}: malformed snapshot "
-                         f"{body[exc.index]!r}: {exc.rule}") from None
+                         f"{line!r}: {exc.rule}") from None

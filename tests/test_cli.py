@@ -171,6 +171,18 @@ def test_estimate_rejects_bits_outside_zero_one(workdir, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_estimate_names_the_line_of_a_byte_that_is_not_utf8(workdir,
+                                                             capsys):
+    shadow = workdir / "latin1_shadow.txt"
+    shadow.write_bytes(b"q=4 M=2 seed=0\nXXZZ 0101\nZZZZ 010\xe9\n")
+    capsys.readouterr()
+    assert main(["estimate", "--shadow", str(shadow), "--observable",
+                 str(workdir / "ham.json")]) == 1
+    captured = capsys.readouterr()
+    assert "line 3: byte 0xe9 is not UTF-8" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_acquire_rejects_a_malformed_plan(workdir, capsys):
     plan = workdir / "bad_plan.txt"
     plan.write_text("ZZZZ\nZZQZ\n")

@@ -8,6 +8,7 @@ tables of norms on symbol-count classes.
 """
 
 import gc
+import itertools
 import math
 import warnings
 
@@ -18,10 +19,11 @@ from hypothesis import strategies as st
 
 from shadowproj.experiments import prepare_spin_rotated_gaussian
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
-from shadowproj.paulis import PauliString, WeightedPauliSum
+from shadowproj.paulis import LETTERS, PauliString, WeightedPauliSum
 from shadowproj import projectors
-from shadowproj.projectors import (_CLASS_NORMS, _PERM, EmptySectorWarning,
-                                   _norms_on_classes, _symbol_classes,
+from shadowproj.projectors import (_CLASS_NORMS, _LETTER_KERNEL, _PERM,
+                                   EmptySectorWarning, _norms_on_classes,
+                                   _symbol_classes,
                                    _term_products, all_sector_projectors,
                                    projected_estimate_sectors)
 from shadowproj.shadows import (ClassicalShadow, _distinct_snapshots,
@@ -149,13 +151,71 @@ def test_distinct_rows_cross_the_chunk(letters):
     n_rows = len(symbols[0])
     step = 7
     assert n_rows > 10 * step
-    chunked = _term_products(symbols, letters, gates,
-                             chunk=step * len(gates))
-    whole = _term_products(symbols, letters, gates)
+    codes = np.array([[LETTERS.index(letter) for letter in letters]])
+    chunked = _term_products(symbols, codes, gates,
+                             chunk=step * len(gates))[0]
+    whole = _term_products(symbols, codes, gates)[0]
     want = reference_term_products(shadow.codes, shadow.outcomes, letters,
                                    gates)
     assert np.abs(chunked - want).max() <= 1e-12
     assert np.abs(whole - want).max() <= 1e-12
+
+
+def reference_string_products(symbols, letters, gates, chunk):
+    """One string's products per term, by the kernel as it ran once per
+    string: the whole product over qubits for each chunk of rows."""
+    rows, weights = symbols
+    tables = {letter: np.einsum("km,ms->ks", gates, _LETTER_KERNEL[letter])
+              for letter in set(letters)}
+    step = max(1, chunk // len(gates))
+    out = np.zeros(len(gates), dtype=complex)
+    for start in range(0, rows.shape[0], step):
+        sym = rows[start:start + step]
+        block = (tables[letters[0]].take(sym[:, 0], axis=1)
+                 * weights[start:start + step])
+        for j in range(1, len(letters)):
+            block *= tables[letters[j]].take(sym[:, j], axis=1)
+        out += block.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("spec", [{"type": "number"}, {"type": "parity"},
+                                  {"type": "spin", "n_p": 4}])
+def test_one_call_kernel_equals_the_per_string_loop(spec):
+    q = 3
+    shadow = acquire_shadow(random_state(q, 7), 2000, seed=4)
+    gates = all_sector_projectors(q, spec)[0].gates
+    symbols = distinct_symbols(shadow)
+    step = 7
+    assert len(symbols[0]) > 10 * step
+    # every non-identity string, shuffled, and three of them twice
+    codes = np.array(list(itertools.product(range(4), repeat=q)))[1:]
+    codes = codes[np.random.default_rng(0).permutation(len(codes))]
+    codes = np.concatenate([codes, codes[:3]])
+    for chunk in (step * len(gates), 1 << 16):
+        got = _term_products(symbols, codes, gates, chunk=chunk)
+        want = np.stack([reference_string_products(
+            symbols, [LETTERS[c] for c in row], gates, chunk)
+            for row in codes])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec", [{"type": "number"}, {"type": "parity"},
+                                  {"type": "spin", "n_p": 4}])
+def test_identity_observable_never_reaches_the_string_kernel(monkeypatch,
+                                                             spec):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_term_products was called")
+
+    monkeypatch.setattr(projectors, "_term_products", forbidden)
+    q = 3
+    shadow = acquire_shadow(random_state(q, 8), 500, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySectorWarning)
+        results = projected_estimate_sectors(
+            shadow, WeightedPauliSum.identity(q),
+            all_sector_projectors(q, spec))
+    assert all(num == norm for num, norm in results)
 
 
 def test_distinct_symbols_count_every_snapshot():

@@ -348,6 +348,13 @@ def test_load_plan_names_the_bad_line(tmp_path, text, message):
         load_plan(path)
 
 
+def test_load_plan_names_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "plan.txt"
+    path.write_bytes(b"ZZ\nXY\nZ\xe9\n")
+    with pytest.raises(ValueError, match="line 3: byte 0xe9 is not UTF-8"):
+        load_plan(path)
+
+
 # --- direct counts against the per-member reference ------------------------
 
 def reference_allocate(groups, obs, shots_per_group, weighted):

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowproj.measurement import random_plan
 from shadowproj.paulis import PauliString, WeightedPauliSum
 from shadowproj.shadows import (ClassicalShadow, Snapshot,
                                 _estimate_prescribed, _per_snapshot_values,
@@ -370,12 +372,73 @@ def test_malformed_shadow_line_names_the_line(tmp_path, line):
 
 @pytest.mark.parametrize("header", ["q=2 M=1", "q=2 M=1 seed=x",
                                     "q=2 M=1 seed=0 protocol=other",
-                                    "q=0 M=1 seed=0", "q 2"])
+                                    "q=0 M=1 seed=0", "q 2",
+                                    "q=2 M=0 seed=0"])
 def test_malformed_shadow_header_names_line_one(tmp_path, header):
     path = tmp_path / "bad.txt"
     path.write_text(f"{header}\nXZ 01\n")
     with pytest.raises(ValueError, match="line 1"):
         load_shadow(path)
+
+
+# The text of a q=2, M=3 shadow file as save_shadow writes it, and its
+# arrays (qubit 0 is the rightmost letter and bit).
+CANONICAL = "q=2 M=3 seed=9\nXZ 01\nYY 10\nZX 11\n"
+CANONICAL_CODES = [[2, 0], [1, 1], [0, 2]]
+CANONICAL_BITS = [[1, 0], [0, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("text", [
+    CANONICAL.replace("\n", "\r\n"),  # CRLF line ends
+    CANONICAL.replace("\n", "\r"),  # CR line ends
+    CANONICAL.rstrip("\n"),  # no final line end
+    CANONICAL + "\n\n  \n",  # trailing blank lines
+    "\n" + CANONICAL,  # a leading blank line
+    "q=2\tM=3  seed=9 \nXZ 01\nYY 10\nZX 11\n",  # header whitespace
+])
+def test_loader_accepts_line_end_and_whitespace_variants(tmp_path, text):
+    path = tmp_path / "variant.txt"
+    path.write_bytes(text.encode())
+    got = load_shadow(path)
+    assert got.codes.tolist() == CANONICAL_CODES
+    assert got.outcomes.tolist() == CANONICAL_BITS
+    assert (got.seed, got.prescribed) == (9, False)
+
+
+def test_blank_line_inside_the_body_is_an_m_mismatch(tmp_path):
+    path = tmp_path / "gap.txt"
+    path.write_text("q=2 M=3 seed=9\nXZ 01\n\nYY 10\nZX 11\n")
+    with pytest.raises(ValueError, match="header says M=3 but found 4"):
+        load_shadow(path)
+
+
+@pytest.mark.parametrize("raw,line", [
+    (b"q=2 M=1 seed=0\nXZ 0\xe9\n", "line 2"),
+    (b"q=2 M=2 seed=0\nXZ 01\n\xe9Z 01\n", "line 3"),
+    (b"q=2 M=1 seed=\xe9\nXZ 01\n", "line 1"),
+])
+def test_byte_that_is_not_utf8_names_its_line(tmp_path, raw, line):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} {line}"):
+        load_shadow(path)
+
+
+@pytest.mark.parametrize("prescribed,digest", [
+    (False,
+     "6462173a6faf6d151bc92495d31ec7dbd5d400703192654f52de073151ac97e8"),
+    (True,
+     "2f8476041eff4a0bbc395becc220ddad7b09397d6416c61bf6b72db2bcc278b9"),
+])
+def test_shadow_file_bytes_are_pinned(tmp_path, prescribed, digest):
+    if prescribed:
+        shadow = acquire_shadow(random_state(4, 12), 1000, seed=14,
+                                bases=random_plan(4, 1000, 3).bases_sequence)
+    else:
+        shadow = acquire_shadow(random_state(4, 11), 1000, seed=13)
+    path = tmp_path / "pinned.txt"
+    save_shadow(shadow, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # --- estimators against their per-term references --------------------------
