@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the fig4 budget path, planning on every budget-q6 target set, the
-all-sector norms and estimates, the distinct-snapshot pass and shadow file
-I/O, and record them in a JSON file.
+all-sector norms and estimates, the plain random estimate, the
+distinct-snapshot pass and shadow file I/O, and record them in a JSON file.
 
 For the pairing Hamiltonian times the half-filling number projector at
 q=6 (n0=3) and q=8 (n0=4), on the fig4 state, each layer is called k times
@@ -13,6 +13,7 @@ and its median and minimum wall time (``time.perf_counter``) are kept:
   workload) and 4000 at q=8, the first round count that measures every one
   of the 2048 terms there;
 * estimate: the prescribed ``estimate`` on a shadow measured on that plan;
+* hits: ``plan_hit_counts`` of that plan for the expanded terms;
 * rlf: ``group_qwc_rlf`` of the expanded sum;
 * counts: ``direct_counts_estimate`` with rounds // groups shots per group
   and weighted allocation;
@@ -39,8 +40,12 @@ Spin sectors with H: one such call over every spin sector at q=6,
 n_p=10, M=10^4 on the fig7 state, on a fresh family, with its time and
 ``tracemalloc`` peak.
 
-    python scripts/bench.py --out BENCH_13.json --label change
-    python scripts/bench.py --out BENCH_13.json --label parent \
+Plain random estimate: ``estimate`` of the pairing Hamiltonian on a
+random shadow of the Gaussian state, M=10^4, at q=4, 6 and 8, timed as
+above.
+
+    python scripts/bench.py --out BENCH_14.json --label change
+    python scripts/bench.py --out BENCH_14.json --label parent \
         --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
@@ -71,6 +76,7 @@ SECTOR_CASES = {"q4_np10": (4, 10, 10_000), "q6_np10": (6, 10, 10_000),
 DISTINCT_SHOTS = 10_000
 IO_SHOTS = 10_000
 NUMBER_SHOTS = 10_000
+PLAIN_SHOTS = 10_000
 # q, spin n_p, shots of the spin-sector estimate of H
 SPIN_HAMILTONIAN = (6, 10, 10_000)
 
@@ -126,6 +132,8 @@ def bench_case(q: int, n0: int, rounds: int, runs: int) -> dict:
                                     bases=plan.bases_sequence)
     result["estimate"], _ = timed(
         lambda: shadows.estimate(shadow, expanded), runs)
+    result["hits"], _ = timed(
+        lambda: measurement.plan_hit_counts(plan, strings), runs)
     result["rlf"], groups = timed(
         lambda: measurement.group_qwc_rlf(expanded), runs)
     per_group = max(1, rounds // len(groups))
@@ -234,6 +242,17 @@ def bench_number_sectors(q: int, runs: int) -> dict:
     return result
 
 
+def bench_plain_random(q: int, runs: int) -> dict:
+    from shadowproj import pairing, shadows, statevector
+
+    shadow = shadows.acquire_shadow(statevector.prepare_gaussian(q),
+                                    PLAIN_SHOTS, 1)
+    ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0, 1.0))
+    result, _ = timed(lambda: shadows.estimate(shadow, ham), runs)
+    result["strings"] = len(ham)
+    return result
+
+
 def bench_spin_hamiltonian(q: int, n_points: int, shots: int) -> dict:
     import warnings
 
@@ -282,6 +301,8 @@ def main(argv=None) -> int:
                             for q in (4, 8)},
               "number_sectors": {f"q{q}": bench_number_sectors(q, args.runs)
                                  for q in (4, 6)},
+              "plain_random": {f"q{q}": bench_plain_random(q, args.runs)
+                               for q in (4, 6, 8)},
               "spin_hamiltonian": bench_spin_hamiltonian(*SPIN_HAMILTONIAN)}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
@@ -290,7 +311,7 @@ def main(argv=None) -> int:
     print(json.dumps({key: record[key] for key in
                       ("cases", "planning_q6", "sector_norms",
                        "distinct_snapshots", "shadow_io", "number_sectors",
-                       "spin_hamiltonian")},
+                       "plain_random", "spin_hamiltonian")},
                      indent=1))
     return 0
 

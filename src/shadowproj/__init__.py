@@ -12,18 +12,17 @@ from .paulis import (PauliString, WeightedPauliSum, decompose_2x2, multiply,
 from .statevector import (Statevector, apply_gate, exact_expectation,
                           exact_projected_expectation, exact_projected_linear,
                           prepare_basis_state, prepare_gaussian,
-                          prepare_parity_mixture, prepare_product_state,
-                          sample_in_bases)
+                          prepare_parity_mixture, prepare_product_state)
 from .shadows import (ClassicalShadow, Snapshot, acquire_shadow, estimate,
                       load_shadow, qubit_trace_factor, reconstruct_density,
                       save_shadow)
 from .projectors import (ProjectorLCU, expand_projected_observable,
                          number_projector, parity_projector,
                          projected_estimate, projected_estimate_sectors,
-                         spin_projector, wigner_d, wigner_small_d)
+                         spin_projector, wigner_small_d)
 from .measurement import (MeasurementPlan, ObservableGroup,
                           derandomize_plan, direct_counts_estimate,
-                          group_qwc_rlf, shadow_norm_bound)
+                          group_qwc_rlf)
 from .pairing import (PairingSpec, build_pairing_hamiltonian,
                       exact_sector_ground_energy)
 from .experiments import ExperimentConfig, run_experiment, write_results

@@ -1,6 +1,6 @@
 """Measurement-budget strategies: derandomized basis selection for a target
 observable set, qubit-wise-commuting grouping with Recursive-Largest-First
-coloring for the direct-counts baseline, and shadow-norm sample bounds.
+coloring for the direct-counts baseline.
 
 Greedy choices are deterministic: ties break toward the lowest index and
 toward Z before X before Y. In derandomization a letter counts as tied with
@@ -30,8 +30,10 @@ import numpy as np
 
 from . import rng as _rng
 from .paulis import PauliString, WeightedPauliSum, letter_codes
-from .shadows import (BASIS_CODE, BASIS_LETTERS, _born_probabilities,
-                      _check_count, _digit_keys, _line_text, _sum_in_order)
+from .shadows import (BASIS_CODE, BASIS_LETTERS, ClassicalShadow,
+                      _born_probabilities, _check_count, _digit_keys,
+                      _distinct_snapshots, _line_text, _prescribed_codes,
+                      _sum_in_order, _term_counts)
 from .statevector import Statevector
 
 # Candidate order implementing the Z < X < Y tie-break.
@@ -123,23 +125,6 @@ class ObservableGroup:
 def _check_epsilon(epsilon: float) -> None:
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and positive")
-
-
-def shadow_norm_bound(obs_list: Sequence[PauliString], epsilon: float,
-                      constant: float = 34.0) -> int:
-    """Snapshot count sufficient for additive error epsilon on every target.
-
-    ceil(c * log(L) * max_i 3^{k_i} / eps^2) with k_i the locality and 3^k
-    the Pauli-ensemble shadow norm; the log factor is floored at 1 so a
-    single observable still yields a finite budget. This is a planning
-    bound, typically far above what experiments need.
-    """
-    if not obs_list:
-        raise ValueError("empty observable list")
-    _check_epsilon(epsilon)
-    max_norm = max(3 ** p.weight() for p in obs_list)
-    log_l = max(math.log(len(obs_list)), 1.0)
-    return math.ceil(constant * log_l * max_norm / epsilon ** 2)
 
 
 def _observable_codes(obs_list: Sequence[PauliString]) -> np.ndarray:
@@ -331,21 +316,15 @@ def derandomize_plan(obs_list: Sequence[PauliString],
 
 def plan_hit_counts(plan: MeasurementPlan,
                     obs_list: Sequence[PauliString]) -> np.ndarray:
-    """How many plan rounds cover each observable's full support."""
-    codes = _observable_codes(obs_list)
-    rows = np.array([[BASIS_CODE[b] for b in row]
-                     for row in plan.bases_sequence], dtype=np.int8)
-    if rows.shape[1] != codes.shape[1]:
+    """How many plan rounds cover each observable's full support: the hit
+    counts of ``shadows._term_counts`` over the distinct plan rows, read as
+    a prescribed shadow whose outcome bits are all 0."""
+    codes = _observable_codes(obs_list) + 1
+    if plan.num_qubits != codes.shape[1]:
         raise ValueError("plan and observables differ in num_qubits")
-    counts = np.zeros(len(obs_list), dtype=int)
-    chunk = max(1, 2 ** 20 // len(obs_list))
-    for start in range(0, len(rows), chunk):
-        block = rows[start:start + chunk]
-        covered = np.ones((len(block), len(obs_list)), dtype=bool)
-        for j in range(codes.shape[1]):
-            covered &= (codes[:, j] < 0) | (block[:, j, None] == codes[:, j])
-        counts += covered.sum(axis=0)
-    return counts
+    bases = _prescribed_codes(plan.bases_sequence, len(plan), plan.num_qubits)
+    rounds = ClassicalShadow.from_arrays(bases, np.zeros_like(bases), 0, True)
+    return _term_counts(*_distinct_snapshots(rounds), codes)[1]
 
 
 def plan_cost(plan: MeasurementPlan, obs_list: Sequence[PauliString],

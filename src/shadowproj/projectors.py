@@ -6,12 +6,12 @@ is stored as plain data: sum_k beta_k G_k^(x)q with one (K, 4) table of the
 Pauli coefficients (c_I, c_X, c_Y, c_Z) of the G_k and K beta weights.
 Estimation over a shadow then factorizes per qubit: the observable letter
 multiplies the gate's Pauli expansion, and every product letter feeds the
-same {0, 1, +-3} trace kernel used for plain estimation. A string's product
-over qubits runs once per distinct snapshot row, and strings that agree on
-their first qubits share the product over them. The all-I string, which
-gives the norm, has one value per class of rows with equal counts of the six
-(basis, bit) symbols, at most C(q+5, 5) classes, and that value depends on
-the projector alone: each projector keeps a table of it, filled on first
+{0, 1, +-3} trace kernel, the signed-count factors of plain estimation
+scaled by 3. A string's product over qubits runs once per distinct snapshot
+row, and strings that agree on their first qubits share the product over
+them. The all-I string, which gives the norm, has one value per class of
+rows with equal counts of the six (basis, bit) symbols, at most C(q+5, 5)
+classes, and that value depends on the projector alone: each projector keeps a table of it, filled on first
 use, and a shadow's norm is the sum of its class weights times the table
 entries. The Pauli expansion of a projector groups strings by their letter
 counts (n_I, n_X, n_Y, n_Z): every string of one class has the coefficient
@@ -38,7 +38,7 @@ import numpy as np
 from .paulis import (LETTERS, MERGE_TOLERANCE, PAULI_MATRICES, PauliString,
                      WeightedPauliSum, decompose_2x2, letter_product,
                      multiply_sums)
-from .shadows import ClassicalShadow, _distinct_snapshots
+from .shadows import _LETTER_FACTOR, ClassicalShadow, _distinct_snapshots
 from .shadows import estimate as shadow_estimate
 from .shadows import reconstruct_density
 from .statevector import phase_gate, ry, rz
@@ -62,15 +62,9 @@ _PERM = _build_perm_tables()
 # Per-qubit trace kernel on the six (basis, bit) symbols s = 2 * code + bit:
 # _LETTER_KERNEL[L][m, s] = Tr[L P_m (3 r_s - I)], so a gate with Pauli
 # coefficients c under observable letter L has the factor c @ K_L on s.
-def _build_letter_kernels():
-    kernel = np.zeros((4, 6))
-    kernel[0] = 1.0
-    for code in range(3):
-        kernel[code + 1, 2 * code:2 * code + 2] = (3.0, -3.0)
-    return {left: _PERM[left].T @ kernel for left in LETTERS}
-
-
-_LETTER_KERNEL = _build_letter_kernels()
+# Tr[P_m (3 r_s - I)] is the signed-count factor, times 3 unless P_m is I.
+_LETTER_KERNEL = {left: _PERM[left].T @ (_LETTER_FACTOR * [[1], [3], [3], [3]])
+                  for left in LETTERS}
 
 _PAULI_STACK = np.stack([PAULI_MATRICES[letter] for letter in LETTERS])
 
@@ -238,13 +232,6 @@ def wigner_small_d(s: float, m1: float, m2: float, beta: float) -> float:
         total += ((-1) ** (k + (m1_2 - m2_2) // 2)
                   * c ** cos_pow * sn ** sin_pow / denom)
     return pref * total
-
-
-def wigner_d(s: float, m: float, alpha: float, beta: float,
-             gamma: float) -> complex:
-    """Diagonal Wigner-D element e^{-i m alpha} d^s_{m,m}(beta) e^{-i m gamma}."""
-    return (np.exp(-1j * m * alpha) * wigner_small_d(s, m, m, beta)
-            * np.exp(-1j * m * gamma))
 
 
 def spin_sectors(num_qubits: int) -> list[tuple[float, float]]:
@@ -547,9 +534,8 @@ def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
         products = iter(_term_products(symbols, live_codes, family[0].gates)
                         if len(live_codes) else ())
         # None stands for the all-I string, whose value is the norm
-        prods_obs = [(coeff * string.phase,
-                      next(products) if is_live else None)
-                     for (coeff, string), is_live in zip(obs.terms, live)]
+        prods_obs = [(coeff, next(products) if is_live else None)
+                     for coeff, is_live in zip(obs.coeffs.tolist(), live)]
         for i, proj, norm in zip(indices, family, norms):
             num = sum(c * (norm if p is None else proj.betas @ p)
                       for c, p in prods_obs)

@@ -1,10 +1,15 @@
 """Classical-shadow acquisition and estimation with the single-qubit
 Pauli measurement ensemble.
 
-A snapshot is one (per-qubit basis, outcome bitstring) pair. Estimation of a
-Pauli observable reduces to per-qubit trace factors that take values in
-{0, 1, +3, -3} for uniformly random bases, or to direct compatible-outcome
-averages when the bases were prescribed by a measurement plan.
+A snapshot is one (per-qubit basis, outcome bitstring) pair. Estimators run
+over the distinct (basis, bit) rows of a shadow, weighted by how many
+snapshots equal each, with one of two kernels. Plain Pauli sums, under both
+protocols, and the coverage of a measurement plan use the integer counts of
+:func:`_term_counts`: a string's signed and hit counts over the rows, from
+per-qubit factors in {1, -1, 0}. The inverse-channel mean of random bases
+weighs a signed count by 3^weight / M; the compatible-count average of
+prescribed bases divides it by the string's hits. The complex kernel
+``projectors._term_products`` serves the LCU projectors.
 """
 
 from __future__ import annotations
@@ -25,18 +30,11 @@ BASIS_LETTERS = ("X", "Y", "Z")
 BASIS_CODE = {"X": 0, "Y": 1, "Z": 2}
 _ACQUIRE_TAG = 0x5d0b
 
-# Dense single-qubit retro-rotated outcome densities r = U^dag |b><b| U.
-def _build_outcome_densities():
-    table = {}
-    for basis in BASIS_LETTERS:
-        u = BASIS_ROTATIONS[basis]
-        for bit in (0, 1):
-            v = u.conj().T[:, bit]
-            table[basis, bit] = np.outer(v, v.conj())
-    return table
-
-
-_SINGLE_R = _build_outcome_densities()
+# _SYMBOL_DENSITY[2 * code + bit] = 3 r - I, where r = U^dag |bit><bit| U is
+# the retro-rotated outcome density of the basis with that code.
+_SYMBOL_DENSITY = np.stack([3.0 * np.outer(u[bit].conj(), u[bit]) - I2
+                            for u in map(BASIS_ROTATIONS.get, BASIS_LETTERS)
+                            for bit in (0, 1)])
 
 
 @dataclass(frozen=True)
@@ -329,20 +327,6 @@ def qubit_trace_factor(basis: str, outcome_bit: int, p: str) -> int:
     return 0
 
 
-def _per_snapshot_values(shadow: ClassicalShadow,
-                         obs: WeightedPauliSum) -> np.ndarray:
-    """Inverse-channel estimator value of obs on every snapshot."""
-    bases, outcomes = shadow.codes, shadow.outcomes
-    sign3 = 3.0 * (1.0 - 2.0 * outcomes)
-    totals = np.zeros(len(shadow), dtype=complex)
-    for coeff, row in zip(obs.coeffs, obs.codes - 1):
-        v = np.ones(len(shadow))
-        for j in np.flatnonzero(row >= 0):
-            v = v * (sign3[:, j] * (bases[:, j] == row[j]))
-        totals += coeff * v
-    return totals
-
-
 # Qubits per int64 word of a snapshot key: 6^24 < 2^63.
 _SYMBOLS_PER_WORD = 24
 
@@ -370,12 +354,12 @@ def _distinct_snapshots(shadow: ClassicalShadow
             np.diff(starts, append=len(order)))
 
 
-# _PRESCRIBED_FACTOR[letter, symbol]: a qubit's factor in the prescribed
-# estimator; 1 for I, (-1)^bit where the basis measured the letter, else 0.
-_PRESCRIBED_FACTOR = np.array([[1, 1, 1, 1, 1, 1],
-                               [1, -1, 0, 0, 0, 0],
-                               [0, 0, 1, -1, 0, 0],
-                               [0, 0, 0, 0, 1, -1]], dtype=np.int8)
+# _LETTER_FACTOR[letter, symbol]: a qubit's factor in a signed count; 1 for
+# I, (-1)^bit where the basis measured the letter, else 0.
+_LETTER_FACTOR = np.array([[1, 1, 1, 1, 1, 1],
+                           [1, -1, 0, 0, 0, 0],
+                           [0, 0, 1, -1, 0, 0],
+                           [0, 0, 0, 0, 1, -1]], dtype=np.int8)
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -384,29 +368,66 @@ def _sum_in_order(values: np.ndarray) -> float:
     return float(np.cumsum(np.append(0.0, values))[-1])
 
 
-def _estimate_prescribed(shadow: ClassicalShadow,
-                         obs: WeightedPauliSum, chunk: int = 1 << 18
-                         ) -> float:
-    """sum_a Re(gamma_a) * (mean outcome parity of O_a over the snapshots
-    that measured every qubit of its support in its letter).
+def _term_counts(rows: np.ndarray, counts: np.ndarray, codes: np.ndarray,
+                 chunk: int = 1 << 18) -> tuple[np.ndarray, np.ndarray]:
+    """Signed and hit counts of S strings over distinct symbol rows.
 
-    Compatibility and parity depend only on the distinct (basis, bit) row,
-    so each (term, row) pair is evaluated once, as the product over qubits
-    of a {1, -1, 0} factor, and weighted by the row's snapshot count. The
-    counts and signed counts are exact integers. ``chunk`` bounds the
-    (terms x rows) block in elements.
+    ``rows`` are (R, q) symbols 2 * code + bit, ``counts`` the snapshots
+    equal to each, ``codes`` the (S, q) letter codes (I=0, X=1, Y=2, Z=3)
+    of the strings. A string's value on a row is the product over qubits of
+    ``_LETTER_FACTOR``, in {1, -1, 0}; ``signed`` sums it and ``hits`` its
+    magnitude over the rows, weighted by the counts, as exact int64. The
+    (4, R) factors of each qubit are gathered once; ``chunk`` bounds the
+    (strings x rows) block in elements.
     """
-    rows, counts = _distinct_snapshots(shadow)
-    signed = np.empty(len(obs), dtype=np.int64)
-    hits = np.empty(len(obs), dtype=np.int64)
+    factors = [_LETTER_FACTOR[:, column] for column in rows.T]
+    signed = np.empty(len(codes), dtype=np.int64)
+    hits = np.empty(len(codes), dtype=np.int64)
     step = max(1, chunk // len(rows))
-    for start in range(0, len(obs), step):
-        codes = obs.codes[start:start + step]
-        values = np.ones((len(codes), len(rows)), dtype=np.int8)
-        for j in range(shadow.num_qubits):
-            values *= _PRESCRIBED_FACTOR[:, rows[:, j]][codes[:, j]]
+    gathered = np.empty((min(step, len(codes)), len(rows)), dtype=np.int8)
+    for start in range(0, len(codes), step):
+        block = codes[start:start + step]
+        values = factors[0][block[:, 0]]
+        for factor, letters in zip(factors[1:], block.T[1:]):
+            values *= factor.take(letters, axis=0, out=gathered[:len(block)])
         signed[start:start + step] = (values * counts).sum(axis=1)
         hits[start:start + step] = ((values != 0) * counts).sum(axis=1)
+    return signed, hits
+
+
+def estimate(shadow: ClassicalShadow, obs: WeightedPauliSum,
+             median_groups: int | None = None) -> float:
+    """Estimate <obs> from the shadow: sum_a Re(gamma_a) <O_a>, added term
+    by term in order, from the counts of :func:`_term_counts`.
+
+    Uniform-random shadows use the inverted-channel mean, 3^weight signed /
+    M per term, so the all-I string gives exactly its coefficient.
+    Prescribed shadows switch to the direct compatible-count average
+    signed / hits (no factor 3), the only unbiased choice there.
+    ``median_groups`` enables median-of-means on random shadows for
+    robustness studies: the median of the estimates on that many
+    contiguous runs of snapshots, split as ``np.array_split`` splits. The
+    plain mean is the default. It must lie in 1..len(shadow), or
+    ValueError.
+    """
+    if obs.num_qubits != shadow.num_qubits:
+        raise ValueError("observable and shadow qubit counts differ")
+    if median_groups is not None and not 1 <= median_groups <= len(shadow):
+        raise ValueError(f"median_groups must lie in 1..{len(shadow)}, "
+                         f"got {median_groups}")
+    if median_groups not in (None, 1):
+        if shadow.prescribed:
+            raise ValueError("median-of-means applies to random shadows only")
+        parts = zip(np.array_split(shadow.codes, median_groups),
+                    np.array_split(shadow.outcomes, median_groups))
+        return float(np.median([
+            estimate(ClassicalShadow.from_arrays(codes, bits, shadow.seed),
+                     obs) for codes, bits in parts]))
+    signed, hits = _term_counts(*_distinct_snapshots(shadow), obs.codes)
+    if not shadow.prescribed:
+        weight = np.count_nonzero(obs.codes, axis=1)
+        return _sum_in_order(obs.coeffs.real
+                             * (3.0 ** weight * signed / len(shadow)))
     empty = np.flatnonzero(hits == 0)
     if empty.size:
         raise ValueError(f"no compatible snapshots for term "
@@ -414,39 +435,12 @@ def _estimate_prescribed(shadow: ClassicalShadow,
     return _sum_in_order(obs.coeffs.real * (signed / hits))
 
 
-def estimate(shadow: ClassicalShadow, obs: WeightedPauliSum,
-             median_groups: int | None = None) -> float:
-    """Estimate <obs> from the shadow.
-
-    Uniform-random shadows use the inverted-channel mean with the factor-3
-    per-qubit kernel; prescribed shadows switch to the direct
-    compatible-count average (no factor 3), the only unbiased choice there.
-    ``median_groups`` enables median-of-means on random shadows for
-    robustness studies; the plain mean is the default. It must lie in
-    1..len(shadow), or ValueError.
-    """
-    if obs.num_qubits != shadow.num_qubits:
-        raise ValueError("observable and shadow qubit counts differ")
-    if median_groups is not None and not 1 <= median_groups <= len(shadow):
-        raise ValueError(f"median_groups must lie in 1..{len(shadow)}, "
-                         f"got {median_groups}")
-    if shadow.prescribed:
-        if median_groups not in (None, 1):
-            raise ValueError("median-of-means applies to random shadows only")
-        return _estimate_prescribed(shadow, obs)
-    values = _per_snapshot_values(shadow, obs)
-    if median_groups in (None, 1):
-        return float(values.mean().real)
-    chunks = np.array_split(values.real, median_groups)
-    return float(np.median([chunk.mean() for chunk in chunks]))
-
-
 def snapshot_density(snapshot: Snapshot) -> np.ndarray:
     """Dense inverted-channel density of one snapshot, kron over qubits."""
     m = np.array([[1.0 + 0j]])
     for j in reversed(range(snapshot.num_qubits)):
-        r = _SINGLE_R[snapshot.bases[j], snapshot.outcome[j]]
-        m = np.kron(m, 3.0 * r - I2)
+        symbol = 2 * BASIS_CODE[snapshot.bases[j]] + snapshot.outcome[j]
+        m = np.kron(m, _SYMBOL_DENSITY[symbol])
     return m
 
 
@@ -455,22 +449,25 @@ def reconstruct_density(shadow: ClassicalShadow,
     """Mean of snapshot densities; Hermitian with unit trace by construction.
 
     The output is generally not positive semidefinite at finite M. Dense
-    reconstruction is guarded to small registers.
+    reconstruction is guarded to small registers. The distinct rows are
+    contracted from qubit q-1 down: once the factors of qubits j.. are in,
+    rows that agree on qubits 0..j-1 are summed.
     """
     if shadow.num_qubits > max_qubits:
         raise ValueError(
             f"dense reconstruction limited to q <= {max_qubits}")
-    q = shadow.num_qubits
-    acc = np.zeros((2 ** q, 2 ** q), dtype=complex)
-    keys, first, counts = np.unique(
-        np.hstack([shadow.codes, shadow.outcomes]), axis=0,
-        return_index=True, return_counts=True)
-    # distinct snapshots in order of first appearance
-    for i in np.argsort(first):
-        snap = Snapshot(tuple(BASIS_LETTERS[c] for c in keys[i, :q]),
-                        tuple(keys[i, q:]))
-        acc += counts[i] * snapshot_density(snap)
-    return acc / len(shadow)
+    rows, counts = _distinct_snapshots(shadow)
+    keys = _digit_keys(rows, 6)  # sorted; qubit 0 the leading digit
+    sums = counts.astype(complex)[:, None, None]
+    for _ in range(shadow.num_qubits):
+        dim = 2 * sums.shape[1]
+        factor = _SYMBOL_DENSITY[keys % 6]
+        sums = (sums[:, :, None, :, None] * factor[:, None, :, None, :]
+                ).reshape(-1, dim, dim)
+        keys //= 6
+        starts = np.flatnonzero(_run_starts(keys))
+        sums, keys = np.add.reduceat(sums, starts), keys[starts]
+    return sums[0] / len(shadow)
 
 
 def iter_snapshot_distribution(state: Statevector

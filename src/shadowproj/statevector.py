@@ -283,21 +283,3 @@ def sample_bitstrings(state: Statevector, bases: Sequence[str], shots: int,
     idx = gen.choice(probs.size, size=shots, p=probs)
     q = state.num_qubits
     return ((idx[:, None] >> np.arange(q)) & 1).astype(np.uint8)
-
-
-def bits_to_string(bits: Sequence[int]) -> str:
-    """Render per-qubit bits as b_{q-1}..b_0, most significant leftmost."""
-    return "".join(str(int(b)) for b in reversed(list(bits)))
-
-
-def string_to_bits(text: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in reversed(text.strip()))
-
-
-def sample_in_bases(state: Statevector, bases: Sequence[str],
-                    rng_seed: int | np.random.Generator) -> str:
-    """One Born-rule outcome measured after rotating into ``bases``."""
-    gen = (rng_seed if isinstance(rng_seed, np.random.Generator)
-           else _rng.stream(int(rng_seed)))
-    bits = sample_bitstrings(state, bases, 1, gen)[0]
-    return bits_to_string(bits)

@@ -186,7 +186,7 @@ def test_fig4_small_run_has_all_methods(tmp_path):
 # from a seed; a change that moves these bytes must declare it and re-pin.
 PINNED_CSV_SHA256 = {
     "fig2": ({},
-             "48aa8394495c003b3b4c006a6e8291bd821a5dc09475f6da5d941c0fe03804f9"),
+             "d6a6fcd02bde1a6aa3214c66ade57869ca191f783d060663bf51a3ed6aa55a21"),
     "fig3": ({"shots": [100, 1000], "repeats": 3},
              "78d1c1a7ee7a1eca76dd354d8b193c9e2903a7fb1eda6f13776b169b2c86d181"),
     "fig4": ({"shots": [300], "repeats": 3},

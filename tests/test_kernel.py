@@ -19,17 +19,18 @@ from hypothesis import strategies as st
 
 from shadowproj.experiments import prepare_spin_rotated_gaussian
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
-from shadowproj.paulis import LETTERS, PauliString, WeightedPauliSum
+from shadowproj.paulis import (LETTERS, PAULI_MATRICES, PauliString,
+                               WeightedPauliSum)
 from shadowproj import projectors
 from shadowproj.projectors import (_CLASS_NORMS, _LETTER_KERNEL, _PERM,
                                    EmptySectorWarning, _norms_on_classes,
                                    _symbol_classes,
                                    _term_products, all_sector_projectors,
                                    projected_estimate_sectors)
-from shadowproj.shadows import (ClassicalShadow, _distinct_snapshots,
-                                acquire_shadow)
-from shadowproj.statevector import (Statevector, prepare_basis_state,
-                                    prepare_gaussian)
+from shadowproj.shadows import (BASIS_LETTERS, ClassicalShadow,
+                                _distinct_snapshots, acquire_shadow)
+from shadowproj.statevector import (BASIS_ROTATIONS, Statevector,
+                                    prepare_basis_state, prepare_gaussian)
 
 
 def reference_term_products(codes, outcomes, letters, gates, chunk=4096):
@@ -159,6 +160,25 @@ def test_distinct_rows_cross_the_chunk(letters):
                                    gates)
     assert np.abs(chunked - want).max() <= 1e-12
     assert np.abs(whole - want).max() <= 1e-12
+
+
+def test_letter_kernel_is_the_dense_trace():
+    """The kernel, built from the signed-count table with X, Y and Z scaled
+    by 3, equals bit for bit the float table it was built from before, and
+    Tr[L P_m (3 r_s - I)] to rounding."""
+    table = np.zeros((4, 6))
+    table[0] = 1.0
+    for code in range(3):
+        table[code + 1, 2 * code:2 * code + 2] = (3.0, -3.0)
+    for left in LETTERS:
+        assert np.array_equal(_LETTER_KERNEL[left], _PERM[left].T @ table)
+        for m, right in enumerate(LETTERS):
+            for s in range(6):
+                u = BASIS_ROTATIONS[BASIS_LETTERS[s // 2]]
+                r = np.outer(u[s % 2].conj(), u[s % 2])
+                dense = np.trace(PAULI_MATRICES[left] @ PAULI_MATRICES[right]
+                                 @ (3 * r - np.eye(2)))
+                assert abs(_LETTER_KERNEL[left][m, s] - dense) < 1e-12
 
 
 def reference_string_products(symbols, letters, gates, chunk):

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from shadowproj import rng as _rng
 from shadowproj.measurement import (MeasurementPlan, _group_distributions,
-                                    allocate_shots,
+                                    _observable_codes, allocate_shots,
                                     counts_expectation_exact,
                                     derandomize_plan, direct_counts_estimate,
                                     expected_random_cost, group_qwc_greedy,
                                     group_qwc_rlf, load_plan, plan_cost,
                                     plan_hit_counts, random_plan, save_plan,
-                                    shadow_norm_bound, singleton_groups)
+                                    singleton_groups)
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.paulis import PauliString, WeightedPauliSum, qwc_commutes
+from shadowproj.shadows import BASIS_CODE
 from shadowproj.statevector import (Statevector, exact_expectation,
                                     prepare_basis_state, rotate_to_bases,
                                     sample_bitstrings)
@@ -31,32 +32,6 @@ def random_obs(q, seed, nterms):
     return WeightedPauliSum(q, tuple(
         (float(gen.normal()), PauliString(tuple(gen.choice(list("IXYZ"), q))))
         for _ in range(nterms)))
-
-
-# --- shadow norm bound ------------------------------------------------------
-
-def test_shadow_norm_bound_scales_with_locality():
-    one_local = [PauliString.single(4, 0, "Z")]
-    bound1 = shadow_norm_bound(one_local, 0.1)
-    assert bound1 == math.ceil(34 * 1.0 * 3 / 0.01)
-    ident = [PauliString.identity(4)]
-    bound0 = shadow_norm_bound(ident, 0.1)
-    assert bound0 == math.ceil(34 * 1.0 * 1 / 0.01)
-    assert bound1 == 3 * bound0
-
-
-def test_shadow_norm_bound_pairing_set():
-    _, strings, _ = pairing_observables()
-    bound = shadow_norm_bound(strings, 0.05)
-    # max locality 2 -> shadow norm 9; L = 17 terms
-    assert bound == math.ceil(34 * math.log(17) * 9 / 0.05 ** 2)
-
-
-def test_shadow_norm_bound_validation():
-    with pytest.raises(ValueError):
-        shadow_norm_bound([], 0.1)
-    with pytest.raises(ValueError):
-        shadow_norm_bound([PauliString.identity(1)], 0.0)
 
 
 # --- derandomization --------------------------------------------------------
@@ -90,6 +65,41 @@ def test_plan_counts_reject_an_empty_target_list(count):
     # an empty list once raised "plan and observables differ in num_qubits"
     with pytest.raises(ValueError, match="no target observables"):
         count(random_plan(2, 4, seed=1), [])
+
+
+def reference_plan_hit_counts(plan, obs_list):
+    """The per-round loop plan_hit_counts ran before the shared count
+    kernel: chunks of rounds against every target's support."""
+    codes = _observable_codes(obs_list)
+    rows = np.array([[BASIS_CODE[b] for b in row]
+                     for row in plan.bases_sequence], dtype=np.int8)
+    counts = np.zeros(len(obs_list), dtype=int)
+    chunk = max(1, 2 ** 20 // len(obs_list))
+    for start in range(0, len(rows), chunk):
+        block = rows[start:start + chunk]
+        covered = np.ones((len(block), len(obs_list)), dtype=bool)
+        for j in range(codes.shape[1]):
+            covered &= (codes[:, j] < 0) | (block[:, j, None] == codes[:, j])
+        counts += covered.sum(axis=0)
+    return counts
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_plan_hit_counts_match_the_per_round_loop(q):
+    """Random, derandomized and few-row plans, whose rounds repeat, against
+    targets with repeats and the all-I string."""
+    gen = np.random.default_rng(q)
+    strings = [PauliString(tuple(gen.choice(list("IXYZ"), q)))
+               for _ in range(30)]
+    strings += strings[:3] + [PauliString.identity(q)]
+    few = random_plan(q, 5, seed=q).bases_sequence
+    plans = [random_plan(q, 400, seed=q),
+             derandomize_plan(strings, None, 60),
+             MeasurementPlan(tuple(few[i] for i in gen.integers(0, 5, 200)))]
+    for plan in plans:
+        got = plan_hit_counts(plan, strings)
+        want = reference_plan_hit_counts(plan, strings)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_derandomize_pairing_set_coverage_and_cost():
@@ -131,10 +141,8 @@ def test_derandomize_validation():
     lambda strings, eps: derandomize_plan(strings, None, 5, epsilon=eps),
     lambda strings, eps: plan_cost(random_plan(2, 4, seed=1), strings,
                                    epsilon=eps),
-    lambda strings, eps: expected_random_cost(strings, 4, epsilon=eps),
-    lambda strings, eps: shadow_norm_bound(strings, eps)],
-    ids=["derandomize_plan", "plan_cost", "expected_random_cost",
-         "shadow_norm_bound"])
+    lambda strings, eps: expected_random_cost(strings, 4, epsilon=eps)],
+    ids=["derandomize_plan", "plan_cost", "expected_random_cost"])
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -0.3])
 def test_epsilon_must_be_finite_and_positive(func, epsilon):
     # NaN ended derandomization in a bare StopIteration, at 0 every letter

@@ -20,7 +20,7 @@ from shadowproj.projectors import (EmptySectorWarning, ProjectorLCU,
                                    reconstruct_projected_density,
                                    spin_projector, spin_sector_projectors,
                                    spin_sectors, total_spin_matrices,
-                                   wigner_d, wigner_small_d)
+                                   wigner_small_d)
 from shadowproj.shadows import (ClassicalShadow, acquire_shadow, estimate,
                                 iter_snapshot_distribution,
                                 reconstruct_density)
@@ -129,7 +129,6 @@ def test_number_operator_counts_ones():
 # --- wigner -----------------------------------------------------------------
 
 def test_wigner_closed_forms():
-    assert wigner_d(0, 0, 0.3, 0.9, 1.7) == pytest.approx(1.0)
     for beta in (0.0, 0.4, 1.3, 2.9):
         assert wigner_small_d(0.5, 0.5, 0.5, beta) == pytest.approx(
             math.cos(beta / 2), abs=1e-12)

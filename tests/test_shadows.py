@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from shadowproj.measurement import random_plan
 from shadowproj.paulis import PauliString, WeightedPauliSum
 from shadowproj.shadows import (ClassicalShadow, Snapshot,
-                                _estimate_prescribed, _per_snapshot_values,
-                                acquire_shadow, estimate,
+                                _distinct_snapshots, _sum_in_order,
+                                _term_counts, acquire_shadow, estimate,
                                 iter_snapshot_distribution,
                                 load_shadow, qubit_trace_factor,
                                 reconstruct_density, save_shadow,
@@ -199,6 +199,23 @@ def test_median_of_means_close_to_mean():
     assert abs(robust - exact_expectation(state, obs)) < 0.3
 
 
+@pytest.mark.parametrize("groups", [2, 5, 7, 50])
+def test_median_of_means_is_the_median_of_sub_shadow_estimates(groups):
+    """Groups are contiguous runs of snapshots, the first M % groups of them
+    one snapshot longer, and each gives the plain estimate bit for bit."""
+    shadow = acquire_shadow(random_state(3, 4), 50, seed=8)
+    obs = WeightedPauliSum.from_arrays(
+        3, [[1, 0, 3], [0, 2, 2], [3, 3, 3], [0, 0, 0]],
+        [0.7, -1.2 + 0.5j, 0.4, 0.3])
+    sizes = [50 // groups + (i < 50 % groups) for i in range(groups)]
+    bounds = np.cumsum([0] + sizes)
+    plain = [estimate(ClassicalShadow.from_arrays(shadow.codes[a:b],
+                                                  shadow.outcomes[a:b], 8),
+                      obs)
+             for a, b in zip(bounds, bounds[1:])]
+    assert estimate(shadow, obs, median_groups=groups) == np.median(plain)
+
+
 
 @pytest.mark.parametrize("groups", [0, -1, 51, 500])
 def test_median_groups_outside_the_shadow_are_rejected(groups):
@@ -249,6 +266,18 @@ def test_channel_inversion_exact_by_enumeration():
         for snap, prob in iter_snapshot_distribution(state):
             acc += prob * snapshot_density(snap)
         assert np.max(np.abs(acc - rho)) < 1e-10
+
+
+@pytest.mark.parametrize("q,prescribed", [(1, False), (2, False), (3, True),
+                                          (4, False)])
+def test_reconstruct_density_matches_the_snapshot_mean(q, prescribed):
+    """Against the mean of every snapshot's Kronecker product. The two sum
+    in different orders; an entry of a snapshot density is at most 2^q = 16
+    in magnitude, so 300 of them agree to 1e-12 (about 300 * 16 * 2^-52)."""
+    bases = random_plan(q, 300, 5).bases_sequence if prescribed else None
+    shadow = acquire_shadow(random_state(q, 30 + q), 300, seed=q, bases=bases)
+    want = sum(snapshot_density(snap) for snap in shadow.snapshots) / 300
+    assert np.max(np.abs(reconstruct_density(shadow) - want)) < 1e-12
 
 
 def test_fig2_reconstruction_error_is_finite_shot_noise():
@@ -464,6 +493,21 @@ def reference_estimate_prescribed(shadow, obs):
     return float(total.real)
 
 
+def reference_random_estimate(shadow, obs):
+    """The inverse-channel mean term by term: 3^weight times the term's
+    signed count over every snapshot, over M, added in order."""
+    sign = 1 - 2 * shadow.outcomes.astype(np.int64)
+    total = 0.0
+    for coeff, string in obs.terms:
+        v = np.ones(len(shadow), dtype=np.int64)
+        for j in string.support():
+            v *= sign[:, j] * (shadow.codes[:, j]
+                               == BASIS_CODE[string.letters[j]])
+        total += (coeff * string.phase).real * (
+            3.0 ** len(string.support()) * int(v.sum()) / len(shadow))
+    return total
+
+
 def reference_per_snapshot_values(shadow, obs):
     """Inverse-channel values walking each term's support()."""
     sign3 = 3.0 * (1.0 - 2.0 * shadow.outcomes)
@@ -489,8 +533,13 @@ def test_prescribed_estimate_in_term_chunks_matches_the_reference(budget_q6):
     _, cases = budget_q6
     _, _, _, expanded, shadow, _ = cases[2]
     want = reference_estimate_prescribed(shadow, expanded)
+    rows, counts = _distinct_snapshots(shadow)
+    whole = _term_counts(rows, counts, expanded.codes)
     for chunk in (1, 997):
-        assert _estimate_prescribed(shadow, expanded, chunk) == want
+        signed, hits = _term_counts(rows, counts, expanded.codes, chunk)
+        assert np.array_equal(signed, whole[0])
+        assert np.array_equal(hits, whole[1])
+        assert _sum_in_order(expanded.coeffs.real * (signed / hits)) == want
 
 
 def sums_and_shadows(q):
@@ -529,6 +578,14 @@ def test_prescribed_estimate_matches_the_reference(case):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6).flatmap(sums_and_shadows))
 def test_per_snapshot_values_match_the_reference(case):
+    """The random estimate equals the per-snapshot signed-count reference
+    exactly, and the mean of the per-snapshot inverse-channel values to
+    1e-12 times sum_a |gamma_a| 3^weight_a, the largest value a snapshot
+    can take: the two add at most 8 terms over at most 40 snapshots in
+    different orders."""
     obs, shadow = build_case(case, prescribed=False)
-    assert np.array_equal(_per_snapshot_values(shadow, obs),
-                          reference_per_snapshot_values(shadow, obs))
+    got = estimate(shadow, obs)
+    assert got == reference_random_estimate(shadow, obs)
+    scale = np.sum(np.abs(obs.coeffs) * 3.0 ** (obs.codes > 0).sum(axis=1))
+    want = reference_per_snapshot_values(shadow, obs).mean().real
+    assert abs(got - want) <= 1e-12 * scale

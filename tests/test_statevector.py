@@ -9,15 +9,13 @@ from shadowproj import rng as _rng
 from shadowproj.paulis import PauliString, WeightedPauliSum
 from shadowproj.projectors import exact_number_projector, exact_parity_projector
 from shadowproj.statevector import (CNOT, H, EmptySectorError, Statevector,
-                                    Z, apply_gate, bits_to_string,
-                                    exact_expectation,
+                                    Z, apply_gate, exact_expectation,
                                     exact_projected_expectation,
                                     exact_projected_linear,
                                     prepare_basis_state, prepare_gaussian,
                                     prepare_parity_mixture,
                                     prepare_product_state, rotate_to_bases,
-                                    sample_bitstrings, sample_in_bases,
-                                    string_to_bits)
+                                    sample_bitstrings)
 
 # Exact particle-number probabilities of the default q=4 Gaussian profile
 # (first-power exponent, mu = 7.5, sigma = 2.5), frozen from the diagonal
@@ -223,13 +221,6 @@ def test_projected_pairing_energy_fixture():
         num, abs=1e-10)
 
 
-def test_sample_deterministic_cases():
-    zero = prepare_basis_state(1)
-    assert sample_in_bases(zero, ["Z"], 123) == "0"
-    plus = apply_gate(zero, H, 0)
-    assert sample_in_bases(plus, ["X"], 123) == "0"
-
-
 def test_sample_born_frequencies():
     zero = prepare_basis_state(1)
     gen = _rng.stream(2024)
@@ -241,12 +232,6 @@ def test_sample_born_frequencies():
 def test_rotate_to_bases_requires_letter_per_qubit():
     with pytest.raises(ValueError):
         rotate_to_bases(prepare_basis_state(2), ["Z"])
-
-
-def test_bit_string_helpers_roundtrip():
-    bits = (1, 0, 0, 1)
-    assert bits_to_string(bits) == "1001"
-    assert string_to_bits("1001") == bits
 
 
 def test_product_state_matches_kron():
