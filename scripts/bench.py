@@ -38,14 +38,16 @@ over every number sector, M=10^4 on the Gaussian state, at q=4 and q=6,
 timed as above on one family (the warm-up call fills its norm tables).
 Spin sectors with H: one such call over every spin sector at q=6,
 n_p=10, M=10^4 on the fig7 state, on a fresh family, with its time and
-``tracemalloc`` peak.
+``tracemalloc`` peak. Copied spin tables: the same call at q=4, n_p=10,
+M=10^4, on a fresh family whose sectors each hold their own copy of the
+gate table, which should cost what a family sharing one table costs.
 
 Plain random estimate: ``estimate`` of the pairing Hamiltonian on a
 random shadow of the Gaussian state, M=10^4, at q=4, 6 and 8, timed as
 above.
 
-    python scripts/bench.py --out BENCH_14.json --label change
-    python scripts/bench.py --out BENCH_14.json --label parent \
+    python scripts/bench.py --out BENCH_15.json --label change
+    python scripts/bench.py --out BENCH_15.json --label parent \
         --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
@@ -79,6 +81,7 @@ NUMBER_SHOTS = 10_000
 PLAIN_SHOTS = 10_000
 # q, spin n_p, shots of the spin-sector estimate of H
 SPIN_HAMILTONIAN = (6, 10, 10_000)
+COPIED_SPIN_HAMILTONIAN = (4, 10, 10_000)
 
 
 def machine() -> dict:
@@ -253,7 +256,8 @@ def bench_plain_random(q: int, runs: int) -> dict:
     return result
 
 
-def bench_spin_hamiltonian(q: int, n_points: int, shots: int) -> dict:
+def bench_spin_hamiltonian(q: int, n_points: int, shots: int,
+                           copied: bool = False) -> dict:
     import warnings
 
     from shadowproj import experiments, pairing, projectors, shadows
@@ -264,6 +268,9 @@ def bench_spin_hamiltonian(q: int, n_points: int, shots: int) -> dict:
     ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0, 1.0))
     family = projectors.all_sector_projectors(q, {"type": "spin",
                                                   "n_p": n_points})
+    if copied:
+        family = [projectors.ProjectorLCU(q, p.betas, p.gates.copy(), p.label)
+                  for p in family]
     tracemalloc.start()
     start = time.perf_counter()
     projectors.projected_estimate_sectors(shadow, ham, family)
@@ -303,7 +310,9 @@ def main(argv=None) -> int:
                                  for q in (4, 6)},
               "plain_random": {f"q{q}": bench_plain_random(q, args.runs)
                                for q in (4, 6, 8)},
-              "spin_hamiltonian": bench_spin_hamiltonian(*SPIN_HAMILTONIAN)}
+              "spin_hamiltonian": bench_spin_hamiltonian(*SPIN_HAMILTONIAN),
+              "copied_spin_hamiltonian": bench_spin_hamiltonian(
+                  *COPIED_SPIN_HAMILTONIAN, copied=True)}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("layers", {})[args.label] = record
@@ -311,7 +320,8 @@ def main(argv=None) -> int:
     print(json.dumps({key: record[key] for key in
                       ("cases", "planning_q6", "sector_norms",
                        "distinct_snapshots", "shadow_io", "number_sectors",
-                       "plain_random", "spin_hamiltonian")},
+                       "plain_random", "spin_hamiltonian",
+                       "copied_spin_hamiltonian")},
                      indent=1))
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -48,6 +49,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -63,6 +68,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for name in ("q", "repeats", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got "
+                                  f"{getattr(self, name)!r}")
+        if not isinstance(self.shots, list) \
+                or not all(_is_int(m) for m in self.shots):
+            raise ConfigError(f"shots must be a list of integers, got "
+                              f"{self.shots!r}")
+        if not isinstance(self.methods, list) \
+                or not all(isinstance(m, str) for m in self.methods):
+            raise ConfigError(f"methods must be a list of strings, got "
+                              f"{self.methods!r}")
         if self.q < 1:
             raise ConfigError("q must be >= 1")
         if self.repeats < 1:

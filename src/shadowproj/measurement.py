@@ -86,7 +86,7 @@ def save_plan(plan: MeasurementPlan, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_plan(path, provenance: str = "derandomized") -> MeasurementPlan:
+def load_plan(path) -> MeasurementPlan:
     """Read a ``save_plan`` file; a malformed line, or one that is not
     UTF-8, raises ValueError naming it."""
     rows = []
@@ -102,7 +102,7 @@ def load_plan(path, provenance: str = "derandomized") -> MeasurementPlan:
             raise ValueError(f"{path} line {lineno}: {len(text)} bases, "
                              f"expected {len(rows[0])}")
         rows.append(tuple(reversed(text)))
-    return MeasurementPlan(tuple(rows), provenance)
+    return MeasurementPlan(tuple(rows), provenance="derandomized")
 
 
 def random_plan(num_qubits: int, shots: int, seed: int) -> MeasurementPlan:

@@ -132,9 +132,6 @@ class PauliString:
         """Number of non-identity letters (locality)."""
         return len(self.support())
 
-    def with_phase(self, phase: complex) -> "PauliString":
-        return PauliString(self.letters, phase)
-
     def to_matrix(self) -> np.ndarray:
         """Dense matrix; row/column index k encodes bits b_{q-1}..b_0."""
         m = np.array([[self.phase]], dtype=complex)
@@ -343,12 +340,6 @@ class WeightedPauliSum:
 
     def __repr__(self) -> str:
         return f"WeightedPauliSum({self.num_qubits}, {self.terms!r})"
-
-    @classmethod
-    def from_terms(cls, num_qubits: int,
-                   terms: Iterable[tuple[complex, PauliString]]
-                   ) -> "WeightedPauliSum":
-        return cls(num_qubits, tuple(terms))
 
     @classmethod
     def identity(cls, num_qubits: int, coeff: complex = 1 + 0j

@@ -10,13 +10,15 @@ multiplies the gate's Pauli expansion, and every product letter feeds the
 scaled by 3. A string's product over qubits runs once per distinct snapshot
 row, and strings that agree on their first qubits share the product over
 them. The all-I string, which gives the norm, has one value per class of
-rows with equal counts of the six (basis, bit) symbols, at most C(q+5, 5)
-classes, and that value depends on the projector alone: each projector keeps a table of it, filled on first
-use, and a shadow's norm is the sum of its class weights times the table
-entries. The Pauli expansion of a projector groups strings by their letter
-counts (n_I, n_X, n_Y, n_Z): every string of one class has the coefficient
-sum_k beta_k prod_m c_km^n_m. All sector information lives in the beta
-weights, so one shadow serves every eigenvalue channel of a symmetry at once.
+rows with equal counts of the six (basis, bit) symbols, C(q+5, 5) classes,
+and that value depends on the projector alone: each projector keeps a table
+of it over every class, filled once on first use, and a shadow's norm is the
+sum of its class weights times the table entries. The Pauli expansion of a
+projector groups strings by their letter counts (n_I, n_X, n_Y, n_Z): every
+string of one class has the coefficient sum_k beta_k prod_m c_km^n_m. All
+sector information lives in the beta weights: the sectors of one symmetry
+have equal gate tables, and projectors whose gate tables are equal, compared
+by content, form a family that one pass over a shadow serves at once.
 
 Conventions fixed here: the particle-number operator counts 1-bits
 (n_j = (I - Z_j)/2), phase gates are diag(1, e^{i phi}), and Euler rotations
@@ -25,6 +27,7 @@ are rz(a) ry(b) rz(g) with rz/ry = exp(-i theta Z/2), exp(-i theta Y/2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -35,36 +38,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .paulis import (LETTERS, MERGE_TOLERANCE, PAULI_MATRICES, PauliString,
-                     WeightedPauliSum, decompose_2x2, letter_product,
-                     multiply_sums)
+from .paulis import (_I_POWERS, _PRODUCT_POWER, LETTERS, MERGE_TOLERANCE,
+                     PAULI_MATRICES, PauliString, WeightedPauliSum,
+                     decompose_2x2, multiply_sums)
 from .shadows import _LETTER_FACTOR, ClassicalShadow, _distinct_snapshots
 from .shadows import estimate as shadow_estimate
 from .shadows import reconstruct_density
 from .statevector import phase_gate, ry, rz
 
-# Left-multiplication tables: _PERM[L][res, m] is the phase of L * P_m when
-# the product letter is res, so transformed coefficients are _PERM[L] @ c.
-def _build_perm_tables():
-    tables = {}
-    for left in LETTERS:
-        mat = np.zeros((4, 4), dtype=complex)
-        for m, right in enumerate(LETTERS):
-            phase, res = letter_product(left, right)
-            mat[LETTERS.index(res), m] = phase
-        tables[left] = mat
-    return tables
-
-
-_PERM = _build_perm_tables()
-
-
 # Per-qubit trace kernel on the six (basis, bit) symbols s = 2 * code + bit:
 # _LETTER_KERNEL[L][m, s] = Tr[L P_m (3 r_s - I)], so a gate with Pauli
 # coefficients c under observable letter L has the factor c @ K_L on s.
-# Tr[P_m (3 r_s - I)] is the signed-count factor, times 3 unless P_m is I.
-_LETTER_KERNEL = {left: _PERM[left].T @ (_LETTER_FACTOR * [[1], [3], [3], [3]])
-                  for left in LETTERS}
+# L P_m = i^p P_(L ^ m) with p = _PRODUCT_POWER[L, m], and Tr[P (3 r_s - I)]
+# is the signed-count factor, times 3 unless P is I.
+_TRACE_FACTOR = _LETTER_FACTOR * [[1], [3], [3], [3]]
+_LETTER_KERNEL = {left: _I_POWERS[_PRODUCT_POWER[a], None]
+                  * _TRACE_FACTOR[a ^ np.arange(4)]
+                  for a, left in enumerate(LETTERS)}
 
 _PAULI_STACK = np.stack([PAULI_MATRICES[letter] for letter in LETTERS])
 
@@ -75,7 +65,8 @@ class EmptySectorWarning(UserWarning):
 
 def _readonly(values) -> np.ndarray:
     """Values as a read-only complex array; one that is already read-only is
-    kept as it is, so sector families share their gate table."""
+    kept as it is, so the sectors of a family share one gate table object
+    and are grouped without comparing it."""
     arr = np.asarray(values, dtype=complex)
     if arr.flags.writeable:
         arr = arr.copy()
@@ -89,8 +80,8 @@ class ProjectorLCU:
 
     ``gates`` is a read-only (K, 4) complex array whose row k holds the
     Pauli coefficients (c_I, c_X, c_Y, c_Z) of G_k, and ``betas`` a
-    read-only (K,) complex array. Families of sectors of one symmetry share
-    the identical ``gates`` array and differ only in betas.
+    read-only (K,) complex array. The sectors of one symmetry have equal
+    gate tables and differ only in betas.
     """
 
     num_qubits: int
@@ -164,46 +155,36 @@ def parity_projector(num_qubits: int, epsilon: int) -> ProjectorLCU:
     """(I + epsilon Z^(x)q) / 2 as a two-term LCU."""
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    return ProjectorLCU(num_qubits, [0.5, 0.5 * epsilon],
-                        [[1, 0, 0, 0], [0, 0, 0, 1]],
-                        label=f"parity={epsilon:+d}")
+    return parity_sector_projectors(num_qubits)[0 if epsilon == 1 else 1]
 
 
 def parity_sector_projectors(num_qubits: int) -> list[ProjectorLCU]:
-    plus = parity_projector(num_qubits, +1)
-    minus = ProjectorLCU(num_qubits, [0.5, -0.5], plus.gates,
-                         label="parity=-1")
-    return [plus, minus]
-
-
-def _number_gates(num_qubits: int) -> np.ndarray:
-    q1 = num_qubits + 1
-    return _readonly(decompose_2x2(
-        [phase_gate(2 * math.pi * k / q1) for k in range(q1)]))
-
-
-def _number_betas(num_qubits: int, n0: int) -> list[complex]:
-    q1 = num_qubits + 1
-    return [np.exp(-2j * math.pi * k * n0 / q1) / q1 for k in range(q1)]
+    gates = _readonly([[1, 0, 0, 0], [0, 0, 0, 1]])
+    return [ProjectorLCU(num_qubits, [0.5, 0.5 * epsilon], gates,
+                         label=f"parity={epsilon:+d}")
+            for epsilon in (1, -1)]
 
 
 def number_projector(num_qubits: int, n0: int) -> ProjectorLCU:
-    """Fourier-sum projector onto the sector with n0 occupied qubits.
+    """Fourier-sum projector onto the sector with n0 occupied qubits."""
+    if not 0 <= n0 <= num_qubits:
+        raise ValueError(f"n0={n0} outside 0..{num_qubits}")
+    return number_sector_projectors(num_qubits)[n0]
+
+
+def number_sector_projectors(num_qubits: int) -> list[ProjectorLCU]:
+    """Fourier-sum projectors onto the sectors n0 = 0..q.
 
     q+1 terms g_k (x)_j Q_j(phi_k) with phi_k = 2 pi k / (q+1); the occupied
     state is |1>, so the sector eigenvalue is the number of 1-bits.
     """
-    if not 0 <= n0 <= num_qubits:
-        raise ValueError(f"n0={n0} outside 0..{num_qubits}")
-    return ProjectorLCU(num_qubits, _number_betas(num_qubits, n0),
-                        _number_gates(num_qubits), label=f"n0={n0}")
-
-
-def number_sector_projectors(num_qubits: int) -> list[ProjectorLCU]:
-    gates = _number_gates(num_qubits)
-    return [ProjectorLCU(num_qubits, _number_betas(num_qubits, n0), gates,
-                         label=f"n0={n0}")
-            for n0 in range(num_qubits + 1)]
+    q1 = num_qubits + 1
+    gates = _readonly(decompose_2x2(
+        [phase_gate(2 * math.pi * k / q1) for k in range(q1)]))
+    return [ProjectorLCU(num_qubits,
+                         [np.exp(-2j * math.pi * k * n0 / q1) / q1
+                          for k in range(q1)], gates, label=f"n0={n0}")
+            for n0 in range(q1)]
 
 
 def wigner_small_d(s: float, m1: float, m2: float, beta: float) -> float:
@@ -256,65 +237,65 @@ def _validate_spin_labels(num_qubits: int, s: float, m: float) -> None:
         raise ValueError(f"m={m} incompatible with s={s}")
 
 
-def _spin_mesh(n_points: int):
-    """Midpoint mesh over the Euler angles and the gate table of its nodes.
+def spin_projector(num_qubits: int, s: float, m: float,
+                   n_points: int) -> ProjectorLCU:
+    """Discretized rotation-group projector onto the |s, m> eigenspace: the
+    (s, m) member of :func:`spin_sector_projectors`."""
+    _validate_spin_labels(num_qubits, s, m)
+    family = spin_sector_projectors(num_qubits, n_points)
+    return family[spin_sectors(num_qubits).index((round(2 * s) / 2,
+                                                  round(2 * m) / 2))]
 
-    alpha, gamma in [0, 2pi), beta in [0, pi], each with n_points midpoint
-    nodes; the sin(beta) measure never hits its vanishing endpoints. Node
-    (a, b, g) is row (a * n + b) * n + g of the (n**3, 4) gate table.
+
+def spin_sector_projectors(num_qubits: int, n_points: int
+                           ) -> list[ProjectorLCU]:
+    """Discretized rotation-group projectors onto every |s, m> eigenspace.
+
+    A midpoint mesh over the Euler angles: alpha, gamma in [0, 2pi) and
+    beta in [0, pi], each with n_points nodes, so the sin(beta) measure
+    never hits its vanishing endpoints. Node (a, b, g) is row
+    (a * n + b) * n + g of the (n**3, 4) gate table. Accuracy is certified
+    by the convergence tests, roughly 1% at n_points = 10 for q = 4.
     """
     if n_points < 2:
         raise ValueError("need at least two quadrature points per angle")
     d_alpha = 2 * math.pi / n_points
     d_beta = math.pi / n_points
-    alphas = (np.arange(n_points) + 0.5) * d_alpha
+    alphas = (np.arange(n_points) + 0.5) * d_alpha  # also the gammas
     betas = (np.arange(n_points) + 0.5) * d_beta
-    gammas = (np.arange(n_points) + 0.5) * d_alpha
     rz_a = np.array([rz(a) for a in alphas])
     ry_b = np.array([ry(b) for b in betas])
-    rz_g = np.array([rz(g) for g in gammas])
-    mats = rz_a[:, None, None] @ ry_b[None, :, None] @ rz_g[None, None, :]
+    mats = rz_a[:, None, None] @ ry_b[None, :, None] @ rz_a[None, None, :]
     gates = _readonly(decompose_2x2(mats).reshape(-1, 4))
-    return (alphas, betas, gammas), (d_alpha, d_beta, d_alpha), gates
+    family = []
+    for s, m in spin_sectors(num_qubits):
+        norm = (2 * s + 1) / (8 * math.pi ** 2) * d_alpha * d_beta * d_alpha
+        small_d = np.array([wigner_small_d(s, m, m, b) for b in betas])
+        weight = np.array([norm * math.sin(b) for b in betas])
+        phase = np.exp(-1j * m * alphas)
+        d_val = (small_d[None, :, None] * phase[:, None, None]
+                 * phase[None, None, :])
+        family.append(ProjectorLCU(
+            num_qubits, (weight[None, :, None] * np.conj(d_val)).ravel(),
+            gates, label=f"s={s:g},m={m:g}"))
+    return family
 
 
-def _spin_betas(angles, steps, s: float, m: float) -> np.ndarray:
-    alphas, betas, gammas = angles
-    d_alpha, d_beta, d_gamma = steps
-    norm = (2 * s + 1) / (8 * math.pi ** 2) * d_alpha * d_beta * d_gamma
-    small_d = np.array([wigner_small_d(s, m, m, b) for b in betas])
-    weight = np.array([norm * math.sin(b) for b in betas])
-    d_val = (small_d[None, :, None] * np.exp(-1j * m * alphas)[:, None, None]
-             * np.exp(-1j * m * gammas)[None, None, :])
-    return (weight[None, :, None] * np.conj(d_val)).ravel()
-
-
-def spin_projector(num_qubits: int, s: float, m: float,
-                   n_points: int) -> ProjectorLCU:
-    """Discretized rotation-group projector onto the |s, m> eigenspace.
-
-    n_points**3 quadrature terms; accuracy is certified by the convergence
-    tests, roughly 1% at n_points = 10 for q = 4.
-    """
-    _validate_spin_labels(num_qubits, s, m)
-    angles, steps, gates = _spin_mesh(n_points)
-    return ProjectorLCU(num_qubits, _spin_betas(angles, steps, s, m), gates,
-                        label=f"s={s:g},m={m:g}")
-
-
-def spin_sector_projectors(num_qubits: int, n_points: int
-                           ) -> list[ProjectorLCU]:
-    angles, steps, gates = _spin_mesh(n_points)
-    return [ProjectorLCU(num_qubits, _spin_betas(angles, steps, s, m), gates,
-                         label=f"s={s:g},m={m:g}")
-            for s, m in spin_sectors(num_qubits)]
-
-
-# Each projector's exact norm Tr[P rho_c] on the symbol-count classes c met
-# so far: sorted class keys and their values. Keyed by the projector, which
-# compares by identity, so a table lives exactly as long as its projector.
+# Each projector's exact norm Tr[P rho_c] on every symbol-count class c, in
+# the order of _all_classes. Keyed by the projector, which compares by
+# identity, so a table lives exactly as long as its projector.
 _CLASS_NORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_NO_CLASSES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=complex))
+
+
+@functools.lru_cache(maxsize=None)
+def _all_classes(num_qubits: int) -> np.ndarray:
+    """Sorted keys of all C(q+5, 5) symbol-count classes of q-qubit rows,
+    keyed as in :func:`_symbol_classes`: one per multiset of q symbols."""
+    multisets = np.array(list(itertools.combinations_with_replacement(
+        range(6), num_qubits)))
+    keys = np.sort(((num_qubits + 1) ** multisets).sum(axis=1))
+    keys.setflags(write=False)
+    return keys
 
 
 def _symbol_classes(rows: np.ndarray, counts: np.ndarray
@@ -373,40 +354,23 @@ def _norms_on_classes(gates: np.ndarray, betas: np.ndarray,
 
 def _class_norms(family: Sequence[ProjectorLCU], keys: np.ndarray,
                  weights: np.ndarray) -> list[complex]:
-    """Norm of each projector of a family sharing one gate table on a shadow
+    """Norm of each projector of a family with equal gate tables on a shadow
     with the sorted class ``keys`` and their ``weights``: sum_c w_c
     table[c], one dot product per projector.
 
-    Classes that some table lacks are computed for the whole family in one
-    pass, and each table gains the ones it lacked. Projectors filled in one
-    pass share one key array, which is searched once.
+    A projector's table covers every class of :func:`_all_classes`. The
+    tables that the family lacks are filled on first use, in one pass, so a
+    later shadow computes no class value.
     """
-    tables = [_CLASS_NORMS.get(proj, _NO_CLASSES) for proj in family]
-    known = {id(k): k for k, _ in tables}
-    lacking = {i: ~np.isin(keys, k, assume_unique=True)
-               for i, k in known.items()}
-    new = np.logical_or.reduce(list(lacking.values()))
-    if new.any():
-        fresh = keys[new]
-        values = _norms_on_classes(family[0].gates,
-                                   np.stack([p.betas for p in family]),
-                                   fresh, family[0].num_qubits)
-        merged = {}
-        for i, k in known.items():
-            add = lacking[i][new]
-            joined = np.concatenate([k, fresh[add]])
-            order = np.argsort(joined)
-            merged[i] = add, order, joined[order]
-        for n, (proj, (k, vals)) in enumerate(zip(family, tables)):
-            add, order, joined = merged[id(k)]
-            tables[n] = joined, np.concatenate([vals, values[n, add]])[order]
-            _CLASS_NORMS[proj] = tables[n]
-    where = {}
-    for k, _ in tables:
-        if id(k) not in where:
-            where[id(k)] = np.searchsorted(k, keys)
+    classes = _all_classes(family[0].num_qubits)
+    lacking = [proj for proj in family if proj not in _CLASS_NORMS]
+    if lacking:
+        _CLASS_NORMS.update(zip(lacking, _norms_on_classes(
+            lacking[0].gates, np.stack([p.betas for p in lacking]), classes,
+            family[0].num_qubits)))
+    where = np.searchsorted(classes, keys)
     weights = weights.astype(complex)
-    return [vals[where[id(k)]] @ weights for k, vals in tables]
+    return [_CLASS_NORMS[proj][where] @ weights for proj in family]
 
 
 def _term_products(symbols: tuple[np.ndarray, np.ndarray],
@@ -495,10 +459,11 @@ def projected_estimate_sectors(shadow: ClassicalShadow,
                                ) -> list[tuple[float, float]]:
     """Projected estimates for many sectors of one symmetry at once.
 
-    Projectors sharing their ``gates`` object (sector families) reuse the
-    per-term snapshot products, so the whole decomposition costs one pass
-    over the distinct snapshots, and fill their class-norm tables in one
-    pass. Results match :func:`projected_estimate`.
+    Projectors whose gate tables are equal, compared by content, form a
+    sector family: they reuse the per-term snapshot products, so the whole
+    decomposition costs one pass over the distinct snapshots, and fill
+    their class-norm tables in one pass. Results match
+    :func:`projected_estimate`.
     """
     if obs.num_qubits != shadow.num_qubits \
             or any(p.num_qubits != shadow.num_qubits for p in projectors):
@@ -525,10 +490,16 @@ def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
     keys, weights = _symbol_classes(rows, counts)
     live = obs.codes.any(axis=1)  # the strings other than all-I
     live_codes = obs.codes[live]
-    by_gates: dict[int, list[int]] = {}
+    families: list[list[int]] = []  # projectors with equal gate tables
     for i, proj in enumerate(projectors):
-        by_gates.setdefault(id(proj.gates), []).append(i)
-    for indices in by_gates.values():
+        for indices in families:
+            gates = projectors[indices[0]].gates
+            if gates is proj.gates or np.array_equal(gates, proj.gates):
+                indices.append(i)
+                break
+        else:
+            families.append([i])
+    for indices in families:
         family = [projectors[i] for i in indices]
         norms = _class_norms(family, keys, weights)
         products = iter(_term_products(symbols, live_codes, family[0].gates)
@@ -544,11 +515,10 @@ def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
 
 
 def reconstruct_projected_density(shadow: ClassicalShadow,
-                                  proj: ProjectorLCU,
-                                  max_qubits: int = 4) -> np.ndarray:
+                                  proj: ProjectorLCU) -> np.ndarray:
     """Mean of P rho_hat P over the shadow (equals P rho_hat_mean P)."""
     p = proj.to_matrix()
-    rho = reconstruct_density(shadow, max_qubits=max_qubits)
+    rho = reconstruct_density(shadow)
     return p @ rho @ p
 
 

@@ -29,6 +29,8 @@ from .statevector import BASIS_ROTATIONS, I2, Statevector
 BASIS_LETTERS = ("X", "Y", "Z")
 BASIS_CODE = {"X": 0, "Y": 1, "Z": 2}
 _ACQUIRE_TAG = 0x5d0b
+# Largest register reconstruct_density builds a dense 2^q x 2^q matrix for.
+MAX_DENSE_QUBITS = 4
 
 # _SYMBOL_DENSITY[2 * code + bit] = 3 r - I, where r = U^dag |bit><bit| U is
 # the retro-rotated outcome density of the basis with that code.
@@ -444,8 +446,7 @@ def snapshot_density(snapshot: Snapshot) -> np.ndarray:
     return m
 
 
-def reconstruct_density(shadow: ClassicalShadow,
-                        max_qubits: int = 4) -> np.ndarray:
+def reconstruct_density(shadow: ClassicalShadow) -> np.ndarray:
     """Mean of snapshot densities; Hermitian with unit trace by construction.
 
     The output is generally not positive semidefinite at finite M. Dense
@@ -453,9 +454,9 @@ def reconstruct_density(shadow: ClassicalShadow,
     contracted from qubit q-1 down: once the factors of qubits j.. are in,
     rows that agree on qubits 0..j-1 are summed.
     """
-    if shadow.num_qubits > max_qubits:
+    if shadow.num_qubits > MAX_DENSE_QUBITS:
         raise ValueError(
-            f"dense reconstruction limited to q <= {max_qubits}")
+            f"dense reconstruction limited to q <= {MAX_DENSE_QUBITS}")
     rows, counts = _distinct_snapshots(shadow)
     keys = _digit_keys(rows, 6)  # sorted; qubit 0 the leading digit
     sums = counts.astype(complex)[:, None, None]

@@ -155,6 +155,21 @@ def test_experiment_command_and_config_error(workdir, capsys):
                  str(out)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("q", 2.5), ("seed", 1.5),
+                                        ("repeats", True),
+                                        ("methods", "random")])
+def test_experiment_config_of_the_wrong_type_exits_2(workdir, capsys, key,
+                                                     value):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "fig3", "shots": [100],
+                               "repeats": 1, "seed": 1, key: value}))
+    out = workdir / "results.csv"
+    assert main(["experiment", "--config", str(cfg), "--out",
+                 str(out)]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_error_exit_code_on_bad_input(workdir, capsys):
     assert main(["estimate", "--shadow", "/does/not/exist",
                  "--observable", str(workdir / "ham.json")]) == 1

@@ -208,3 +208,21 @@ def test_csv_bytes_are_pinned(tmp_path, fig):
     write_results(run_experiment(cfg), tmp_path / f"{fig}.csv")
     data = (tmp_path / f"{fig}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("q", 2.5, "q must be an integer"),
+    ("q", True, "q must be an integer"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("seed", "1", "seed must be an integer"),
+    ("repeats", True, "repeats must be an integer"),
+    ("repeats", 2.0, "repeats must be an integer"),
+    ("shots", [100, 200.5], "shots must be a list of integers"),
+    ("shots", [True, 2], "shots must be a list of integers"),
+    ("shots", 100, "shots must be a list of integers"),
+    ("methods", "random", "methods must be a list of strings"),
+    ("methods", ["random", 1], "methods must be a list of strings"),
+])
+def test_config_rejects_wrong_types(key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict({"experiment": "fig3", key: value})

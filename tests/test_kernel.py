@@ -20,17 +20,34 @@ from hypothesis import strategies as st
 from shadowproj.experiments import prepare_spin_rotated_gaussian
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.paulis import (LETTERS, PAULI_MATRICES, PauliString,
-                               WeightedPauliSum)
+                               WeightedPauliSum, letter_product)
 from shadowproj import projectors
-from shadowproj.projectors import (_CLASS_NORMS, _LETTER_KERNEL, _PERM,
-                                   EmptySectorWarning, _norms_on_classes,
-                                   _symbol_classes,
+from shadowproj.projectors import (_CLASS_NORMS, _LETTER_KERNEL,
+                                   EmptySectorWarning, _all_classes,
+                                   _norms_on_classes, _symbol_classes,
                                    _term_products, all_sector_projectors,
                                    projected_estimate_sectors)
 from shadowproj.shadows import (BASIS_LETTERS, ClassicalShadow,
                                 _distinct_snapshots, acquire_shadow)
 from shadowproj.statevector import (BASIS_ROTATIONS, Statevector,
                                     prepare_basis_state, prepare_gaussian)
+
+
+def build_perm_tables():
+    """Left-multiplication tables from ``letter_product``: PERM[L][res, m]
+    is the phase of L * P_m when the product letter is res, so the
+    coefficients of L times a gate c are PERM[L] @ c."""
+    tables = {}
+    for left in LETTERS:
+        mat = np.zeros((4, 4), dtype=complex)
+        for m, right in enumerate(LETTERS):
+            phase, res = letter_product(left, right)
+            mat[LETTERS.index(res), m] = phase
+        tables[left] = mat
+    return tables
+
+
+PERM = build_perm_tables()
 
 
 def reference_term_products(codes, outcomes, letters, gates, chunk=4096):
@@ -42,7 +59,7 @@ def reference_term_products(codes, outcomes, letters, gates, chunk=4096):
     coeffs = np.empty((n_terms, q, 4), dtype=complex)
     for k, row in enumerate(gates):
         for j in range(q):
-            coeffs[k, j] = _PERM[letters[j]] @ row
+            coeffs[k, j] = PERM[letters[j]] @ row
     sign3 = 3.0 * (1.0 - 2.0 * outcomes)
     out = np.zeros(n_terms, dtype=complex)
     for start in range(0, n_snap, chunk):
@@ -163,15 +180,15 @@ def test_distinct_rows_cross_the_chunk(letters):
 
 
 def test_letter_kernel_is_the_dense_trace():
-    """The kernel, built from the signed-count table with X, Y and Z scaled
-    by 3, equals bit for bit the float table it was built from before, and
-    Tr[L P_m (3 r_s - I)] to rounding."""
+    """The kernel, built from the product-power table and the signed-count
+    table with X, Y and Z scaled by 3, equals the float table built from
+    ``letter_product``, and Tr[L P_m (3 r_s - I)] to rounding."""
     table = np.zeros((4, 6))
     table[0] = 1.0
     for code in range(3):
         table[code + 1, 2 * code:2 * code + 2] = (3.0, -3.0)
     for left in LETTERS:
-        assert np.array_equal(_LETTER_KERNEL[left], _PERM[left].T @ table)
+        assert np.array_equal(_LETTER_KERNEL[left], PERM[left].T @ table)
         for m, right in enumerate(LETTERS):
             for s in range(6):
                 u = BASIS_ROTATIONS[BASIS_LETTERS[s // 2]]
@@ -406,36 +423,47 @@ def test_second_call_computes_no_class_twice(fills):
     first = acquire_shadow(prepare_spin_rotated_gaussian(q), 2000, seed=1)
     second = acquire_shadow(prepare_spin_rotated_gaussian(q), 2000, seed=2)
     assert sector_norms(first, family) == sector_norms(first, family)
+    # the first call fills every class for the whole family in one pass
     assert len(fills) == 1
-    keys, _ = _symbol_classes(*_distinct_snapshots(first))
-    assert np.array_equal(fills[0][0], keys)
-    sizes = [len(_CLASS_NORMS[p][0]) for p in family]
-    assert sizes == [len(keys)] * len(family)
+    assert np.array_equal(fills[0][0], _all_classes(q))
+    assert fills[0][1] == len(family)
+    assert all(len(_CLASS_NORMS[p]) == math.comb(q + 5, 5) for p in family)
     sector_norms(second, family)
-    seen = np.concatenate([k for k, _ in fills])
-    assert len(np.unique(seen)) == len(seen)
-    both = np.union1d(keys, _symbol_classes(*_distinct_snapshots(second))[0])
-    assert all(np.array_equal(_CLASS_NORMS[p][0], both) for p in family)
+    assert len(fills) == 1
 
 
 @pytest.mark.parametrize("spec", [{"type": "number"},
                                   {"type": "spin", "n_p": 10}])
-def test_new_classes_extend_the_tables(fills, spec):
+def test_later_shadows_fill_no_class(fills, spec):
     q = 4
     family = all_sector_projectors(q, spec)
     state = random_state(q, 11)
-    # a basis state meets few classes; the random state then adds more
+    # a basis state meets few classes; the random state then meets more
     narrow = acquire_shadow(prepare_basis_state(q, 0b0110), 400, seed=3)
     wide = acquire_shadow(state, 3000, seed=4)
+    narrow_keys = _symbol_classes(*_distinct_snapshots(narrow))[0]
+    wide_keys = _symbol_classes(*_distinct_snapshots(wide))[0]
+    assert len(np.setdiff1d(wide_keys, narrow_keys)) > 0
     obs = random_obs(q, 5, nterms=3)
     for shadow in (narrow, wide, narrow):
         got = sector_norms(shadow, family, obs)
         want = reference_sectors(shadow, obs, family)
         assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
-    narrow_keys = _symbol_classes(*_distinct_snapshots(narrow))[0]
-    wide_keys = _symbol_classes(*_distinct_snapshots(wide))[0]
-    assert len(fills) == 2
-    assert np.array_equal(fills[1][0], np.setdiff1d(wide_keys, narrow_keys))
+    assert len(fills) == 1
+    assert np.array_equal(fills[0][0], _all_classes(q))
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_all_classes_are_every_symbol_count(q):
+    keys = _all_classes(q)
+    assert len(keys) == math.comb(q + 5, 5)
+    assert np.all(np.diff(keys) > 0)
+    counts = keys[:, None] // (q + 1) ** np.arange(6) % (q + 1)
+    assert np.all(counts.sum(axis=1) == q)
+    rows = np.random.default_rng(q).integers(0, 6, size=(3000, q))
+    rows = np.concatenate([rows, np.repeat(np.arange(6)[:, None], q, axis=1)])
+    met, _ = _symbol_classes(rows, np.ones(len(rows)))
+    assert np.isin(met, keys).all()
 
 
 @pytest.mark.parametrize("q", range(2, 9))
@@ -464,20 +492,31 @@ def test_tables_die_with_their_projectors():
     assert len(_CLASS_NORMS) == before
 
 
-def test_a_family_fills_in_one_pass(fills):
+def test_a_family_fills_in_one_pass(fills, monkeypatch):
+    passes = []
+
+    def spy(symbols, codes, gates, **kwargs):
+        passes.append(len(gates))
+        return _term_products(symbols, codes, gates, **kwargs)
+
+    monkeypatch.setattr(projectors, "_term_products", spy)
     q = 4
     shadow = acquire_shadow(random_state(q, 2), 1000, seed=7)
+    obs = random_obs(q, 3, nterms=3)
     family = all_sector_projectors(q, {"type": "spin", "n_p": 4})
     assert all(p.gates is family[0].gates for p in family)
-    sector_norms(shadow, family)
+    shared = sector_norms(shadow, family, obs)
     assert [rows for _, rows in fills] == [len(family)]
-    # copied gate tables split the family: one pass per sector
-    split = [projectors.ProjectorLCU(q, p.betas, p.gates.copy(), p.label)
-             for p in family]
+    assert passes == [len(family[0].gates)]
+    # copied gate tables are one family too: equal content is what counts
+    copied = [projectors.ProjectorLCU(q, p.betas, p.gates.copy(), p.label)
+              for p in family]
+    assert len({id(p.gates) for p in copied}) == len(family)
     fills.clear()
-    assert np.allclose(sector_norms(shadow, split),
-                       sector_norms(shadow, family), rtol=0, atol=1e-12)
-    assert [rows for _, rows in fills] == [1] * len(family)
+    passes.clear()
+    assert sector_norms(shadow, copied, obs) == shared
+    assert [rows for _, rows in fills] == [len(family)]
+    assert passes == [len(family[0].gates)]
 
 
 def test_class_values_do_not_depend_on_the_fill_order():

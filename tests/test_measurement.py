@@ -315,9 +315,9 @@ def test_random_plan_qubit_count_must_be_a_positive_integer(q):
 
 
 def _two_groups():
-    obs = WeightedPauliSum.from_terms(2, [
+    obs = WeightedPauliSum(2, (
         (1.0, PauliString.from_label("XI")),
-        (2.0, PauliString.from_label("IZ"))])
+        (2.0, PauliString.from_label("IZ"))))
     return singleton_groups(obs), obs
 
 

@@ -496,3 +496,36 @@ def test_sector_family_shares_gates():
     assert all(p.gates is projs[0].gates for p in projs[1:])
     spins = spin_sector_projectors(2, 4)
     assert all(p.gates is spins[0].gates for p in spins[1:])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_single_sector_constructors_return_the_family_member(q):
+    pairs = ([(parity_projector(q, e), p)
+              for e, p in zip((1, -1), parity_sector_projectors(q))]
+             + [(number_projector(q, n), p)
+                for n, p in enumerate(number_sector_projectors(q))]
+             + [(spin_projector(q, s, m, 3), p)
+                for (s, m), p in zip(spin_sectors(q),
+                                     spin_sector_projectors(q, 3))])
+    for single, member in pairs:
+        assert single.label == member.label
+        assert np.array_equal(single.betas, member.betas)
+        assert np.array_equal(single.gates, member.gates)
+    assert spin_projector(2, 1, 0, 3).label == "s=1,m=0"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: parity_projector(3, 0), r"epsilon must be \+1 or -1"),
+    (lambda: parity_projector(3, 2), r"epsilon must be \+1 or -1"),
+    (lambda: number_projector(3, 4), r"n0=4 outside 0\.\.3"),
+    (lambda: number_projector(3, -1), r"n0=-1 outside 0\.\.3"),
+    (lambda: spin_projector(2, 0.5, 0.5, 8), "s=0.5 incompatible with q=2"),
+    (lambda: spin_projector(2, 1, 2, 8), "m=2 incompatible with s=1"),
+    (lambda: spin_projector(2, 1.3, 0, 8),
+     "s and m must be integers or half-integers"),
+    (lambda: spin_projector(2, 1, 0, 1),
+     "need at least two quadrature points per angle"),
+])
+def test_single_sector_constructors_reject_bad_labels(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from shadowproj.measurement import random_plan
 from shadowproj.paulis import PauliString, WeightedPauliSum
+from shadowproj.projectors import (parity_projector,
+                                   reconstruct_projected_density)
 from shadowproj.shadows import (ClassicalShadow, Snapshot,
                                 _distinct_snapshots, _sum_in_order,
                                 _term_counts, acquire_shadow, estimate,
@@ -254,8 +256,12 @@ def test_reconstruct_density_properties():
 def test_reconstruct_density_guard():
     state = random_state(5, 1)
     shadow = acquire_shadow(state, 2, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="limited to q <= 4"):
         reconstruct_density(shadow)
+    with pytest.raises(ValueError, match="limited to q <= 4"):
+        reconstruct_projected_density(shadow, parity_projector(5, 1))
+    assert reconstruct_density(acquire_shadow(random_state(4, 1), 2,
+                                              seed=1)).shape == (16, 16)
 
 
 def test_channel_inversion_exact_by_enumeration():
