@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the fig4 budget path, planning on every budget-q6 target set, the
 all-sector norms and estimates, the plain random estimate, the
-distinct-snapshot pass and shadow file I/O, and record them in a JSON file.
+distinct-snapshot pass, shadow file I/O and the dense oracle, and record
+them in a JSON file.
 
 For the pairing Hamiltonian times the half-filling number projector at
 q=6 (n0=3) and q=8 (n0=4), on the fig4 state, each layer is called k times
@@ -46,8 +47,16 @@ Plain random estimate: ``estimate`` of the pairing Hamiltonian on a
 random shadow of the Gaussian state, M=10^4, at q=4, 6 and 8, timed as
 above.
 
-    python scripts/bench.py --out BENCH_15.json --label change
-    python scripts/bench.py --out BENCH_15.json --label parent \
+Dense oracle, each case timed as above in a fresh process of its own,
+because a layer's time depends on what ran before it in a process:
+``exact_expectation`` of the pairing Hamiltonian times the half-filling
+number projector, expanded, on the Gaussian state at q=6, 8 and 10;
+``to_matrix`` of the pairing Hamiltonian at q=8 and 10; and ``to_matrix`` of
+every sector of a freshly built n_p=10 spin family (so no Pauli expansion is
+cached) at q=4 and 6.
+
+    python scripts/bench.py --out BENCH_16.json --label change
+    python scripts/bench.py --out BENCH_16.json --label parent \
         --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
@@ -56,6 +65,7 @@ Python and the numpy version; other keys of an existing file are kept.
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -82,6 +92,11 @@ PLAIN_SHOTS = 10_000
 # q, spin n_p, shots of the spin-sector estimate of H
 SPIN_HAMILTONIAN = (6, 10, 10_000)
 COPIED_SPIN_HAMILTONIAN = (4, 10, 10_000)
+# name: (oracle layer, q)
+ORACLE_CASES = {f"{layer}_q{q}": (layer, q) for layer, sizes in (
+    ("expectation", (6, 8, 10)), ("pairing_matrix", (8, 10)),
+    ("spin_matrices", (4, 6))) for q in sizes}
+ORACLE_SPIN_N_P = 10
 
 
 def machine() -> dict:
@@ -281,6 +296,42 @@ def bench_spin_hamiltonian(q: int, n_points: int, shots: int,
             "sectors": len(family), "lcu_terms": len(family[0].gates)}
 
 
+def bench_oracle_case(src: str, layer: str, q: int, runs: int) -> dict:
+    """One dense-oracle layer of ``ORACLE_CASES``, timed in this process."""
+    sys.path.insert(0, src)
+    from shadowproj import pairing, projectors, statevector
+
+    ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0, 1.0))
+    if layer == "expectation":
+        state = statevector.prepare_gaussian(q)
+        expanded = projectors.expand_projected_observable(
+            ham, projectors.number_projector(q, q // 2))
+        result, _ = timed(
+            lambda: statevector.exact_expectation(state, expanded), runs)
+        result["terms"] = len(expanded)
+    elif layer == "pairing_matrix":
+        result, _ = timed(ham.to_matrix, runs)
+        result["terms"] = len(ham)
+    else:
+        families = [projectors.spin_sector_projectors(q, ORACLE_SPIN_N_P)
+                    for _ in range(runs + 1)]
+        result, _ = timed(lambda: [p.to_matrix() for p in families.pop()],
+                          runs)
+        result["sectors"] = len(projectors.spin_sectors(q))
+    return result
+
+
+def bench_oracle(src: str, runs: int) -> dict:
+    """Every ``ORACLE_CASES`` layer, each in a fresh process."""
+    context = multiprocessing.get_context("spawn")
+    result = {}
+    for name, (layer, q) in ORACLE_CASES.items():
+        with context.Pool(1) as pool:
+            result[name] = pool.apply(bench_oracle_case,
+                                      (src, layer, q, runs))
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True,
@@ -312,7 +363,8 @@ def main(argv=None) -> int:
                                for q in (4, 6, 8)},
               "spin_hamiltonian": bench_spin_hamiltonian(*SPIN_HAMILTONIAN),
               "copied_spin_hamiltonian": bench_spin_hamiltonian(
-                  *COPIED_SPIN_HAMILTONIAN, copied=True)}
+                  *COPIED_SPIN_HAMILTONIAN, copied=True),
+              "oracle": bench_oracle(args.src, args.runs)}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("layers", {})[args.label] = record
@@ -321,7 +373,7 @@ def main(argv=None) -> int:
                       ("cases", "planning_q6", "sector_norms",
                        "distinct_snapshots", "shadow_io", "number_sectors",
                        "plain_random", "spin_hamiltonian",
-                       "copied_spin_hamiltonian")},
+                       "copied_spin_hamiltonian", "oracle")},
                      indent=1))
     return 0
 

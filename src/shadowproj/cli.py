@@ -45,6 +45,11 @@ def _emit(payload) -> None:
 
 
 def _cmd_state(args) -> int:
+    if not 1 <= args.q <= sv.MAX_QUBITS:
+        raise ValueError(f"--q must lie in 1..{sv.MAX_QUBITS}, got {args.q}")
+    if args.thetas is not None and len(args.thetas) != args.q:
+        raise ValueError(f"--thetas needs {args.q} angles, one per qubit, "
+                         f"got {len(args.thetas)}")
     if args.kind == "gaussian":
         state = sv.prepare_gaussian(args.q, args.mu, args.sigma,
                                     squared=args.squared)

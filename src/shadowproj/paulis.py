@@ -14,6 +14,11 @@ by array operations. Terms are merged and ordered by an integer key that
 reads a string's codes as a base-4 number with qubit 0 as the leading
 digit, two bits per qubit; the key order is the order of the sorted letter
 tuples.
+
+Dense matrices and the statevector oracle use one bit-mask form. As Y = iXZ,
+a string is i^n_Y X^m Z^z for its X mask m (bit j set by X or Y on qubit j)
+and Z mask z (Z or Y), so O|x> = sum_m d_m[x] |x ^ m>, each d_m one
+Walsh-Hadamard transform: O(masks q 2^q) time, one (masks, 2^q) array.
 """
 
 from __future__ import annotations
@@ -134,10 +139,7 @@ class PauliString:
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix; row/column index k encodes bits b_{q-1}..b_0."""
-        m = np.array([[self.phase]], dtype=complex)
-        for letter in reversed(self.letters):
-            m = np.kron(m, PAULI_MATRICES[letter])
-        return m
+        return WeightedPauliSum(self.num_qubits, ((1, self),)).to_matrix()
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
@@ -377,11 +379,12 @@ class WeightedPauliSum:
         return int((self.codes > 0).sum(axis=1).max(initial=0))
 
     def to_matrix(self) -> np.ndarray:
-        dim = 2 ** self.num_qubits
-        m = np.zeros((dim, dim), dtype=complex)
-        for coeff, string in self.terms:
-            m += coeff * string.to_matrix()
-        return m
+        """Dense matrix: d_m[x] of :func:`_mask_form` in row x ^ m."""
+        masks, diagonals = _mask_form(self)
+        cols = np.arange(2 ** self.num_qubits)
+        out = np.zeros((cols.size, cols.size), dtype=complex)
+        out[cols ^ masks[:, None], cols] = diagonals
+        return out
 
     def to_json(self) -> str:
         return json.dumps([
@@ -425,6 +428,23 @@ def _json_term(entry) -> tuple[complex, PauliString]:
         raise ValueError(f"string must be a Pauli label, got "
                          f"{entry['string']!r}")
     return complex(*parts), PauliString.from_label(entry["string"])
+
+
+def _mask_form(obs: WeightedPauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct X masks m of a sum and the (masks, 2**q) array of
+    d_m[x] = sum_a gamma_a i^n_Y (-1)^popcount(z_a & x) over mask m."""
+    q, codes = obs.num_qubits, obs.codes
+    bits = 1 << np.arange(q, dtype=np.int64)
+    masks, rows = np.unique(np.isin(codes, (1, 2)) @ bits, return_inverse=True)
+    out = np.zeros((len(masks), 2 ** q), dtype=complex)
+    out[rows, (codes >= 2) @ bits] = (
+        obs.coeffs * _I_POWERS[(codes == 2).sum(axis=1) & 3])
+    for j in range(q):  # in place, with one half-size temporary
+        pairs = out.reshape(len(masks), 2 ** (q - 1 - j), 2, 2 ** j)
+        diff = pairs[:, :, 0] - pairs[:, :, 1]
+        pairs[:, :, 0] += pairs[:, :, 1]
+        pairs[:, :, 1] = diff
+    return masks, out
 
 
 def multiply_sums(a: WeightedPauliSum, b: WeightedPauliSum) -> WeightedPauliSum:

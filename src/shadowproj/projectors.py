@@ -39,8 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .paulis import (_I_POWERS, _PRODUCT_POWER, LETTERS, MERGE_TOLERANCE,
-                     PAULI_MATRICES, PauliString, WeightedPauliSum,
-                     decompose_2x2, multiply_sums)
+                     PauliString, WeightedPauliSum, decompose_2x2,
+                     multiply_sums)
 from .shadows import _LETTER_FACTOR, ClassicalShadow, _distinct_snapshots
 from .shadows import estimate as shadow_estimate
 from .shadows import reconstruct_density
@@ -55,8 +55,6 @@ _TRACE_FACTOR = _LETTER_FACTOR * [[1], [3], [3], [3]]
 _LETTER_KERNEL = {left: _I_POWERS[_PRODUCT_POWER[a], None]
                   * _TRACE_FACTOR[a ^ np.arange(4)]
                   for a, left in enumerate(LETTERS)}
-
-_PAULI_STACK = np.stack([PAULI_MATRICES[letter] for letter in LETTERS])
 
 
 class EmptySectorWarning(UserWarning):
@@ -99,28 +97,8 @@ class ProjectorLCU:
         object.__setattr__(self, "gates", gates)
 
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix sum_k beta_k G_k^(x)q.
-
-        The Kronecker power is built for a chunk of terms at once. Each
-        chunk is contracted with its betas by einsum, which does not call
-        BLAS: a complex matrix-vector product on threaded BLAS took tens of
-        milliseconds at these shapes.
-        """
-        q, n_terms = self.num_qubits, len(self.betas)
-        dim = 2 ** q
-        mats = np.einsum("km,mab->kab", self.gates, _PAULI_STACK)
-        out = np.zeros((dim, dim), dtype=complex)
-        chunk = max(1, 2 ** 21 // dim ** 2)
-        for start in range(0, n_terms, chunk):
-            sl = slice(start, start + chunk)
-            block = mats[sl]
-            for _ in range(q - 1):
-                width = block.shape[1]
-                block = (block[:, :, None, :, None]
-                         * mats[sl, None, :, None, :]
-                         ).reshape(-1, width * 2, width * 2)
-            out += np.einsum("k,kab->ab", self.betas[sl], block)
-        return out
+        """Dense matrix sum_k beta_k G_k^(x)q, from its Pauli expansion."""
+        return self.to_pauli_sum().to_matrix()
 
     def to_pauli_sum(self) -> WeightedPauliSum:
         """Expansion into a merged weighted Pauli sum (cached).
@@ -133,16 +111,18 @@ class ProjectorLCU:
         cached = getattr(self, "_pauli_sum", None)
         if cached is not None:
             return cached
+        q = self.num_qubits
         used = np.flatnonzero((abs(self.gates) >= MERGE_TOLERANCE).any(axis=0))
-        strings = np.array(list(itertools.product(used,
-                                                  repeat=self.num_qubits)))
+        strings = np.array(list(itertools.product(used, repeat=q)))
         counts = (strings[:, :, None] == np.arange(4)).sum(axis=1)
         classes, which = np.unique(counts, axis=0, return_inverse=True)
-        powers = (self.gates[:, None, :] ** classes).prod(axis=2)
+        # c_km^n per count n; np.take's C-ordered copy keeps prod's rounding
+        table = self.gates[:, :, None] ** np.arange(q + 1)
+        powers = np.take(table.reshape(len(table), -1),
+                         classes + (q + 1) * np.arange(4), axis=1).prod(axis=2)
         values = np.einsum("k,kc->c", self.betas, powers)[which.ravel()]
         keep = np.abs(values) >= MERGE_TOLERANCE
-        result = WeightedPauliSum.from_arrays(self.num_qubits, strings[keep],
-                                              values[keep])
+        result = WeightedPauliSum.from_arrays(q, strings[keep], values[keep])
         object.__setattr__(self, "_pauli_sum", result)
         return result
 
@@ -548,15 +528,10 @@ def exact_number_projector(num_qubits: int, n0: int) -> np.ndarray:
 
 def total_spin_matrices(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """(S^2, S_z) dense matrices with S_a = (1/2) sum_j sigma_a^(j)."""
-    dim = 2 ** num_qubits
-    comps = []
-    for letter in ("X", "Y", "Z"):
-        total = np.zeros((dim, dim), dtype=complex)
-        for j in range(num_qubits):
-            total += PauliString.single(num_qubits, j, letter).to_matrix()
-        comps.append(total / 2)
-    s_sq = sum(c @ c for c in comps)
-    return s_sq, comps[2]
+    comps = [WeightedPauliSum(num_qubits, [
+        (0.5, PauliString.single(num_qubits, j, letter))
+        for j in range(num_qubits)]).to_matrix() for letter in "XYZ"]
+    return sum(c @ c for c in comps), comps[2]
 
 
 def exact_spin_projector(num_qubits: int, s: float, m: float) -> np.ndarray:

@@ -4,6 +4,10 @@ Ground truth for everything else: state preparation, gate application,
 exact (projected) expectation values and exact Born-rule sampling in
 rotated measurement bases. Amplitude index k encodes the bitstring
 b_{q-1}..b_0 with qubit 0 as the least significant bit.
+
+Each exact expectation is one overlap sum_m sum_x conj(bra[x ^ m]) d_m[x]
+ket[x] in the bit-mask form of :mod:`paulis`, whose (masks, 2^q) array is
+never larger than the dense 2^q x 2^q projector the projected oracles take.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .paulis import PAULI_MATRICES, PauliString, WeightedPauliSum
+from .paulis import PAULI_MATRICES, WeightedPauliSum, _mask_form
 
 MAX_QUBITS = 12
 NORM_TOLERANCE = 1e-10
@@ -197,24 +201,31 @@ def apply_gate(state: Statevector, matrix: np.ndarray,
     return Statevector(psi.reshape(-1))
 
 
-def _apply_pauli(amps: np.ndarray, string: PauliString) -> np.ndarray:
-    q = string.num_qubits
-    psi = amps.reshape((2,) * q)
-    for j in string.support():
-        axis = q - 1 - j
-        psi = np.moveaxis(psi, axis, 0)
-        psi = np.tensordot(PAULI_MATRICES[string.letters[j]], psi, axes=(1, 0))
-        psi = np.moveaxis(psi, 0, axis)
-    return string.phase * psi.reshape(-1)
+def _overlap(bra: np.ndarray, ket: np.ndarray,
+             obs: WeightedPauliSum) -> complex:
+    """<bra|O|ket> = sum_m sum_x conj(bra[x ^ m]) d_m[x] ket[x]."""
+    if obs.num_qubits != ket.size.bit_length() - 1:
+        raise ValueError(f"observable acts on {obs.num_qubits} qubits, the "
+                         f"state on {ket.size.bit_length() - 1}")
+    masks, diagonals = _mask_form(obs)
+    diagonals *= ket
+    x = np.arange(ket.size)
+    return complex(np.vdot(bra[x ^ masks[:, None]], diagonals))
+
+
+def _projected(state: Statevector, proj) -> tuple:
+    """(P, P|psi>, <psi|P|psi>) for a dense P of the state's dimension."""
+    proj = np.asarray(proj, dtype=complex)
+    if proj.shape != (state.amplitudes.size,) * 2:
+        raise ValueError(f"projector shape {proj.shape} does not match the "
+                         f"{state.num_qubits}-qubit state")
+    phi = proj @ state.amplitudes
+    return proj, phi, float(np.vdot(state.amplitudes, phi).real)
 
 
 def exact_expectation(state: Statevector, obs: WeightedPauliSum) -> float:
     """sum_a gamma_a <psi|O_a|psi>; raises if the result is not real."""
-    if obs.num_qubits != state.num_qubits:
-        raise ValueError("observable and state qubit counts differ")
-    total = 0j
-    for coeff, string in obs.terms:
-        total += coeff * np.vdot(state.amplitudes, _apply_pauli(state.amplitudes, string))
+    total = _overlap(state.amplitudes, state.amplitudes, obs)
     if abs(total.imag) > 1e-10:
         raise ValueError(f"non-Hermitian expectation: imag = {total.imag}")
     return float(total.real)
@@ -225,21 +236,14 @@ def exact_projected_expectation(state: Statevector, obs: WeightedPauliSum,
                                 idem_tol: float = 1e-10
                                 ) -> tuple[float, float]:
     """(<psi|P O P|psi>, <psi|P|psi>) for an idempotent Hermitian P."""
-    proj = np.asarray(proj, dtype=complex)
-    dim = 2 ** state.num_qubits
-    if proj.shape != (dim, dim):
-        raise ValueError("projector dimension does not match the state")
+    proj, phi, norm = _projected(state, proj)
     if np.max(np.abs(proj @ proj - proj)) > idem_tol:
         raise ValueError("projector is not idempotent within tolerance")
     if np.max(np.abs(proj - proj.conj().T)) > idem_tol:
         raise ValueError("projector is not Hermitian within tolerance")
-    phi = proj @ state.amplitudes
-    norm = float(np.vdot(state.amplitudes, phi).real)
     if norm < 1e-12:
         raise EmptySectorError(f"projected norm {norm} below 1e-12")
-    total = 0j
-    for coeff, string in obs.terms:
-        total += coeff * np.vdot(phi, _apply_pauli(phi, string))
+    total = _overlap(phi, phi, obs)
     if abs(total.imag) > 1e-10:
         raise ValueError(f"non-Hermitian projected expectation: {total.imag}")
     return float(total.real), norm
@@ -254,13 +258,8 @@ def exact_projected_linear(state: Statevector, obs: WeightedPauliSum,
     :func:`exact_projected_expectation`; for a discretized projector it is
     the honest linear functional of that matrix.
     """
-    proj = np.asarray(proj, dtype=complex)
-    phi = proj @ state.amplitudes
-    norm = np.vdot(state.amplitudes, phi).real
-    total = 0j
-    for coeff, string in obs.terms:
-        total += coeff * np.vdot(state.amplitudes, _apply_pauli(phi, string))
-    return float(total.real), float(norm)
+    _, phi, norm = _projected(state, proj)
+    return float(_overlap(state.amplitudes, phi, obs).real), norm
 
 
 def rotate_to_bases(state: Statevector, bases: Sequence[str]) -> Statevector:

@@ -331,3 +331,29 @@ def test_acquire_rejects_a_malformed_state_file(tmp_path, capsys, text,
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert not shadow.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["product", "--q", "3", "--thetas", "0.1", "0.2"],
+     "--thetas needs 3 angles, one per qubit, got 2"),
+    (["product", "--q", "2", "--thetas"],
+     "--thetas needs 2 angles, one per qubit, got 0"),
+    (["gaussian", "--q", "0"], "--q must lie in 1..12, got 0"),
+    (["plus", "--q", "-1"], "--q must lie in 1..12, got -1"),
+    (["parity-mixture", "--q", "13"], "--q must lie in 1..12, got 13"),
+])
+def test_state_rejects_a_register_size_it_cannot_honour(tmp_path, capsys,
+                                                        argv, message):
+    out = tmp_path / "state.json"
+    assert main(["state"] + argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_state_product_takes_one_angle_per_qubit(tmp_path, capsys):
+    out = tmp_path / "state.json"
+    assert main(["state", "product", "--q", "3", "--thetas", "0.1", "0.2",
+                 "0.3", "--out", str(out)]) == 0
+    assert Statevector.from_json(out.read_text()).num_qubits == 3

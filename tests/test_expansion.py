@@ -6,6 +6,10 @@ skipping coefficients below 1e-14. ``ProjectorLCU.to_pauli_sum`` computes
 one coefficient per letter-count class instead; the two must give the same
 strings with coefficients within 1e-14.
 
+``reference_lcu_matrix`` is the dense matrix as it was built before it
+went through the expansion: chunked Kronecker powers of the gates. At
+q <= 4 ``ProjectorLCU.to_matrix`` must agree with it within 1e-12.
+
 ``reference_multiply_sums`` is ``multiply_sums`` as it ran on PauliString
 objects, one product per pair of terms merged in a dict. The array products
 must equal it exactly, coefficient for coefficient.
@@ -20,8 +24,8 @@ from hypothesis import strategies as st
 
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.paulis import (_PRODUCT_POWER, GAUSSIAN_UNITS, LETTERS,
-                               PauliString, WeightedPauliSum, letter_product,
-                               multiply, multiply_sums)
+                               PAULI_MATRICES, PauliString, WeightedPauliSum,
+                               letter_product, multiply, multiply_sums)
 from shadowproj.projectors import (ProjectorLCU, expand_projected_observable,
                                    number_projector, number_sector_projectors,
                                    parity_sector_projectors, spin_projector,
@@ -48,11 +52,36 @@ def reference_pauli_sum(proj):
         (c, PauliString(l)) for l, c in accum.items()))
 
 
+def reference_lcu_matrix(proj):
+    """``ProjectorLCU.to_matrix`` as it ran before it went through the
+    Pauli expansion: the Kronecker power of each gate, built for a chunk of
+    terms at once and contracted with their betas."""
+    q, n_terms = proj.num_qubits, len(proj.betas)
+    dim = 2 ** q
+    stack = np.stack([PAULI_MATRICES[letter] for letter in LETTERS])
+    mats = np.einsum("km,mab->kab", proj.gates, stack)
+    out = np.zeros((dim, dim), dtype=complex)
+    chunk = max(1, 2 ** 21 // dim ** 2)
+    for start in range(0, n_terms, chunk):
+        sl = slice(start, start + chunk)
+        block = mats[sl]
+        for _ in range(q - 1):
+            width = block.shape[1]
+            block = (block[:, :, None, :, None]
+                     * mats[sl, None, :, None, :]
+                     ).reshape(-1, width * 2, width * 2)
+        out += np.einsum("k,kab->ab", proj.betas[sl], block)
+    return out
+
+
 def assert_expansions_agree(proj):
     got = {s.letters: c for c, s in proj.to_pauli_sum().terms}
     want = {s.letters: c for c, s in reference_pauli_sum(proj).terms}
     assert set(got) == set(want)
     assert max(abs(got[key] - want[key]) for key in want) <= 1e-14
+    if proj.num_qubits <= 4:
+        assert np.abs(proj.to_matrix()
+                      - reference_lcu_matrix(proj)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("q", range(1, 9))
@@ -74,7 +103,7 @@ def test_spin_families(q, n_p):
 def test_q6_spin_expansion_matches_the_dense_matrix():
     proj = spin_projector(6, 1, 0, 10)
     assert len(proj.gates) == 1000
-    dense = proj.to_matrix()
+    dense = reference_lcu_matrix(proj)
     assert np.abs(proj.to_pauli_sum().to_matrix() - dense).max() <= 1e-12
 
 

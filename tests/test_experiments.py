@@ -190,13 +190,13 @@ PINNED_CSV_SHA256 = {
     "fig3": ({"shots": [100, 1000], "repeats": 3},
              "78d1c1a7ee7a1eca76dd354d8b193c9e2903a7fb1eda6f13776b169b2c86d181"),
     "fig4": ({"shots": [300], "repeats": 3},
-             "278d5364145121007a2d092af419d1b91bcfc514b99f9630b8ee39b8970af621"),
+             "5163ebe555d33141b12738e434a518d1c861c242ece67b9b67b0fcdde4bd1729"),
     "fig5": ({"shots": [1000], "repeats": 3},
              "fc09e3b0a395a8cc80282f7b06c9c387b3d1aec2f0ee47d71200c190e7939d89"),
     "fig6": ({"shots": [100, 1000], "repeats": 3},
-             "ba7dc5037e33bf05d80993857dd70545a14823688defb40900716c695ae80741"),
+             "ba6ae7923161fd9a3fa638560c3cf9065a987769af27061e7b38361c887fd3a5"),
     "fig7": ({"shots": [1000], "repeats": 3},
-             "ae2374baaf755f299e28261933108ad20d5a8f910d172fed8f817169ebe10258"),
+             "695952be07e1487dd2b6eb035c74dd7eeeec3d3b405bf85e62378c0f2989d31d"),
 }
 
 

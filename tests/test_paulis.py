@@ -360,3 +360,68 @@ def test_magnitudes_equal_python_abs():
         for _ in range(200)))
     assert s.magnitudes().tolist() == [abs(c) for c, _ in s.terms]
     assert s.coefficient_bound() == sum(abs(c) for c, _ in s.terms)
+
+
+# --- dense matrices against the Kronecker-product reference ----------------
+
+def reference_string_matrix(string):
+    """``PauliString.to_matrix`` as it ran before the bit-mask form: a
+    Kronecker product of the letters, qubit q-1 first, times the phase."""
+    m = np.array([[string.phase]], dtype=complex)
+    for letter in reversed(string.letters):
+        m = np.kron(m, PAULI_MATRICES[letter])
+    return m
+
+
+def reference_sum_matrix(obs):
+    """``WeightedPauliSum.to_matrix`` as a sum of Kronecker products."""
+    dim = 2 ** obs.num_qubits
+    m = np.zeros((dim, dim), dtype=complex)
+    for coeff, string in obs.terms:
+        m += coeff * reference_string_matrix(string)
+    return m
+
+
+def dense_test_sums(q, gen):
+    """The empty sum, the identity, a Y-only sum, two single strings and
+    two random sums, all with complex coefficients."""
+    yield WeightedPauliSum(q)
+    yield WeightedPauliSum.identity(q, 0.5 - 2j)
+    yield WeightedPauliSum(q, [(complex(*gen.normal(size=2)),
+                                PauliString.single(q, j, "Y"))
+                               for j in range(q)]
+                           + [(1.5j, PauliString(("Y",) * q))])
+    for size in (1, 1, 5, 40):
+        yield WeightedPauliSum.from_arrays(
+            q, gen.integers(0, 4, size=(size, q)),
+            gen.normal(size=size) + 1j * gen.normal(size=size))
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_to_matrix_matches_the_kronecker_reference(q):
+    gen = np.random.default_rng(40 + q)
+    for obs in dense_test_sums(q, gen):
+        got, want = obs.to_matrix(), reference_sum_matrix(obs)
+        assert np.abs(got - want).max(initial=0) <= 1e-12
+        if len(obs) == 1:
+            assert got.tobytes() == want.tobytes()
+    for phase in GAUSSIAN_UNITS:
+        string = PauliString(tuple(gen.choice(list(LETTERS), q)), phase)
+        # equal values; the Kronecker product also leaves some -0.0 parts
+        assert np.array_equal(string.to_matrix(),
+                              reference_string_matrix(string))
+
+
+@pytest.mark.parametrize("q", range(2, 7))
+def test_total_spin_matrices_are_the_kronecker_sums(q):
+    from shadowproj.projectors import total_spin_matrices
+    dim = 2 ** q
+    comps = []
+    for letter in "XYZ":
+        total = np.zeros((dim, dim), dtype=complex)
+        for j in range(q):
+            total += reference_string_matrix(PauliString.single(q, j, letter))
+        comps.append(total / 2)
+    s_sq, s_z = total_spin_matrices(q)
+    assert s_z.tobytes() == comps[2].tobytes()
+    assert s_sq.tobytes() == sum(c @ c for c in comps).tobytes()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowproj import rng as _rng
-from shadowproj.paulis import PauliString, WeightedPauliSum
+from shadowproj.paulis import PAULI_MATRICES, PauliString, WeightedPauliSum
 from shadowproj.projectors import exact_number_projector, exact_parity_projector
 from shadowproj.statevector import (CNOT, H, EmptySectorError, Statevector,
                                     Z, apply_gate, exact_expectation,
@@ -16,6 +17,7 @@ from shadowproj.statevector import (CNOT, H, EmptySectorError, Statevector,
                                     prepare_parity_mixture,
                                     prepare_product_state, rotate_to_bases,
                                     sample_bitstrings)
+from shadowproj.statevector import _overlap
 
 # Exact particle-number probabilities of the default q=4 Gaussian profile
 # (first-power exponent, mu = 7.5, sigma = 2.5), frozen from the diagonal
@@ -219,6 +221,73 @@ def test_projected_pairing_energy_fixture():
     assert norm == pytest.approx(GAUSSIAN_Q4_SECTOR_PROBS[2], abs=1e-10)
     assert exact_projected_linear(state, ham, proj)[0] == pytest.approx(
         num, abs=1e-10)
+
+
+def reference_apply_pauli(amps, string):
+    """``string`` applied to ``amps`` as the oracle did it before the
+    bit-mask form: one tensordot per support qubit."""
+    q = string.num_qubits
+    psi = amps.reshape((2,) * q)
+    for j in string.support():
+        axis = q - 1 - j
+        psi = np.moveaxis(psi, axis, 0)
+        psi = np.tensordot(PAULI_MATRICES[string.letters[j]], psi,
+                           axes=(1, 0))
+        psi = np.moveaxis(psi, 0, axis)
+    return string.phase * psi.reshape(-1)
+
+
+def reference_overlap(bra, ket, obs):
+    return sum(coeff * np.vdot(bra, reference_apply_pauli(ket, string))
+               for coeff, string in obs.terms)
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_overlap_matches_the_per_string_reference(q):
+    gen = np.random.default_rng(60 + q)
+    sums = [WeightedPauliSum(q), WeightedPauliSum.identity(q, 0.5 - 2j),
+            WeightedPauliSum(q, [(complex(*gen.normal(size=2)),
+                                  PauliString.single(q, j, "Y"))
+                                 for j in range(q)])]
+    sums += [WeightedPauliSum.from_arrays(
+        q, gen.integers(0, 4, size=(size, q)),
+        gen.normal(size=size) + 1j * gen.normal(size=size))
+        for size in (1, 5, 40)]
+    bra, ket = random_state(q, 2 * q).amplitudes, random_state(q, 2 * q + 1)
+    proj = exact_number_projector(q, q // 2)
+    phi = proj @ ket.amplitudes
+    for obs in sums:
+        tol = 1e-12 * obs.coefficient_bound()
+        for left, right in ((bra, ket.amplitudes), (phi, phi),
+                            (ket.amplitudes, phi)):
+            assert abs(_overlap(left, right, obs)
+                       - reference_overlap(left, right, obs)) <= tol
+        assert abs(exact_projected_linear(ket, obs, proj)[0]
+                   - reference_overlap(ket.amplitudes, phi, obs).real) <= tol
+        hermitian = WeightedPauliSum.from_arrays(q, obs.codes,
+                                                 obs.coeffs.real)
+        assert abs(exact_expectation(ket, hermitian)
+                   - reference_overlap(ket.amplitudes, ket.amplitudes,
+                                       hermitian).real) <= tol
+
+
+@pytest.mark.parametrize("oracle", [
+    exact_expectation,
+    lambda state, obs: exact_projected_expectation(state, obs, np.eye(8)),
+    lambda state, obs: exact_projected_linear(state, obs, np.eye(8)),
+])
+def test_oracles_reject_an_observable_of_another_qubit_count(oracle):
+    with pytest.raises(ValueError,
+                       match="observable acts on 2 qubits, the state on 3"):
+        oracle(random_state(3), WeightedPauliSum.identity(2))
+
+
+@pytest.mark.parametrize("oracle", [exact_projected_expectation,
+                                    exact_projected_linear])
+def test_oracles_reject_a_projector_of_the_wrong_shape(oracle):
+    message = "projector shape (4, 4) does not match the 3-qubit state"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle(random_state(3), WeightedPauliSum.identity(3), np.eye(4))
 
 
 def test_sample_born_frequencies():
