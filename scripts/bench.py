@@ -47,6 +47,21 @@ Plain random estimate: ``estimate`` of the pairing Hamiltonian on a
 random shadow of the Gaussian state, M=10^4, at q=4, 6 and 8, timed as
 above.
 
+Projected estimates, each case in a fresh process of its own, because a
+layer's time depends on what ran before it in a process:
+``projected_estimate_sectors`` of the pairing Hamiltonian or the identity
+over every sector of a family. ``first_ms`` is the median of k calls, each
+on a freshly built family (the pattern of the ``number-roundtrip``
+workload, which builds its family on every op), and ``later_ms`` the median
+of k calls on new shadows with one family that has seen one shadow before;
+a case times what it names. The cases: the pairing H over the number
+family on the Gaussian state at q=4, 6 and 8 with M=10^4, and at q=8 with
+M=10^5; over the parity family on the fig4 state at q=4 with M=3000 (fig4
+``random``); over the n_p=10 spin family on the fig7 state at q=4 with
+M=10^4; the identity over the spin family on the fig7 state at q=4 and 6
+(n_p=10, M=10^4) and q=8 (n_p=4, M=2000), and on the Gaussian state at
+q=10 (n_p=4 and 10) and q=12 (n_p=4) with M=2000.
+
 Dense oracle, each case timed as above in a fresh process of its own,
 because a layer's time depends on what ran before it in a process:
 ``exact_expectation`` of the pairing Hamiltonian times the half-filling
@@ -55,8 +70,8 @@ number projector, expanded, on the Gaussian state at q=6, 8 and 10;
 every sector of a freshly built n_p=10 spin family (so no Pauli expansion is
 cached) at q=4 and 6.
 
-    python scripts/bench.py --out BENCH_16.json --label change
-    python scripts/bench.py --out BENCH_16.json --label parent \
+    python scripts/bench.py --out BENCH_17.json --label change
+    python scripts/bench.py --out BENCH_17.json --label parent \
         --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
@@ -97,6 +112,28 @@ ORACLE_CASES = {f"{layer}_q{q}": (layer, q) for layer, sizes in (
     ("expectation", (6, 8, 10)), ("pairing_matrix", (8, 10)),
     ("spin_matrices", (4, 6))) for q in sizes}
 ORACLE_SPIN_N_P = 10
+# name: (observable, family spec, q, shots, state, timed calls)
+PROJECTED_CASES = {
+    "number_fresh_q4": ("pairing", {"type": "number"}, 4, 10_000,
+                        "gaussian", ("first",)),
+    **{f"number_q{q}": ("pairing", {"type": "number"}, q, 10_000,
+                        "gaussian", ("later",)) for q in (4, 6, 8)},
+    "number_q8_m100000": ("pairing", {"type": "number"}, 8, 100_000,
+                          "gaussian", ("later",)),
+    "parity_q4": ("pairing", {"type": "parity"}, 4, 3000, "fig4",
+                  ("later",)),
+    "spin_pairing_q4": ("pairing", {"type": "spin", "n_p": 10}, 4, 10_000,
+                        "spin", ("first", "later")),
+    "identity_q4": ("identity", {"type": "spin", "n_p": 10}, 4, 10_000,
+                    "spin", ("first", "later")),
+    "identity_q6": ("identity", {"type": "spin", "n_p": 10}, 6, 10_000,
+                    "spin", ("first", "later")),
+    "identity_q8": ("identity", {"type": "spin", "n_p": 4}, 8, 2000,
+                    "spin", ("first", "later")),
+    **{f"identity_q{q}_np{n_p}": ("identity", {"type": "spin", "n_p": n_p},
+                                  q, 2000, "gaussian", ("first",))
+       for q, n_p in ((10, 4), (10, 10), (12, 4))},
+}
 
 
 def machine() -> dict:
@@ -296,6 +333,56 @@ def bench_spin_hamiltonian(q: int, n_points: int, shots: int,
             "sectors": len(family), "lcu_terms": len(family[0].gates)}
 
 
+def bench_projected_case(src: str, name: str, runs: int) -> dict:
+    """One ``PROJECTED_CASES`` case, timed in this process."""
+    sys.path.insert(0, src)
+    import warnings
+
+    from shadowproj import experiments, pairing, projectors, shadows
+    from shadowproj import statevector
+    from shadowproj.paulis import WeightedPauliSum
+
+    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
+    observable, spec, q, shots, state, timed_calls = PROJECTED_CASES[name]
+    state = {"gaussian": statevector.prepare_gaussian,
+             "fig4": experiments.prepare_fig4_state,
+             "spin": experiments.prepare_spin_rotated_gaussian}[state](q)
+    obs = (WeightedPauliSum.identity(q) if observable == "identity" else
+           pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0,
+                                                                 1.0)))
+    fresh = [shadows.acquire_shadow(state, shots, seed)
+             for seed in range(2 * runs + 1)]
+
+    def call(shadow, family) -> float:
+        start = time.perf_counter()
+        projectors.projected_estimate_sectors(shadow, obs, family)
+        return time.perf_counter() - start
+
+    result = {"sectors": len(projectors.all_sector_projectors(q, spec))}
+    if "first" in timed_calls:
+        call(fresh[0], projectors.all_sector_projectors(q, spec))
+        result["first_ms"] = median_ms([
+            call(shadow, projectors.all_sector_projectors(q, spec))
+            for shadow in fresh[1:runs + 1]])
+    if "later" in timed_calls:
+        family = projectors.all_sector_projectors(q, spec)
+        call(fresh[0], family)
+        result["later_ms"] = median_ms([call(shadow, family)
+                                        for shadow in fresh[runs + 1:]])
+    return result
+
+
+def bench_projected(src: str, runs: int) -> dict:
+    """Every ``PROJECTED_CASES`` case, each in a fresh process."""
+    context = multiprocessing.get_context("spawn")
+    result = {}
+    for name in PROJECTED_CASES:
+        with context.Pool(1) as pool:
+            result[name] = pool.apply(bench_projected_case,
+                                      (src, name, runs))
+    return result
+
+
 def bench_oracle_case(src: str, layer: str, q: int, runs: int) -> dict:
     """One dense-oracle layer of ``ORACLE_CASES``, timed in this process."""
     sys.path.insert(0, src)
@@ -364,6 +451,7 @@ def main(argv=None) -> int:
               "spin_hamiltonian": bench_spin_hamiltonian(*SPIN_HAMILTONIAN),
               "copied_spin_hamiltonian": bench_spin_hamiltonian(
                   *COPIED_SPIN_HAMILTONIAN, copied=True),
+              "projected": bench_projected(args.src, args.runs),
               "oracle": bench_oracle(args.src, args.runs)}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
@@ -373,7 +461,8 @@ def main(argv=None) -> int:
                       ("cases", "planning_q6", "sector_norms",
                        "distinct_snapshots", "shadow_io", "number_sectors",
                        "plain_random", "spin_hamiltonian",
-                       "copied_spin_hamiltonian", "oracle")},
+                       "copied_spin_hamiltonian", "projected",
+                       "oracle")},
                      indent=1))
     return 0
 

@@ -26,9 +26,9 @@ from .measurement import (direct_counts_estimate, derandomize_plan,
                           group_qwc_rlf, plan_hit_counts, singleton_groups)
 from .pairing import PairingSpec, build_pairing_hamiltonian
 from .paulis import WeightedPauliSum
-from .projectors import (ProjectorLCU, all_sector_projectors,
-                         exact_number_projector, exact_parity_projector,
-                         exact_spin_projector, expand_projected_observable,
+from .projectors import (ProjectorLCU, _spin_eigenprojector,
+                         all_sector_projectors, exact_number_projector,
+                         exact_parity_projector, expand_projected_observable,
                          projected_estimate, projected_estimate_sectors,
                          projector_from_spec, spin_sectors,
                          total_spin_matrices)
@@ -299,9 +299,10 @@ def _run_sector_decomposition(cfg: ExperimentConfig,
         # CSV oracles target the discretized projector (what the shadow
         # estimates); record the exact eigenprojector amplitudes alongside
         # so the mesh-resolution gap is visible in the output
+        s_sq, _ = total_spin_matrices(cfg.q)
         artifacts["exact_sector_amplitudes"] = {
             f"s={s:g},m={m:g}": exact_projected_linear(
-                state, ident, exact_spin_projector(cfg.q, s, m))[1]
+                state, ident, _spin_eigenprojector(s_sq, s, m))[1]
             for s, m in spin_sectors(cfg.q)}
     return ExperimentResult(cfg, rows, artifacts)
 

@@ -7,18 +7,20 @@ Pauli coefficients (c_I, c_X, c_Y, c_Z) of the G_k and K beta weights.
 Estimation over a shadow then factorizes per qubit: the observable letter
 multiplies the gate's Pauli expansion, and every product letter feeds the
 {0, 1, +-3} trace kernel, the signed-count factors of plain estimation
-scaled by 3. A string's product over qubits runs once per distinct snapshot
-row, and strings that agree on their first qubits share the product over
-them. The all-I string, which gives the norm, has one value per class of
-rows with equal counts of the six (basis, bit) symbols, C(q+5, 5) classes,
-and that value depends on the projector alone: each projector keeps a table
-of it over every class, filled once on first use, and a shadow's norm is the
-sum of its class weights times the table entries. The Pauli expansion of a
-projector groups strings by their letter counts (n_I, n_X, n_Y, n_Z): every
-string of one class has the coefficient sum_k beta_k prod_m c_km^n_m. All
-sector information lives in the beta weights: the sectors of one symmetry
-have equal gate tables, and projectors whose gate tables are equal, compared
-by content, form a family that one pass over a shadow serves at once.
+scaled by 3. So a string's value on a snapshot row depends only on a class
+key: the row's counts of the six (basis, bit) symbols, one of C(q+5, 5)
+classes, and the multiset of (letter, symbol) pairs on the string's
+support; the all-I string, which gives the norm, keys a row by its class
+alone. One histogram sums the coefficient times the row weight per key,
+and each family of projectors keeps a table of exact values on keys, every
+class filled on first use and other keys as shadows meet them, so a
+sector's numerator and norm are dot products of its values with the
+histogram. The Pauli expansion of a projector groups strings by their
+letter counts (n_I, n_X, n_Y, n_Z): every string of one class has the
+coefficient sum_k beta_k prod_m c_km^n_m. All sector information lives in
+the beta weights: the sectors of one symmetry have equal gate tables, and
+projectors whose gate tables are equal, compared by content, form a family
+that one pass over a shadow serves at once.
 
 Conventions fixed here: the particle-number operator counts 1-bits
 (n_j = (I - Z_j)/2), phase gates are diag(1, e^{i phi}), and Euler rotations
@@ -41,7 +43,8 @@ import numpy as np
 from .paulis import (_I_POWERS, _PRODUCT_POWER, LETTERS, MERGE_TOLERANCE,
                      PauliString, WeightedPauliSum, decompose_2x2,
                      multiply_sums)
-from .shadows import _LETTER_FACTOR, ClassicalShadow, _distinct_snapshots
+from .shadows import (_LETTER_FACTOR, ClassicalShadow, _check_count,
+                      _distinct_snapshots)
 from .shadows import estimate as shadow_estimate
 from .shadows import reconstruct_density
 from .statevector import phase_gate, ry, rz
@@ -88,11 +91,17 @@ class ProjectorLCU:
     label: str = ""
 
     def __post_init__(self):
+        _check_count(self.num_qubits, "num_qubits")
         betas, gates = _readonly(self.betas), _readonly(self.gates)
         if gates.ndim != 2 or gates.shape[1] != 4 \
                 or betas.shape != gates.shape[:1]:
             raise ValueError("need (K,) betas and a (K, 4) gate table, got "
                              f"{betas.shape} and {gates.shape}")
+        if not len(betas):
+            raise ValueError("betas and gates need at least one term")
+        for name, values in (("betas", betas), ("gates", gates)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "gates", gates)
 
@@ -261,16 +270,25 @@ def spin_sector_projectors(num_qubits: int, n_points: int
     return family
 
 
-# Each projector's exact norm Tr[P rho_c] on every symbol-count class c, in
-# the order of _all_classes. Keyed by the projector, which compares by
-# identity, so a table lives exactly as long as its projector.
-_CLASS_NORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# Each projector's (table, row); a family shares a table: sorted keys of
+# :func:`_keys`, a row of exact values per projector, and the live codes.
+# Keyed by the projector, so a table lives as long as its projectors.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# _KERNEL[m, 6 L + s] = _LETTER_KERNEL[L][m, s]: the pair codes 6 L + s of
+# X, Y and Z run over 6..23, and _PAD pads a key's codes with the factor 1.
+_KERNEL = np.stack(list(_LETTER_KERNEL.values()), axis=1).reshape(4, 24)
+_PAD = 24
+# Largest key range summed densely, 2 MiB per bincount.
+_DENSE_KEYS = 1 << 18
+# Largest table, 8 MiB: the pairing H over a family at q <= 8 needs 2 MiB.
+_TABLE_BYTES = 1 << 23
 
 
 @functools.lru_cache(maxsize=None)
 def _all_classes(num_qubits: int) -> np.ndarray:
-    """Sorted keys of all C(q+5, 5) symbol-count classes of q-qubit rows,
-    keyed as in :func:`_symbol_classes`: one per multiset of q symbols."""
+    """Sorted keys sum_s n_s (q+1)^s of all C(q+5, 5) symbol-count classes
+    of q-qubit rows, n_s = #{j: row[j] = s}: one per multiset of q
+    symbols."""
     multisets = np.array(list(itertools.combinations_with_replacement(
         range(6), num_qubits)))
     keys = np.sort(((num_qubits + 1) ** multisets).sum(axis=1))
@@ -278,134 +296,224 @@ def _all_classes(num_qubits: int) -> np.ndarray:
     return keys
 
 
-def _symbol_classes(rows: np.ndarray, counts: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys of the symbol-count classes of distinct rows, and the
-    fraction of snapshots in each.
-
-    Rows with equal counts n_s = #{j: row[j] = s} of the six symbols form a
-    class, keyed by sum_s n_s (q+1)^s. With every letter I, term k's product
-    over a row is prod_s T[k, s]^n_s, the same for every row of its class:
-    at most C(q+5, 5) classes against up to 6^q distinct rows.
-    """
-    radix = rows.shape[1] + 1
-    keys, which = np.unique((radix ** np.arange(6))[rows].sum(axis=1),
-                            return_inverse=True)
-    return keys, np.bincount(which, counts) / counts.sum()
+def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted class indices (:func:`_all_classes`) of ``rows``, and each
+    row's position among them."""
+    powers = (rows.shape[1] + 1) ** np.arange(6)
+    keys = sum(powers.take(column) for column in rows.T)
+    keys, which = np.unique(keys, return_inverse=True)
+    return np.searchsorted(_all_classes(rows.shape[1]), keys), which
 
 
-def _norms_on_classes(gates: np.ndarray, betas: np.ndarray,
-                      keys: np.ndarray, num_qubits: int,
-                      chunk: int = 1 << 14) -> np.ndarray:
-    """(S, C) values sum_k betas[i, k] prod_s T[k, s]^n_s of the classes
-    ``keys``, T the all-I trace kernel of the gates.
+def _live_codes(gates: np.ndarray) -> np.ndarray:
+    """Pair codes 6 L + s of X, Y and Z whose kernel entry meets a Pauli
+    coefficient the gates use; the others are 0 on every term."""
+    return 6 + np.flatnonzero((_KERNEL[:, 6:] != 0)[gates.any(axis=0)].any(
+        axis=0))
 
-    The per-term products of a chunk of classes (at most ``chunk`` elements,
-    256 KiB, so the factors of a block stay in cache) are built from a table
-    per basis of T[k, 2b]^i T[k, 2b + 1]^j over the pairs (i, j) in use.
-    Every (projector, class) value is a dot product of its own, so it is the
-    same whichever classes and projectors are filled with it: a column of a
-    matrix product can change in its last bits with the other columns of
-    the call, and threaded BLAS took milliseconds per call at these shapes.
-    """
+
+@functools.lru_cache(maxsize=None)
+def _offsets(num_qubits: int, base: int) -> tuple[int, ...]:
+    """First key of each string weight w = 0..q+1, C sum_{v<w} base^v."""
+    size = math.comb(num_qubits + 5, 5)
+    return tuple(itertools.accumulate(
+        (size * base ** w for w in range(num_qubits + 1)), initial=0))
+
+
+def _keys(num_qubits: int, base: int, weight: int, cls, digits):
+    """Keys offset_w + cls base^w + digits of one string weight: int64
+    while every q-qubit key fits in 63 bits, else Python ints."""
+    offsets = _offsets(num_qubits, base)
+    keys = np.asarray(cls).astype(np.int64 if offsets[-1] < 1 << 63
+                                  else object)
+    for column in digits:
+        keys = keys * base + column.astype(keys.dtype)
+    return keys + offsets[weight]
+
+
+@functools.lru_cache(maxsize=None)
+def _class_counts(num_qubits: int) -> np.ndarray:
+    """(C, 6) symbol counts n_s of the classes of :func:`_all_classes`."""
     radix = num_qubits + 1
-    counts = keys[:, None] // radix ** np.arange(6) % radix
-    factor = np.einsum("km,ms->sk", gates, _LETTER_KERNEL["I"])
+    return _all_classes(num_qubits)[:, None] // radix ** np.arange(6) % radix
+
+
+def _key_terms(num_qubits: int, live: np.ndarray, keys: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 6) symbol counts off the support and the (N, w_max) pair
+    codes on it, padded with _PAD, of sorted :func:`_keys` keys."""
+    base, offsets = len(live), _offsets(num_qubits, len(live))
+    bounds = np.searchsorted(keys, np.array(offsets, dtype=keys.dtype))
+    present = np.flatnonzero(np.diff(bounds)).tolist()
+    codes = np.full((len(keys), max(present, default=0)), _PAD)
+    cls = np.empty(len(keys), dtype=np.intp)
+    for w in present:  # a multiset: any fixed order of digits will do
+        low, high = bounds[w:w + 2]
+        powers = np.array([base ** i for i in range(w + 1)], keys.dtype)
+        rest = keys[low:high] - offsets[w]
+        cls[low:high] = rest // powers[w]
+        codes[low:high, :w] = live[(rest[:, None] // powers[:w] % base)
+                                   .astype(np.intp)]
+    # the symbols on the support, a pad's counted as a seventh
+    symbols = np.where(codes < _PAD, codes % 6, 6) + 7 * np.arange(
+        len(keys))[:, None]
+    return _class_counts(num_qubits)[cls] - np.bincount(
+        symbols.ravel(), minlength=7 * len(keys)).reshape(-1, 7)[:, :6], codes
+
+
+def _sum_by_key(keys, values, dense):
+    """Sorted distinct ``keys`` and the (m, N) sums per key of the m
+    ``values`` (None for zeros): by bincount over keys lo..lo+size-1 when
+    ``dense`` is (lo, size), else by a sort."""
+    if dense is None:
+        met, index = np.unique(keys, return_inverse=True)
+        size, take = len(met), slice(None)
+    else:
+        index, size = keys - dense[0], dense[1]
+        take = np.flatnonzero(np.bincount(index, minlength=size) != 0)
+        met = take + dense[0]
+    sums = np.zeros((len(values), len(met)))
+    for row, column in zip(sums, values):
+        if column is not None:
+            row[:] = np.bincount(index, column, size)[take]
+    return met, sums
+
+
+def _histogram(rows, live, classes, which, counts, codes, scale,
+               chunk=1 << 16):
+    """Sorted keys met by the (string, row) pairs of ``codes`` over distinct
+    ``rows`` (with their :func:`_row_classes`), and the (m, N) sums per key
+    of scale[a] count_r / M, for an (S, m) real ``scale``.
+
+    Term k's product over a row is prod_s T[I, s]^(n_s - m_s) prod_i
+    T[L_i, s_i], n the row's class and m the counts of its symbols s_i on
+    the support, where the string has letters L_i. So a pair's key is the
+    string weight, the row's class and the sorted ranks among the ``live``
+    codes of the pair codes 6 L_i + s_i; a code that is not live is 0 on
+    every term and drops the pair. The C B^w keys of weight w, B live
+    codes, are summed densely when at most four times its pairs and
+    _DENSE_KEYS, else by a sort; ``chunk`` bounds the (strings x rows)
+    block.
+    """
+    q, base = rows.shape[1], len(live)
+    offsets = _offsets(q, base)
+    weights = np.count_nonzero(codes, axis=1)
+    if weights.any():  # digits[q (L - 1) + j, r]: letter L on qubit j of r
+        rank = np.full(_PAD, -1, dtype=np.int8)
+        rank[live] = np.arange(base)
+        digits = rank.reshape(4, 6)[1:].take(rows.T, axis=1).reshape(3 * q,
+                                                                     -1)
+        row_class = classes[which]
+    out = []
+    for weight in sorted(set(weights.tolist())):
+        group, factor = codes[weights == weight], scale[weights == weight]
+        if not weight:  # every all-I string keys a row by its class
+            out.append((_keys(q, base, 0, classes, []), np.outer(
+                factor.sum(axis=0), np.bincount(which, counts))))
+            continue
+        where = q * (group[group != 0].reshape(len(group), weight) - 1)
+        where += np.nonzero(group)[1].reshape(len(group), weight)
+        low, high = offsets[weight:weight + 2]
+        dense = ((low, high - low) if offsets[-1] < 1 << 63 and high - low
+                 <= min(4 * len(group) * len(counts), _DENSE_KEYS) else None)
+        step = max(1, max(chunk, dense[1] if dense else 0) // len(counts))
+        parts = []
+        for start in range(0, len(group), step):
+            cols = [digits.take(column, axis=0)
+                    for column in where[start:start + step].T]
+            for i in range(weight):  # odd-even transposition sort
+                for j in range(i % 2, weight - 1, 2):
+                    cols[j], cols[j + 1] = (np.minimum(cols[j], cols[j + 1]),
+                                            np.maximum(cols[j], cols[j + 1]))
+            kept = cols[0] >= 0
+            parts.append(_sum_by_key(
+                _keys(q, base, weight, row_class, cols)[kept],
+                [np.outer(column, counts)[kept] if column.any() else None
+                 for column in factor[start:start + step].T], dense))
+        out.append(parts[0] if len(parts) == 1 else _sum_by_key(
+            np.concatenate([met for met, _ in parts]),
+            np.concatenate([sums for _, sums in parts], axis=1), dense))
+    return (np.concatenate([met for met, _ in out]),
+            np.concatenate([sums for _, sums in out], axis=1) / counts.sum())
+
+
+def _key_values(gates, betas, counts, codes, chunk=1 << 14):
+    """(P, N) values sum_k betas[i, k] prod_s T[I, s]^counts[n, s]
+    prod_i T[codes[n, i]] of N keys (:func:`_key_terms`), T[6 L + s, k]
+    the factor of term k on a qubit with letter L and symbol s.
+
+    A chunk of keys (``chunk`` elements, 256 KiB, stays in cache) takes its
+    products from a table per basis of T[I, 2b]^i T[I, 2b + 1]^j over the
+    pairs (i, j) in use, then the pair factors. Each (projector, key) value is a dot product of its own,
+    so its bits do not depend on what else is filled: a column of a matrix
+    product can change with the other columns, and threaded BLAS took
+    milliseconds per call at these shapes.
+    """
+    factors = np.empty((_PAD + 1, len(gates)), dtype=complex)
+    factors[:6] = np.einsum("km,ms->sk", gates, _LETTER_KERNEL["I"])
+    factors[_PAD] = 1
+    used = sorted(set(codes[codes < _PAD].tolist()))
+    factors[used] = (gates * _KERNEL[:, used].T[:, None]).sum(axis=2)
+    radix = counts.max(initial=0) + 1
     powers = np.ones((6, radix, len(gates)), dtype=complex)
     for n in range(1, radix):
-        powers[:, n] = powers[:, n - 1] * factor
-    by_basis, pairs = [], np.empty((len(keys), 3), dtype=np.intp)
-    for b in range(3):
-        used, pairs[:, b] = np.unique(
-            counts[:, 2 * b] * radix + counts[:, 2 * b + 1],
-            return_inverse=True)
+        powers[:, n] = powers[:, n - 1] * factors[:6]
+    by_basis, pairs = [], counts[:, 0::2] * radix + counts[:, 1::2]
+    for b, column in enumerate(pairs.T):  # the pairs (i, j) in use
+        used = np.flatnonzero(np.bincount(column, minlength=radix * radix))
+        pairs[:, b] = np.searchsorted(used, column)
         by_basis.append(powers[2 * b, used // radix]
                         * powers[2 * b + 1, used % radix])
-    out = np.empty((len(betas), len(keys)), dtype=complex)
+    out = np.empty((len(betas), len(counts)), dtype=complex)
     step = max(1, chunk // len(gates))
-    for start in range(0, len(keys), step):
+    for start in range(0, len(counts), step):
         pair = pairs[start:start + step]
         block = by_basis[0][pair[:, 0]] * by_basis[1][pair[:, 1]]
         block *= by_basis[2][pair[:, 2]]
+        for column in codes[start:start + step].T:
+            block *= factors[column]
         out[:, start:start + step] = np.matmul(
             betas[:, None, None, :], block[None, :, :, None])[:, :, 0, 0]
     return out
 
 
-def _class_norms(family: Sequence[ProjectorLCU], keys: np.ndarray,
-                 weights: np.ndarray) -> list[complex]:
-    """Norm of each projector of a family with equal gate tables on a shadow
-    with the sorted class ``keys`` and their ``weights``: sum_c w_c
-    table[c], one dot product per projector.
-
-    A projector's table covers every class of :func:`_all_classes`. The
-    tables that the family lacks are filled on first use, in one pass, so a
-    later shadow computes no class value.
-    """
-    classes = _all_classes(family[0].num_qubits)
-    lacking = [proj for proj in family if proj not in _CLASS_NORMS]
-    if lacking:
-        _CLASS_NORMS.update(zip(lacking, _norms_on_classes(
-            lacking[0].gates, np.stack([p.betas for p in lacking]), classes,
-            family[0].num_qubits)))
-    where = np.searchsorted(classes, keys)
-    weights = weights.astype(complex)
-    return [_CLASS_NORMS[proj][where] @ weights for proj in family]
-
-
-def _term_products(symbols: tuple[np.ndarray, np.ndarray],
-                   codes: np.ndarray, gates: np.ndarray,
-                   chunk: int = 1 << 16) -> np.ndarray:
-    """Snapshot-mean of prod_j sum_m alpha_m Tr[P_j P'_m (3r - I)] for S
-    strings and K terms: an (S, K) array, given the (S, q) letter codes
-    (I=0, X=1, Y=2, Z=3) of the strings and the (K, 4) ``gates``.
-
-    A qubit's factor depends only on its letter and its (basis, bit)
-    symbol, so every letter in use gets a (terms, 6) table, the product
-    over qubits runs once per distinct symbol row, and the rows are weighted
-    by their frequency. ``chunk`` bounds the (terms x rows) block in
-    elements. The strings run in lexicographic order with one block per
-    qubit, so the product over the qubits a string shares with the one
-    before is not formed again. Each product still runs from the row
-    weights and qubit 0 up, and each chunk is summed on its own, so a
-    string's values do not depend on the other strings. The caller
-    contracts with betas. The weighting is a product and a sum, not a
-    matrix-vector product: threaded BLAS takes milliseconds per call at
-    these shapes. The all-I string, which gives the norm, goes through
-    :func:`_class_norms` instead.
-    """
-    rows, weights = symbols
-    n_strings, q = codes.shape
-    n_terms = len(gates)
-    # tables[L][k, s]: factor of term k on a qubit with letter L, symbol s
-    tables = {code: np.einsum("km,ms->ks", gates,
-                              _LETTER_KERNEL[LETTERS[code]])
-              for code in np.unique(codes).tolist()}
-    order = np.lexsort(codes.T[::-1])
-    # first qubit at which each string differs from the one before it
-    changed = codes[order[1:]] != codes[order[:-1]]
-    fresh = [0] + np.where(changed.any(axis=1), changed.argmax(axis=1),
-                           q).tolist()
-    visits = list(zip(order.tolist(), codes[order].tolist(), fresh))
-    step = max(1, chunk // n_terms)
-    # one block per qubit, shared by the chunks of rows; the factors of a
-    # qubit are gathered into its block and multiplied there in place
-    pool = np.empty(q * n_terms * min(step, len(rows)), dtype=complex)
-    out = np.zeros((n_strings, n_terms), dtype=complex)
-    for start in range(0, len(rows), step):
-        sym = rows[start:start + step].T.copy()
-        prefix = pool[:sym.size * n_terms].reshape(q, n_terms, -1)
-        for s, letters, first in visits:
-            for j in range(first, q):
-                tables[letters[j]].take(sym[j], axis=1, out=prefix[j],
-                                        mode="clip")
-                if j == 0:
-                    prefix[0] *= weights[start:start + step]
-                else:  # prefix first: a SIMD complex product with FMA
-                    # need not give the same bits with its operands swapped
-                    np.multiply(prefix[j - 1], prefix[j], out=prefix[j])
-            out[s] += prefix[-1].sum(axis=1)
-    return out
+def _table_values(family: Sequence[ProjectorLCU], met: np.ndarray,
+                  live: np.ndarray) -> np.ndarray:
+    """(P, N) values of a family on the sorted keys ``met``, filling those
+    its shared table lacks in one pass. A new table starts from every class
+    and the keys met; so does a family filled apart, and one whose table
+    would pass _TABLE_BYTES, as keys of high weight rarely recur."""
+    q = family[0].num_qubits
+    entries = [_TABLES.get(proj) for proj in family]
+    table, rows = entries[0][0] if entries[0] else None, None
+    if table is not None and all(e and e[0] is table for e in entries):
+        rows = [row for _, row in entries]
+        keys, values, _ = table
+        where = np.searchsorted(keys, met)
+        lacking = met[keys[np.minimum(where, len(keys) - 1)] != met]
+        size = len(values) * (len(keys) + len(lacking))
+    if rows is None or 16 * size > _TABLE_BYTES:
+        classes = _keys(q, len(live), 0, np.arange(math.comb(q + 5, 5)), [])
+        # all-I keys are 0..C-1, below every other key
+        lacking = np.concatenate([classes, met[np.searchsorted(
+            met, len(classes)):]])
+        keys, values = lacking[:0], np.empty((len(family), 0), complex)
+        rows, entries, table = list(range(len(family))), None, None
+        for proj in family:  # free an old table before the new one fills
+            _TABLES.pop(proj, None)
+    if lacking.size:
+        fresh = _key_values(family[0].gates, np.stack([p.betas
+                                                       for p in family]),
+                            *_key_terms(q, live, lacking))
+        if len(keys):
+            at = np.searchsorted(keys, lacking)
+            lacking = np.insert(keys, at, lacking)
+            fresh = np.insert(values[rows], at, fresh, axis=1)
+        table = (lacking, fresh, live)
+        for row, proj in enumerate(family):
+            _TABLES[proj] = table, row
+        rows, where = list(range(len(family))), np.searchsorted(lacking, met)
+    return table[1][np.ix_(rows, where)]
 
 
 def expand_projected_observable(obs: WeightedPauliSum,
@@ -440,10 +548,9 @@ def projected_estimate_sectors(shadow: ClassicalShadow,
     """Projected estimates for many sectors of one symmetry at once.
 
     Projectors whose gate tables are equal, compared by content, form a
-    sector family: they reuse the per-term snapshot products, so the whole
-    decomposition costs one pass over the distinct snapshots, and fill
-    their class-norm tables in one pass. Results match
-    :func:`projected_estimate`.
+    sector family: one histogram of the observable's class keys over the
+    distinct snapshots serves every sector, and the keys the family's table
+    lacks are filled in one pass. Results match :func:`projected_estimate`.
     """
     if obs.num_qubits != shadow.num_qubits \
             or any(p.num_qubits != shadow.num_qubits for p in projectors):
@@ -466,10 +573,13 @@ def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
                     ) -> list[tuple[float, float]]:
     results: list[tuple[float, float]] = [(0.0, 0.0)] * len(projectors)
     rows, counts = _distinct_snapshots(shadow)
-    symbols = rows, counts / len(shadow)
-    keys, weights = _symbol_classes(rows, counts)
-    live = obs.codes.any(axis=1)  # the strings other than all-I
-    live_codes = obs.codes[live]
+    classes, which = _row_classes(rows)
+    # the norm is an all-I string of its own; scale columns norm, Re, Im
+    codes = np.concatenate([np.zeros((1, shadow.num_qubits),
+                                     dtype=obs.codes.dtype), obs.codes])
+    scale = np.zeros((len(codes), 3))
+    scale[0, 0], scale[1:, 1], scale[1:, 2] = 1, obs.coeffs.real, \
+        obs.coeffs.imag
     families: list[list[int]] = []  # projectors with equal gate tables
     for i, proj in enumerate(projectors):
         for indices in families:
@@ -481,16 +591,19 @@ def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
             families.append([i])
     for indices in families:
         family = [projectors[i] for i in indices]
-        norms = _class_norms(family, keys, weights)
-        products = iter(_term_products(symbols, live_codes, family[0].gates)
-                        if len(live_codes) else ())
-        # None stands for the all-I string, whose value is the norm
-        prods_obs = [(coeff, next(products) if is_live else None)
-                     for coeff, is_live in zip(obs.coeffs.tolist(), live)]
-        for i, proj, norm in zip(indices, family, norms):
-            num = sum(c * (norm if p is None else proj.betas @ p)
-                      for c, p in prods_obs)
-            results[i] = (float(num.real), float(norm.real))
+        entry = _TABLES.get(family[0])
+        live = entry[0][2] if entry else _live_codes(family[0].gates)
+        met, sums = _histogram(rows, live, classes, which, counts, codes,
+                               scale)
+        values = _table_values(family, met, live)[:, None]
+        # the all-I keys come first and alone carry the norm; one dot
+        # product per projector, as for the table values
+        norm_keys = np.count_nonzero(sums[0])
+        norms = np.matmul(values[:, :, :norm_keys],
+                          sums[0, :norm_keys, None].astype(complex))
+        nums = np.matmul(values, (sums[1] + 1j * sums[2])[:, None])
+        for i, num, norm in zip(indices, nums.real.flat, norms.real.flat):
+            results[i] = (float(num), float(norm))
     return results
 
 
@@ -537,7 +650,13 @@ def total_spin_matrices(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 def exact_spin_projector(num_qubits: int, s: float, m: float) -> np.ndarray:
     """Eigenprojector of (S^2, S_z) by dense block diagonalization."""
     _validate_spin_labels(num_qubits, s, m)
-    s_sq, _ = total_spin_matrices(num_qubits)
+    return _spin_eigenprojector(total_spin_matrices(num_qubits)[0], s, m)
+
+
+def _spin_eigenprojector(s_sq: np.ndarray, s: float, m: float) -> np.ndarray:
+    """:func:`exact_spin_projector` from the S^2 matrix of the register, so
+    that the sectors of one register build it once."""
+    num_qubits = len(s_sq).bit_length() - 1
     mz = (num_qubits - 2 * _popcounts(num_qubits)) / 2
     idx = np.nonzero(np.abs(mz - m) < 1e-9)[0]
     proj = np.zeros_like(s_sq)

@@ -8,8 +8,8 @@ protocols, and the coverage of a measurement plan use the integer counts of
 :func:`_term_counts`: a string's signed and hit counts over the rows, from
 per-qubit factors in {1, -1, 0}. The inverse-channel mean of random bases
 weighs a signed count by 3^weight / M; the compatible-count average of
-prescribed bases divides it by the string's hits. The complex kernel
-``projectors._term_products`` serves the LCU projectors.
+prescribed bases divides it by the string's hits. The LCU projectors run a
+complex kernel over class keys of the rows, in :mod:`shadowproj.projectors`.
 """
 
 from __future__ import annotations

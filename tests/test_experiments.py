@@ -190,11 +190,11 @@ PINNED_CSV_SHA256 = {
     "fig3": ({"shots": [100, 1000], "repeats": 3},
              "78d1c1a7ee7a1eca76dd354d8b193c9e2903a7fb1eda6f13776b169b2c86d181"),
     "fig4": ({"shots": [300], "repeats": 3},
-             "5163ebe555d33141b12738e434a518d1c861c242ece67b9b67b0fcdde4bd1729"),
+             "4fd4f500dcff755a090ad68c5f536a7acdc0142643c3f1805630eb98bf7cf536"),
     "fig5": ({"shots": [1000], "repeats": 3},
              "fc09e3b0a395a8cc80282f7b06c9c387b3d1aec2f0ee47d71200c190e7939d89"),
     "fig6": ({"shots": [100, 1000], "repeats": 3},
-             "ba6ae7923161fd9a3fa638560c3cf9065a987769af27061e7b38361c887fd3a5"),
+             "fa39a0a0631b7269de190bdcc2f1d3aaca3e3851765410e9dbf9fb2c10e1b2f3"),
     "fig7": ({"shots": [1000], "repeats": 3},
              "695952be07e1487dd2b6eb035c74dd7eeeec3d3b405bf85e62378c0f2989d31d"),
 }

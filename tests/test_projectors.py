@@ -525,6 +525,17 @@ def test_single_sector_constructors_return_the_family_member(q):
      "s and m must be integers or half-integers"),
     (lambda: spin_projector(2, 1, 0, 1),
      "need at least two quadrature points per angle"),
+    # malformed tables fail here, before estimation divides by them
+    (lambda: ProjectorLCU(3, [], np.zeros((0, 4))),
+     "betas and gates need at least one term"),
+    (lambda: ProjectorLCU(2, [1], [[np.nan, 0, 0, 0]]),
+     "gates must be finite"),
+    (lambda: ProjectorLCU(2, [np.inf], [[1, 0, 0, 0]]),
+     "betas must be finite"),
+    (lambda: ProjectorLCU(0, [1], [[1, 0, 0, 0]]),
+     "num_qubits must be an integer >= 1, got 0"),
+    (lambda: ProjectorLCU(2.5, [1], [[1, 0, 0, 0]]),
+     "num_qubits must be an integer >= 1, got 2.5"),
 ])
 def test_single_sector_constructors_reject_bad_labels(build, message):
     with pytest.raises(ValueError, match=message):
