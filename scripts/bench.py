@@ -70,6 +70,11 @@ number projector, expanded, on the Gaussian state at q=6, 8 and 10;
 every sector of a freshly built n_p=10 spin family (so no Pauli expansion is
 cached) at q=4 and 6.
 
+Figures: each of fig2-fig7 at its default config, as ``run_figures.py``
+runs it: the wall seconds of ``run_experiment`` plus ``write_results``,
+each of k runs in a fresh spawned process (median, minimum and maximum),
+with the sha256 of the CSV, which must be the same in every run.
+
     python scripts/bench.py --out BENCH_17.json --label change
     python scripts/bench.py --out BENCH_17.json --label parent \
         --src /path/to/other/checkout/src
@@ -112,6 +117,7 @@ ORACLE_CASES = {f"{layer}_q{q}": (layer, q) for layer, sizes in (
     ("expectation", (6, 8, 10)), ("pairing_matrix", (8, 10)),
     ("spin_matrices", (4, 6))) for q in sizes}
 ORACLE_SPIN_N_P = 10
+FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 # name: (observable, family spec, q, shots, state, timed calls)
 PROJECTED_CASES = {
     "number_fresh_q4": ("pairing", {"type": "number"}, 4, 10_000,
@@ -419,6 +425,46 @@ def bench_oracle(src: str, runs: int) -> dict:
     return result
 
 
+def bench_figure_run(src: str, fig: str, work: str) -> tuple[float, str]:
+    """One ``run_experiment`` + ``write_results`` of a figure's default
+    config, timed in this process, and the sha256 of its CSV."""
+    sys.path.insert(0, src)
+    import hashlib
+    import warnings
+
+    from shadowproj import experiments, projectors
+
+    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
+    out = Path(work) / f"{fig}.csv"
+    start = time.perf_counter()
+    experiments.write_results(
+        experiments.run_experiment(experiments.default_config(fig)), out)
+    seconds = time.perf_counter() - start
+    return seconds, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def bench_figures(src: str, runs: int) -> dict:
+    """Every figure of ``FIGURES``, each run in a fresh process."""
+    context = multiprocessing.get_context("spawn")
+    result = {}
+    with tempfile.TemporaryDirectory() as work:
+        for fig in FIGURES:
+            times, digests = [], set()
+            for _ in range(runs):
+                with context.Pool(1) as pool:
+                    seconds, digest = pool.apply(bench_figure_run,
+                                                 (src, fig, work))
+                times.append(seconds)
+                digests.add(digest)
+            if len(digests) != 1:
+                raise RuntimeError(f"{fig}: CSV bytes differ between runs")
+            result[fig] = {"median_s": round(statistics.median(times), 4),
+                           "min_s": round(min(times), 4),
+                           "max_s": round(max(times), 4),
+                           "csv_sha256": digests.pop()}
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True,
@@ -452,7 +498,8 @@ def main(argv=None) -> int:
               "copied_spin_hamiltonian": bench_spin_hamiltonian(
                   *COPIED_SPIN_HAMILTONIAN, copied=True),
               "projected": bench_projected(args.src, args.runs),
-              "oracle": bench_oracle(args.src, args.runs)}
+              "oracle": bench_oracle(args.src, args.runs),
+              "figures": bench_figures(args.src, args.runs)}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("layers", {})[args.label] = record
@@ -462,7 +509,7 @@ def main(argv=None) -> int:
                        "distinct_snapshots", "shadow_io", "number_sectors",
                        "plain_random", "spin_hamiltonian",
                        "copied_spin_hamiltonian", "projected",
-                       "oracle")},
+                       "oracle", "figures")},
                      indent=1))
     return 0
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import experiments, measurement, pairing, projectors, shadows
 from . import statevector as sv
-from .paulis import PauliString, WeightedPauliSum
+from .paulis import WeightedPauliSum
 
 
 def _read_observable(path: str) -> WeightedPauliSum:
@@ -126,23 +126,17 @@ def _cmd_project(args) -> int:
 def _cmd_derandomize(args) -> int:
     obs = _read_observable(args.observables)
     if args.projector:
-        # target the enlarged operator set so the plan also serves
-        # projected numerator and norm estimation
+        # target the enlarged set so the plan also serves projected
+        # estimation; a string in both sets weighs its summed |coefficient|
         spec = _projector_spec(args.projector)
         proj = projectors.projector_from_spec(obs.num_qubits, spec)
-        targets: dict[tuple, float] = {}
-        for source in (projectors.expand_projected_observable(obs, proj),
-                       proj.to_pauli_sum()):
-            for coeff, string in source.terms:
-                key = string.letters
-                targets[key] = targets.get(key, 0.0) + abs(coeff)
-        strings = [PauliString(letters) for letters in targets]
-        weights = (list(targets.values()) if args.weights == "coeff"
-                   else None)
-    else:
-        strings = [s for _, s in obs.terms]
-        weights = ([abs(c) for c, _ in obs.terms] if args.weights == "coeff"
-                   else None)
+        sources = (projectors.expand_projected_observable(obs, proj),
+                   proj.to_pauli_sum())
+        obs = WeightedPauliSum.from_arrays(
+            obs.num_qubits, np.concatenate([s.codes for s in sources]),
+            np.concatenate([s.magnitudes() for s in sources]))
+    strings = [s for _, s in obs.terms]
+    weights = obs.magnitudes().tolist() if args.weights == "coeff" else None
     plan = measurement.derandomize_plan(strings, weights, args.shots,
                                         epsilon=args.epsilon)
     measurement.save_plan(plan, args.out)

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -34,9 +35,10 @@ from .projectors import (ProjectorLCU, _spin_eigenprojector,
                          total_spin_matrices)
 from .shadows import acquire_shadow, reconstruct_density
 from .shadows import estimate as shadow_estimate
-from .statevector import (H, Statevector, apply_gate, exact_projected_linear,
-                          prepare_basis_state, prepare_gaussian,
-                          prepare_parity_mixture, prepare_product_state)
+from .statevector import (MAX_QUBITS, H, Statevector, apply_gate,
+                          exact_projected_linear, prepare_basis_state,
+                          prepare_gaussian, prepare_parity_mixture,
+                          prepare_product_state)
 
 EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 METHODS = ("random", "derandomized", "counts", "counts-grouped")
@@ -51,6 +53,28 @@ class ConfigError(ValueError):
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:  # a NaN compares False; a big int exactly
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# field: (check of its value, what the value must be)
+_FIELD_TYPES = {
+    **{name: (_is_int, "an integer") for name in ("q", "repeats", "seed")},
+    "shots": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+              "a list of integers"),
+    "methods": (lambda v: isinstance(v, list)
+                and all(isinstance(m, str) for m in v), "a list of strings"),
+    "projector": (lambda v: v is None or isinstance(v, dict),
+                  "null or an object"),
+    "model": (lambda v: v is None or isinstance(v, dict)
+              and set(v) <= {"delta_eps", "g"}
+              and all(map(_is_finite, v.values())),
+              "null or an object of finite numbers delta_eps and g"),
+    "gaussian_squared": (lambda v: isinstance(v, bool), "a boolean"),
+}
 
 
 @dataclass
@@ -68,20 +92,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        for name in ("q", "repeats", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got "
+        for name, (check, kind) in _FIELD_TYPES.items():
+            if not check(getattr(self, name)):
+                raise ConfigError(f"{name} must be {kind}, got "
                                   f"{getattr(self, name)!r}")
-        if not isinstance(self.shots, list) \
-                or not all(_is_int(m) for m in self.shots):
-            raise ConfigError(f"shots must be a list of integers, got "
-                              f"{self.shots!r}")
-        if not isinstance(self.methods, list) \
-                or not all(isinstance(m, str) for m in self.methods):
-            raise ConfigError(f"methods must be a list of strings, got "
-                              f"{self.methods!r}")
-        if self.q < 1:
-            raise ConfigError("q must be >= 1")
+        if not 1 <= self.q <= MAX_QUBITS:  # the dense oracle's ceiling
+            raise ConfigError(f"q must lie in 1..{MAX_QUBITS}, got {self.q}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if not self.shots or any(m < 1 for m in self.shots):
@@ -94,13 +110,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict) or "experiment" not in data:
+            raise ConfigError("a config is a JSON object with the key "
+                              f"'experiment', got {data!r}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        missing = {"experiment"} - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys {sorted(missing)}")
         base = asdict(default_config(data["experiment"]))
         base.update(data)
         try:
@@ -189,7 +204,8 @@ def prepare_spin_rotated_gaussian(q: int, squared: bool = False) -> Statevector:
 
 
 def _parallel_map(fn: Callable, tasks: list) -> list:
-    """Map over repeat tasks; SHADOW_THREADS > 1 enables a process pool.
+    """Map over repeat tasks; SHADOW_THREADS > 1 enables a process pool of
+    at most one worker per task.
 
     Results are ordered like the tasks, so scheduling cannot change output.
     """
@@ -201,7 +217,7 @@ def _parallel_map(fn: Callable, tasks: list) -> list:
                           f"{value!r}") from None
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -222,14 +238,11 @@ def _fig4_task(args) -> float:
         shadow = acquire_shadow(state, shots, seed,
                                 bases=plan.bases_sequence)
         return shadow_estimate(shadow, expanded)
-    if method in ("counts", "counts-grouped"):
-        # coefficient-weighted shot allocation: the pairing coefficients are
-        # strongly skewed, so the flat split would waste most of the budget
-        # on near-irrelevant terms
-        return direct_counts_estimate(state, groups, expanded,
-                                      shots_per_group, seed,
-                                      weighted_allocation=True)
-    raise ConfigError(f"method {method!r} not available for fig4")
+    # counts and counts-grouped, with coefficient-weighted shot allocation:
+    # the pairing coefficients are strongly skewed, so the flat split would
+    # waste most of the budget on near-irrelevant terms
+    return direct_counts_estimate(state, groups, expanded, shots_per_group,
+                                  seed, weighted_allocation=True)
 
 
 def _repeat_seeds(cfg: ExperimentConfig, *path: int) -> list[int]:
@@ -254,48 +267,73 @@ def _run_fig2(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, rows, artifacts)
 
 
-def _sector_oracles(cfg: ExperimentConfig, state: Statevector,
-                    projectors: list[ProjectorLCU]) -> list[float]:
-    """Exact sector probabilities for obs = identity.
+def _exact_projector(q: int, proj: ProjectorLCU) -> np.ndarray:
+    """Dense oracle projector of a sector: the exact eigenprojector of a
+    parity or number label; for a spin sector the discretized projector
+    itself, which is what the shadow estimator targets at finite mesh."""
+    kind, _, value = proj.label.partition("=")
+    if kind == "parity":
+        return exact_parity_projector(q, int(value))
+    if kind == "n0":
+        return exact_number_projector(q, int(value))
+    return proj.to_matrix()
 
-    Parity and number sectors use the exact diagonal eigenprojectors; spin
-    sectors use the discretized projector matrix itself, which is what the
-    shadow estimator targets at finite mesh.
-    """
-    ident = WeightedPauliSum.identity(cfg.q)
-    oracles = []
-    for proj in projectors:
-        if proj.label.startswith("parity"):
-            dense = exact_parity_projector(cfg.q, int(proj.label.split("=")[1]))
-        elif proj.label.startswith("n0"):
-            dense = exact_number_projector(cfg.q, int(proj.label.split("=")[1]))
-        else:
-            dense = proj.to_matrix()
-        oracles.append(exact_projected_linear(state, ident, dense)[1])
-    return oracles
+
+def _config_projectors(cfg: ExperimentConfig, default: dict | None = None
+                       ) -> list[ProjectorLCU]:
+    """Every sector of ``cfg.projector``'s symmetry or, given a ``default``
+    (the spec of a null projector), the one sector it names, of the
+    default's type. A spec that cannot be built is a config error."""
+    spec = cfg.projector or default or {}
+    if default and spec.get("type") != default["type"]:
+        raise ConfigError(f"{cfg.experiment} needs a {default['type']} "
+                          f"projector spec, got {spec}")
+    try:
+        if default is None:
+            return all_sector_projectors(cfg.q, spec)
+        return [projector_from_spec(cfg.q, spec)]
+    except ValueError as exc:
+        raise ConfigError(f"projector: {exc}") from None
+
+
+def _pairing_model(cfg: ExperimentConfig) -> WeightedPauliSum:
+    model = cfg.model or {}
+    return build_pairing_hamiltonian(PairingSpec(
+        cfg.q, model.get("delta_eps", 1.0), model.get("g", 1.0)))
+
+
+def _sector_rows(cfg: ExperimentConfig, state: Statevector,
+                 obs: WeightedPauliSum, projectors: list[ProjectorLCU],
+                 part: int) -> list[ResultRow]:
+    """One row per (sector, shots): mean and spread over the repeats of
+    part 0 (numerator Tr[O P rho]) or 1 (norm Tr[P rho]) of the sector's
+    estimate, all sectors from one shadow per repeat, against the oracle."""
+    oracles = [exact_projected_linear(state, obs,
+                                      _exact_projector(cfg.q, proj))[part]
+               for proj in projectors]
+    rows = []
+    for shots in cfg.shots:
+        tasks = [(state, obs, projectors, shots, s)
+                 for s in _repeat_seeds(cfg, shots)]
+        outcomes = _parallel_map(_shadow_sector_task, tasks)
+        for si, proj in enumerate(projectors):
+            values = np.array([out[si][part] for out in outcomes])
+            rows.append(ResultRow(
+                f"random/{proj.label}", shots, cfg.repeats,
+                float(values.mean()), float(values.std()), oracles[si],
+                cfg.seed))
+    rows.sort(key=lambda r: (r.method, r.shots))
+    return rows
 
 
 def _run_sector_decomposition(cfg: ExperimentConfig,
                               state: Statevector) -> ExperimentResult:
-    """Shared driver for fig3/fig5/fig7: all sectors from one shadow."""
-    spec = cfg.projector or {}
-    projectors = all_sector_projectors(cfg.q, spec)
-    oracles = _sector_oracles(cfg, state, projectors)
+    """fig3/fig5/fig7: the norm of every sector from one shadow."""
+    projectors = _config_projectors(cfg)
     ident = WeightedPauliSum.identity(cfg.q)
-    rows = []
-    for shots in cfg.shots:
-        tasks = [(state, ident, projectors, shots, s)
-                 for s in _repeat_seeds(cfg, shots)]
-        outcomes = _parallel_map(_shadow_sector_task, tasks)
-        for si, proj in enumerate(projectors):
-            norms = np.array([out[si][1] for out in outcomes])
-            rows.append(ResultRow(
-                f"random/{proj.label}", shots, cfg.repeats,
-                float(norms.mean()), float(norms.std()), oracles[si],
-                cfg.seed))
-    rows.sort(key=lambda r: (r.method, r.shots))
+    rows = _sector_rows(cfg, state, ident, projectors, 1)
     artifacts = {}
-    if spec.get("type") == "spin":
+    if cfg.projector.get("type") == "spin":
         # CSV oracles target the discretized projector (what the shadow
         # estimates); record the exact eigenprojector amplitudes alongside
         # so the mesh-resolution gap is visible in the output
@@ -307,46 +345,13 @@ def _run_sector_decomposition(cfg: ExperimentConfig,
     return ExperimentResult(cfg, rows, artifacts)
 
 
-def _run_fig6(cfg: ExperimentConfig) -> ExperimentResult:
-    state = prepare_gaussian(cfg.q, squared=cfg.gaussian_squared)
-    model = cfg.model or {}
-    spec = PairingSpec(cfg.q, model.get("delta_eps", 1.0), model.get("g", 1.0))
-    ham = build_pairing_hamiltonian(spec)
-    proj_spec = cfg.projector or {"type": "number", "n0": 2}
-    if proj_spec.get("type") != "number":
-        raise ConfigError("fig6 projects on pair number; use a number "
-                          "projector spec")
-    proj = projector_from_spec(cfg.q, proj_spec)
-    n0 = int(proj_spec.get("n0", 2))
-    oracle = exact_projected_linear(state, ham,
-                                    exact_number_projector(cfg.q, n0))[0]
-    rows = []
-    for shots in cfg.shots:
-        tasks = [(state, ham, [proj], shots, s)
-                 for s in _repeat_seeds(cfg, shots)]
-        outcomes = _parallel_map(_shadow_sector_task, tasks)
-        nums = np.array([out[0][0] for out in outcomes])
-        rows.append(ResultRow(f"random/{proj.label}", shots, cfg.repeats,
-                              float(nums.mean()), float(nums.std()), oracle,
-                              cfg.seed))
-    rows.sort(key=lambda r: (r.method, r.shots))
-    return ExperimentResult(cfg, rows)
-
-
 def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
+    [proj] = _config_projectors(cfg, {"type": "parity", "epsilon": 1})
     state = prepare_fig4_state(cfg.q)
-    model = cfg.model or {}
-    spec = PairingSpec(cfg.q, model.get("delta_eps", 1.0), model.get("g", 1.0))
-    ham = build_pairing_hamiltonian(spec)
-    proj_spec = cfg.projector or {"type": "parity", "epsilon": 1}
-    if proj_spec.get("type") != "parity":
-        raise ConfigError("fig4 compares methods on a parity-projected "
-                          "energy; use a parity projector spec")
-    proj = projector_from_spec(cfg.q, proj_spec)
+    ham = _pairing_model(cfg)
     expanded = expand_projected_observable(ham, proj)
-    epsilon = int(proj_spec.get("epsilon", 1))
-    oracle = exact_projected_linear(
-        state, ham, exact_parity_projector(cfg.q, epsilon))[0]
+    oracle = exact_projected_linear(state, ham,
+                                    _exact_projector(cfg.q, proj))[0]
     weights = [abs(c) for c, _ in expanded.terms]
     target_strings = [s for _, s in expanded.terms]
     single = singleton_groups(expanded)
@@ -354,7 +359,7 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     totals: dict[str, dict] = {}
     for shots in cfg.shots:
-        plans = {"derandomized": None}
+        plan = None
         if "derandomized" in cfg.methods:
             plan = derandomize_plan(target_strings, weights, shots)
             uncovered = int((plan_hit_counts(plan, target_strings) == 0).sum())
@@ -363,7 +368,6 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
                     f"shots={shots} is too small for derandomized "
                     f"estimation: {uncovered} of {len(target_strings)} "
                     "projected observables would never be measured")
-            plans["derandomized"] = plan
         for method in cfg.methods:
             if method in ("counts", "counts-grouped"):
                 groups = single if method == "counts" else grouped
@@ -375,8 +379,8 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
                 groups, spg = None, 0
                 totals.setdefault(method, {})[str(shots)] = {
                     "total_measurements": shots}
-            tasks = [(method, state, expanded, ham, proj,
-                      plans["derandomized"], groups, spg, shots, s)
+            tasks = [(method, state, expanded, ham, proj, plan, groups, spg,
+                      shots, s)
                      for s in _repeat_seeds(cfg, shots, METHODS.index(method))]
             values = np.array(_parallel_map(_fig4_task, tasks))
             rows.append(ResultRow(method, shots, cfg.repeats,
@@ -399,8 +403,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.experiment == "fig5":
         state = prepare_gaussian(cfg.q, squared=cfg.gaussian_squared)
         return _run_sector_decomposition(cfg, state)
-    if cfg.experiment == "fig6":
-        return _run_fig6(cfg)
+    if cfg.experiment == "fig6":  # the pairing energy in one number sector
+        state = prepare_gaussian(cfg.q, squared=cfg.gaussian_squared)
+        projectors = _config_projectors(cfg, {"type": "number", "n0": 2})
+        return ExperimentResult(cfg, _sector_rows(
+            cfg, state, _pairing_model(cfg), projectors, 0))
     if cfg.experiment == "fig7":
         state = prepare_spin_rotated_gaussian(cfg.q, cfg.gaussian_squared)
         return _run_sector_decomposition(cfg, state)

@@ -56,7 +56,6 @@ class MeasurementPlan:
     """A fixed sequence of per-qubit measurement bases."""
 
     bases_sequence: tuple[tuple[str, ...], ...]
-    provenance: str = "random"
 
     def __post_init__(self):
         if not self.bases_sequence:
@@ -102,7 +101,7 @@ def load_plan(path) -> MeasurementPlan:
             raise ValueError(f"{path} line {lineno}: {len(text)} bases, "
                              f"expected {len(rows[0])}")
         rows.append(tuple(reversed(text)))
-    return MeasurementPlan(tuple(rows), provenance="derandomized")
+    return MeasurementPlan(tuple(rows))
 
 
 def random_plan(num_qubits: int, shots: int, seed: int) -> MeasurementPlan:
@@ -111,7 +110,7 @@ def random_plan(num_qubits: int, shots: int, seed: int) -> MeasurementPlan:
     gen = _rng.stream(seed, 0x91a7)
     codes = gen.integers(0, 3, size=(shots, num_qubits))
     rows = tuple(tuple(BASIS_LETTERS[c] for c in row) for row in codes)
-    return MeasurementPlan(rows, provenance="random")
+    return MeasurementPlan(rows)
 
 
 @dataclass(frozen=True)
@@ -306,7 +305,7 @@ def derandomize_plan(obs_list: Sequence[PauliString],
         paths.append(path)
         scaled *= entry[1]
     rows = [seen[path][0] for path in paths]
-    result = MeasurementPlan(tuple(rows), provenance="derandomized")
+    result = MeasurementPlan(tuple(rows))
     if return_cost:
         with np.errstate(divide="ignore"):
             trace = np.repeat(refs, q) + np.log(np.maximum(costs, 0.0))

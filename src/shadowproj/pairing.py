@@ -63,11 +63,6 @@ def pairing_dense(spec: PairingSpec) -> np.ndarray:
     return build_pairing_hamiltonian(spec).to_matrix()
 
 
-def exact_spectrum(spec: PairingSpec) -> np.ndarray:
-    """All eigenvalues of the dense Hamiltonian, ascending."""
-    return np.linalg.eigvalsh(pairing_dense(spec))
-
-
 def exact_sector_ground_energy(spec: PairingSpec, n_pairs: int) -> float:
     """Minimum eigenvalue within the fixed-pair-number subspace."""
     if not 0 <= n_pairs <= spec.q:

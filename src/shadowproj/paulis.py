@@ -361,22 +361,9 @@ class WeightedPauliSum:
             self.num_qubits, np.concatenate([self.codes, other.codes]),
             np.concatenate([self.coeffs, other.coeffs]))
 
-    def scaled(self, factor: complex) -> "WeightedPauliSum":
-        factor = complex(factor)
-        return WeightedPauliSum.from_arrays(
-            self.num_qubits, self.codes,
-            _complex_product(np.array(factor), self.coeffs))
-
     def magnitudes(self) -> np.ndarray:
         """|gamma_a| per term, float for float as Python's ``abs``."""
         return np.hypot(self.coeffs.real, self.coeffs.imag)
-
-    def coefficient_bound(self) -> float:
-        """sum_a |gamma_a|, an upper bound on |<O>| for Hermitian O."""
-        return float(sum(self.magnitudes().tolist()))
-
-    def max_weight(self) -> int:
-        return int((self.codes > 0).sum(axis=1).max(initial=0))
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix: d_m[x] of :func:`_mask_form` in row x ^ m."""
@@ -459,8 +446,9 @@ def multiply_sums(a: WeightedPauliSum, b: WeightedPauliSum) -> WeightedPauliSum:
         raise ValueError("qubit count mismatch")
     power = _PRODUCT_POWER[a.codes[:, None, :], b.codes[None, :, :]].sum(
         axis=2)
-    coeffs = (_complex_product(a.coeffs[:, None], b.coeffs[None, :])
-              * _I_POWERS[power & 3])
+    with np.errstate(invalid="ignore"):  # an overflow's inf * 0; rejected
+        coeffs = (_complex_product(a.coeffs[:, None], b.coeffs[None, :])
+                  * _I_POWERS[power & 3])
     keys = a._keys[:, None] ^ b._keys[None, :]
     product = WeightedPauliSum.__new__(WeightedPauliSum)
     product._assign(a.num_qubits, keys.ravel(), coeffs.ravel())

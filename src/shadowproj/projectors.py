@@ -136,10 +136,6 @@ class ProjectorLCU:
         return result
 
 
-def identity_lcu(num_qubits: int) -> ProjectorLCU:
-    return ProjectorLCU(num_qubits, [1], [[1, 0, 0, 0]], label="identity")
-
-
 def parity_projector(num_qubits: int, epsilon: int) -> ProjectorLCU:
     """(I + epsilon Z^(x)q) / 2 as a two-term LCU."""
     if epsilon not in (1, -1):

@@ -170,6 +170,32 @@ def test_experiment_config_of_the_wrong_type_exits_2(workdir, capsys, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"experiment": "fig3", "projector": "parity"},
+    {"experiment": "fig5", "q": 40},
+    {"experiment": "fig6", "model": "x"},
+    {"experiment": "fig6", "model": {"g": "big"}},
+    {"experiment": "fig6", "model": {"g": 1.0, "mu": 0.5}},
+    {"experiment": "fig5", "gaussian_squared": "no"},
+    {"experiment": "fig3", "projector": {"type": "bogus"}},
+    {"experiment": "fig7", "projector": {"type": "spin", "n_p": "10"}},
+    {"experiment": "fig6", "projector": {"type": "number", "n0": 5}},
+    {"experiment": "fig4", "projector": {"type": "number", "n0": 1}},
+    5,
+])
+def test_experiment_config_errors_exit_2(tmp_path, capsys, config):
+    if isinstance(config, dict):
+        config = {"q": 2, "shots": [100], "repeats": 1, "seed": 1, **config}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "results.csv"
+    assert main(["experiment", "--config", str(cfg), "--out",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_error_exit_code_on_bad_input(workdir, capsys):
     assert main(["estimate", "--shadow", "/does/not/exist",
                  "--observable", str(workdir / "ham.json")]) == 1

@@ -9,13 +9,19 @@ import pytest
 pytestmark = pytest.mark.filterwarnings(
     "ignore::shadowproj.projectors.EmptySectorWarning")
 
+from shadowproj import experiments
 from shadowproj.experiments import (CSV_COLUMNS, ConfigError,
                                     ExperimentConfig, default_config,
                                     prepare_fig2_state, prepare_fig4_state,
                                     prepare_spin_rotated_gaussian,
                                     run_experiment, write_results)
-from shadowproj.projectors import total_spin_matrices
-from shadowproj.statevector import exact_expectation
+from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
+from shadowproj.projectors import (exact_number_projector,
+                                   exact_parity_projector, number_projector,
+                                   parity_projector, spin_sector_projectors,
+                                   total_spin_matrices)
+from shadowproj.statevector import (exact_expectation,
+                                    exact_projected_linear, prepare_gaussian)
 from shadowproj.paulis import PauliString, WeightedPauliSum
 
 
@@ -222,7 +228,119 @@ def test_csv_bytes_are_pinned(tmp_path, fig):
     ("shots", 100, "shots must be a list of integers"),
     ("methods", "random", "methods must be a list of strings"),
     ("methods", ["random", 1], "methods must be a list of strings"),
+    ("projector", "parity", "projector must be null or an object"),
+    ("projector", [], "projector must be null or an object"),
+    ("model", "x", "model must be null or an object"),
+    ("model", {"g": "big"}, "model must be null or an object"),
+    ("model", {"g": True}, "model must be null or an object"),
+    ("model", {"delta_eps": float("nan")}, "model must be null or an"),
+    ("model", {"g": 10 ** 400}, "model must be null or an object"),
+    ("model", {"mu": 1.0}, "model must be null or an object"),
+    ("gaussian_squared", "no", "gaussian_squared must be a boolean"),
+    ("gaussian_squared", 1, "gaussian_squared must be a boolean"),
+    ("q", 0, "q must lie in 1..12, got 0"),
+    ("q", 13, "q must lie in 1..12, got 13"),
 ])
 def test_config_rejects_wrong_types(key, value, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.from_dict({"experiment": "fig3", key: value})
+
+
+def test_config_accepts_model_numbers():
+    cfg = ExperimentConfig.from_dict({"experiment": "fig6",
+                                      "model": {"delta_eps": 2, "g": 0.5},
+                                      "gaussian_squared": True})
+    assert cfg.model == {"delta_eps": 2, "g": 0.5}
+
+
+@pytest.mark.parametrize("experiment, projector, message", [
+    ("fig3", {"type": "bogus"}, "unknown projector type 'bogus'"),
+    ("fig3", None, "unknown projector type None"),
+    ("fig7", {"type": "spin", "n_p": "10"}, "'n_p' must be an integer"),
+    ("fig6", {"type": "number", "n0": 5}, "n0=5 outside 0..2"),
+    ("fig6", {"type": "parity", "epsilon": 1}, "fig6 needs a number"),
+    ("fig4", {"type": "number", "n0": 1}, "fig4 needs a parity"),
+    ("fig4", {"type": "parity"}, "lacks 'epsilon'"),
+])
+def test_projector_spec_the_figure_cannot_build(experiment, projector,
+                                                message):
+    cfg = ExperimentConfig.from_dict({"experiment": experiment, "q": 2,
+                                      "shots": [100], "repeats": 1,
+                                      "projector": projector})
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(cfg)
+
+
+def test_estimation_errors_are_not_config_errors(monkeypatch):
+    def fail(args):
+        raise ValueError("estimation failed")
+    monkeypatch.setattr(experiments, "_shadow_sector_task", fail)
+    with pytest.raises(ValueError, match="estimation failed") as info:
+        run_experiment(small_fig3())
+    assert not isinstance(info.value, ConfigError)
+
+
+def test_pool_starts_at_most_one_worker_per_task(monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps
+        in this process, so no worker is started."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "fig3", "shots": [100, 400], "repeats": 3, "seed": 3})
+    serial = run_experiment(cfg)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("SHADOW_THREADS", "64")
+    assert experiments._parallel_map(abs, [-1, 2, -3]) == [1, 2, 3]
+    assert seen == [3]
+    pooled = run_experiment(cfg)
+    assert seen == [3, 3, 3]
+    assert pooled.rows == serial.rows
+
+
+def test_fig6_at_a_non_default_sector():
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "fig6", "q": 3, "shots": [100, 400], "repeats": 3,
+         "seed": 4, "projector": {"type": "number", "n0": 1}})
+    result = run_experiment(cfg)
+    state = prepare_gaussian(3)
+    ham = build_pairing_hamiltonian(PairingSpec(3, 1.0, 1.0))
+    oracle = exact_projected_linear(state, ham,
+                                    exact_number_projector(3, 1))[0]
+    assert [(r.method, r.shots) for r in result.rows] \
+        == [("random/n0=1", 100), ("random/n0=1", 400)]
+    for row in result.rows:
+        assert row.oracle == oracle and row.repeat_count == 3
+        nums = np.array([
+            experiments._shadow_sector_task(
+                (state, ham, [number_projector(3, 1)], row.shots, seed))[0][0]
+            for seed in experiments._repeat_seeds(cfg, row.shots)])
+        assert (row.mean, row.stddev) == (nums.mean(), nums.std())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_exact_projector_by_sector_label(q):
+    for epsilon in (1, -1):
+        assert np.array_equal(
+            experiments._exact_projector(q, parity_projector(q, epsilon)),
+            exact_parity_projector(q, epsilon))
+    for n0 in range(q + 1):
+        assert np.array_equal(
+            experiments._exact_projector(q, number_projector(q, n0)),
+            exact_number_projector(q, n0))
+    for proj in spin_sector_projectors(q, 4):
+        assert np.array_equal(experiments._exact_projector(q, proj),
+                              proj.to_matrix())

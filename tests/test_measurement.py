@@ -40,7 +40,6 @@ def test_derandomize_all_z_observable():
     zz = PauliString.from_label("ZZZZ")
     plan = derandomize_plan([zz], None, 7)
     assert all(row == ("Z",) * 4 for row in plan.bases_sequence)
-    assert plan.provenance == "derandomized"
 
 
 def test_derandomize_disjoint_supports_covered_together():
@@ -180,7 +179,7 @@ def test_cost_functions_check_weights(cost, weights):
     st.lists(st.sampled_from("XYZ"), min_size=q, max_size=q),
     min_size=1, max_size=50)))
 def test_plan_file_roundtrip(tmp_path_factory, rows):
-    plan = MeasurementPlan(tuple(map(tuple, rows)), provenance="derandomized")
+    plan = MeasurementPlan(tuple(map(tuple, rows)))
     path = tmp_path_factory.mktemp("plan") / "plan.txt"
     save_plan(plan, path)
     again = load_plan(path)

@@ -10,7 +10,7 @@ from shadowproj.projectors import (EmptySectorWarning, ProjectorLCU,
                                    exact_number_projector,
                                    exact_parity_projector,
                                    exact_spin_projector,
-                                   expand_projected_observable, identity_lcu,
+                                   expand_projected_observable,
                                    number_operator, number_projector,
                                    number_sector_projectors, parity_projector,
                                    parity_sector_projectors,
@@ -303,7 +303,8 @@ def test_identity_lcu_reduces_to_plain_estimate():
     state = random_state(3, 11)
     shadow = acquire_shadow(state, 200, seed=4)
     obs = random_obs(3, 11)
-    num, norm = projected_estimate(shadow, obs, identity_lcu(3))
+    identity = ProjectorLCU(3, [1], [[1, 0, 0, 0]])
+    num, norm = projected_estimate(shadow, obs, identity)
     assert norm == pytest.approx(1.0, abs=1e-12)
     assert num == pytest.approx(estimate(shadow, obs), abs=1e-12)
 
@@ -342,7 +343,9 @@ def test_projected_estimate_linear_in_coefficients():
     b = random_obs(2, 2)
     num_a, _ = projected_estimate(shadow, a, proj)
     num_b, _ = projected_estimate(shadow, b, proj)
-    combo = a.scaled(0.7) + b.scaled(-1.3)
+    combo = WeightedPauliSum.from_arrays(
+        2, np.concatenate([a.codes, b.codes]),
+        np.concatenate([0.7 * a.coeffs, -1.3 * b.coeffs]))
     num_c, _ = projected_estimate(shadow, combo, proj)
     assert num_c == pytest.approx(0.7 * num_a - 1.3 * num_b, abs=1e-9)
 
