@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
 """Time the fig4 budget path, planning on every budget-q6 target set, the
-all-sector norms and estimates, the plain random estimate, the
-distinct-snapshot pass, shadow file I/O and the dense oracle, and record
-them in a JSON file.
+distinct-snapshot pass, shadow file I/O, the plain random, spin-sector and
+projected estimates, the dense oracle and the figures, and record them in a
+JSON file.
+
+Every case runs in a fresh spawned process of its own that imports
+``shadowproj`` from ``--src`` (``fresh``), because a layer's time depends on
+what ran before it in a process; the process that runs ``main`` times
+nothing. Unless a case says otherwise, each layer is called k times after
+one warm-up call and its median and minimum wall time
+(``time.perf_counter``) are kept.
 
 For the pairing Hamiltonian times the half-filling number projector at
-q=6 (n0=3) and q=8 (n0=4), on the fig4 state, each layer is called k times
-and its median and minimum wall time (``time.perf_counter``) are kept:
+q=6 (n0=3) and q=8 (n0=4), on the fig4 state:
 
 * expand: ``expand_projected_observable`` on a freshly built projector;
 * derandomize: ``derandomize_plan`` for the expanded terms, weighted by
@@ -21,62 +27,49 @@ and its median and minimum wall time (``time.perf_counter``) are kept:
 * plan_peak_mb: the ``tracemalloc`` peak of one ``derandomize_plan`` call.
 
 Planning on every ``budget-q6`` target set (parity +-1 and n0 = 1..6 at q=6,
-64 to 544 expanded terms): derandomize (2000 rounds) and rlf, timed as
-above, per set and summed over the sets.
+64 to 544 expanded terms): derandomize (2000 rounds) and rlf per set, and
+their medians summed over the sets.
 
-All-sector norms (``projected_estimate_sectors`` of the identity over the
-spin family, on the fig7 state) at q=4 and q=6 with n_p=10 and M=10^4, and
-at q=8 with n_p=4 and M=2000: ``first`` is the median of k calls, each on a
-freshly built family, and ``later`` the median of k calls on new shadows
-with one family that has seen one shadow before. The distinct-snapshot pass
-(``shadows._distinct_snapshots``) is timed at q=4 and q=8 with M=10^4.
+The distinct-snapshot pass (``shadows._distinct_snapshots``) at q=4 and q=8
+with M=10^4. Shadow file I/O: ``save_shadow`` and ``load_shadow`` of an
+M=10^4 shadow of the Gaussian state at q=4 and q=8, with the file size.
 
-Shadow file I/O: ``save_shadow`` and ``load_shadow`` of an M=10^4 shadow
-of the Gaussian state at q=4 and q=8, timed as above, with the file size.
-
-Number sectors: ``projected_estimate_sectors`` of the pairing Hamiltonian
-over every number sector, M=10^4 on the Gaussian state, at q=4 and q=6,
-timed as above on one family (the warm-up call fills its norm tables).
-Spin sectors with H: one such call over every spin sector at q=6,
-n_p=10, M=10^4 on the fig7 state, on a fresh family, with its time and
-``tracemalloc`` peak. Copied spin tables: the same call at q=4, n_p=10,
-M=10^4, on a fresh family whose sectors each hold their own copy of the
-gate table, which should cost what a family sharing one table costs.
+Spin sectors with H: one ``projected_estimate_sectors`` call of the pairing
+Hamiltonian over every spin sector at q=6, n_p=10, M=10^4 on the fig7
+state, on a fresh family, with its time and ``tracemalloc`` peak. Copied
+spin tables: the same call at q=4, n_p=10, M=10^4, on a fresh family whose
+sectors each hold their own copy of the gate table, which should cost what
+a family sharing one table costs.
 
 Plain random estimate: ``estimate`` of the pairing Hamiltonian on a
-random shadow of the Gaussian state, M=10^4, at q=4, 6 and 8, timed as
-above.
+random shadow of the Gaussian state, M=10^4, at q=4, 6 and 8.
 
-Projected estimates, each case in a fresh process of its own, because a
-layer's time depends on what ran before it in a process:
-``projected_estimate_sectors`` of the pairing Hamiltonian or the identity
-over every sector of a family. ``first_ms`` is the median of k calls, each
-on a freshly built family (the pattern of the ``number-roundtrip``
-workload, which builds its family on every op), and ``later_ms`` the median
-of k calls on new shadows with one family that has seen one shadow before;
-a case times what it names. The cases: the pairing H over the number
-family on the Gaussian state at q=4, 6 and 8 with M=10^4, and at q=8 with
-M=10^5; over the parity family on the fig4 state at q=4 with M=3000 (fig4
-``random``); over the n_p=10 spin family on the fig7 state at q=4 with
-M=10^4; the identity over the spin family on the fig7 state at q=4 and 6
-(n_p=10, M=10^4) and q=8 (n_p=4, M=2000), and on the Gaussian state at
-q=10 (n_p=4 and 10) and q=12 (n_p=4) with M=2000.
+Projected estimates: ``projected_estimate_sectors`` of the pairing
+Hamiltonian or the identity over every sector of a family. ``first_ms`` is
+the median of k calls, each on a freshly built family (the pattern of the
+``number-roundtrip`` workload, which builds its family on every op), and
+``later_ms`` the median of k calls on new shadows with one family that has
+seen one shadow before; a case times what it names. The cases: the pairing
+H over the number family on the Gaussian state at q=4, 6 and 8 with
+M=10^4, and at q=8 with M=10^5; over the parity family on the fig4 state at
+q=4 with M=3000 (fig4 ``random``); over the n_p=10 spin family on the fig7
+state at q=4 with M=10^4; the identity over the spin family on the fig7
+state at q=4 and 6 (n_p=10, M=10^4) and q=8 (n_p=4, M=2000), and on the
+Gaussian state at q=10 (n_p=4 and 10) and q=12 (n_p=4) with M=2000.
 
-Dense oracle, each case timed as above in a fresh process of its own,
-because a layer's time depends on what ran before it in a process:
-``exact_expectation`` of the pairing Hamiltonian times the half-filling
-number projector, expanded, on the Gaussian state at q=6, 8 and 10;
-``to_matrix`` of the pairing Hamiltonian at q=8 and 10; and ``to_matrix`` of
-every sector of a freshly built n_p=10 spin family (so no Pauli expansion is
-cached) at q=4 and 6.
+Dense oracle: ``exact_expectation`` of the pairing Hamiltonian times the
+half-filling number projector, expanded, on the Gaussian state at q=6, 8
+and 10; ``to_matrix`` of the pairing Hamiltonian at q=8 and 10; and
+``to_matrix`` of every sector of a freshly built n_p=10 spin family (so no
+Pauli expansion is cached) at q=4 and 6.
 
 Figures: each of fig2-fig7 at its default config, as ``run_figures.py``
 runs it: the wall seconds of ``run_experiment`` plus ``write_results``,
-each of k runs in a fresh spawned process (median, minimum and maximum),
-with the sha256 of the CSV, which must be the same in every run.
+each of k runs in a fresh process (median, minimum and maximum), with the
+sha256 of the CSV, which must be the same in every run.
 
-    python scripts/bench.py --out BENCH_17.json --label change
-    python scripts/bench.py --out BENCH_17.json --label parent \
+    python scripts/bench.py --out BENCH_20.json --label change
+    python scripts/bench.py --out BENCH_20.json --label parent \
         --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
@@ -93,21 +86,20 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 EPSILON = 0.3
 # name: (q, n0, plan rounds)
 CASES = {"q6_n0_3": (6, 3, 2000), "q8_n0_4": (8, 4, 4000)}
 # the budget-q6 target sets; n0 = 0 expands to no terms
-PLANNING_SETS = ([{"type": "parity", "epsilon": e} for e in (1, -1)]
-                 + [{"type": "number", "n0": n} for n in range(1, 7)])
+PLANNING_SETS = {**{f"parity{e}": ({"type": "parity", "epsilon": e},)
+                    for e in (1, -1)},
+                 **{f"number{n}": ({"type": "number", "n0": n},)
+                    for n in range(1, 7)}}
 PLANNING_ROUNDS = 2000
-# name: (q, spin n_p, shots)
-SECTOR_CASES = {"q4_np10": (4, 10, 10_000), "q6_np10": (6, 10, 10_000),
-                "q8_np4": (8, 4, 2000)}
 DISTINCT_SHOTS = 10_000
 IO_SHOTS = 10_000
-NUMBER_SHOTS = 10_000
 PLAIN_SHOTS = 10_000
 # q, spin n_p, shots of the spin-sector estimate of H
 SPIN_HAMILTONIAN = (6, 10, 10_000)
@@ -155,6 +147,21 @@ def machine() -> dict:
     return {"cpu": cpu, "cores": os.cpu_count(),
             "arch": platform.machine(),
             "python": platform.python_version(), "numpy": np.__version__}
+
+
+def fresh(src: str, fn, *args):
+    """``fn(*args)`` in a fresh spawned process that imports ``shadowproj``
+    from ``src``."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(_call_with_src, (src, fn, args))
+
+
+def _call_with_src(src: str, fn, args: tuple):
+    sys.path.insert(0, src)
+    from shadowproj import projectors
+
+    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
+    return fn(*args)
 
 
 def timed(fn, runs: int) -> tuple[dict, object]:
@@ -207,59 +214,32 @@ def bench_case(q: int, n0: int, rounds: int, runs: int) -> dict:
     return result
 
 
-def bench_planning(runs: int) -> dict:
+def bench_planning(spec: dict, runs: int) -> dict:
     from shadowproj import measurement, pairing, projectors
 
     ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(6, 1.0, 1.0))
-    result = {}
-    for spec in PLANNING_SETS:
-        expanded = projectors.expand_projected_observable(
-            ham, projectors.projector_from_spec(6, spec))
-        strings = [s for _, s in expanded.terms]
-        weights = [abs(c) for c, _ in expanded.terms]
-        name = f"{spec['type']}{spec.get('epsilon', spec.get('n0'))}"
-        result[name] = {"terms": len(expanded)}
-        result[name]["derandomize"], _ = timed(
-            lambda: measurement.derandomize_plan(
-                strings, weights, PLANNING_ROUNDS, epsilon=EPSILON), runs)
-        result[name]["rlf"], _ = timed(
-            lambda: measurement.group_qwc_rlf(expanded), runs)
-    result["sum_median_ms"] = {
-        layer: round(sum(case[layer]["median_ms"] for case in result.values()),
-                     3) for layer in ("derandomize", "rlf")}
+    expanded = projectors.expand_projected_observable(
+        ham, projectors.projector_from_spec(6, spec))
+    strings = [s for _, s in expanded.terms]
+    weights = [abs(c) for c, _ in expanded.terms]
+    result = {"terms": len(expanded)}
+    result["derandomize"], _ = timed(
+        lambda: measurement.derandomize_plan(
+            strings, weights, PLANNING_ROUNDS, epsilon=EPSILON), runs)
+    result["rlf"], _ = timed(
+        lambda: measurement.group_qwc_rlf(expanded), runs)
     return result
+
+
+def summed(sets: dict) -> dict:
+    """``sets`` and, per layer, the sum of their medians."""
+    return {**sets, "sum_median_ms": {
+        layer: round(sum(case[layer]["median_ms"] for case in sets.values()),
+                     3) for layer in ("derandomize", "rlf")}}
 
 
 def median_ms(times: list) -> float:
     return round(statistics.median(times) * 1e3, 3)
-
-
-def bench_sectors(q: int, n_points: int, shots: int, runs: int) -> dict:
-    import warnings
-
-    from shadowproj import experiments, projectors, shadows
-    from shadowproj.paulis import WeightedPauliSum
-
-    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
-    state = experiments.prepare_spin_rotated_gaussian(q)
-    ident = WeightedPauliSum.identity(q)
-    spec = {"type": "spin", "n_p": n_points}
-    fresh = [shadows.acquire_shadow(state, shots, seed)
-             for seed in range(2 * runs + 1)]
-
-    def call(shadow, family) -> float:
-        start = time.perf_counter()
-        projectors.projected_estimate_sectors(shadow, ident, family)
-        return time.perf_counter() - start
-
-    call(fresh[0], projectors.all_sector_projectors(q, spec))  # warm-up
-    first = [call(shadow, projectors.all_sector_projectors(q, spec))
-             for shadow in fresh[1:runs + 1]]
-    family = projectors.all_sector_projectors(q, spec)
-    call(fresh[0], family)
-    later = [call(shadow, family) for shadow in fresh[runs + 1:]]
-    return {"first_ms": median_ms(first), "later_ms": median_ms(later),
-            "sectors": len(family), "lcu_terms": len(family[0].gates)}
 
 
 def bench_distinct(q: int, runs: int) -> dict:
@@ -287,22 +267,6 @@ def bench_shadow_io(q: int, runs: int) -> dict:
     return result
 
 
-def bench_number_sectors(q: int, runs: int) -> dict:
-    import warnings
-
-    from shadowproj import pairing, projectors, shadows, statevector
-
-    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
-    shadow = shadows.acquire_shadow(statevector.prepare_gaussian(q),
-                                    NUMBER_SHOTS, 1)
-    ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0, 1.0))
-    family = projectors.number_sector_projectors(q)
-    result, _ = timed(lambda: projectors.projected_estimate_sectors(
-        shadow, ham, family), runs)
-    result["strings"] = len(ham)
-    return result
-
-
 def bench_plain_random(q: int, runs: int) -> dict:
     from shadowproj import pairing, shadows, statevector
 
@@ -316,11 +280,8 @@ def bench_plain_random(q: int, runs: int) -> dict:
 
 def bench_spin_hamiltonian(q: int, n_points: int, shots: int,
                            copied: bool = False) -> dict:
-    import warnings
-
     from shadowproj import experiments, pairing, projectors, shadows
 
-    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
     shadow = shadows.acquire_shadow(
         experiments.prepare_spin_rotated_gaussian(q), shots, 1)
     ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0, 1.0))
@@ -339,25 +300,21 @@ def bench_spin_hamiltonian(q: int, n_points: int, shots: int,
             "sectors": len(family), "lcu_terms": len(family[0].gates)}
 
 
-def bench_projected_case(src: str, name: str, runs: int) -> dict:
-    """One ``PROJECTED_CASES`` case, timed in this process."""
-    sys.path.insert(0, src)
-    import warnings
-
+def bench_projected(observable: str, spec: dict, q: int, shots: int,
+                    state: str, timed_calls: tuple, runs: int) -> dict:
+    """One ``PROJECTED_CASES`` case."""
     from shadowproj import experiments, pairing, projectors, shadows
     from shadowproj import statevector
     from shadowproj.paulis import WeightedPauliSum
 
-    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
-    observable, spec, q, shots, state, timed_calls = PROJECTED_CASES[name]
     state = {"gaussian": statevector.prepare_gaussian,
              "fig4": experiments.prepare_fig4_state,
              "spin": experiments.prepare_spin_rotated_gaussian}[state](q)
     obs = (WeightedPauliSum.identity(q) if observable == "identity" else
            pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0,
                                                                  1.0)))
-    fresh = [shadows.acquire_shadow(state, shots, seed)
-             for seed in range(2 * runs + 1)]
+    acquired = [shadows.acquire_shadow(state, shots, seed)
+                for seed in range(2 * runs + 1)]
 
     def call(shadow, family) -> float:
         start = time.perf_counter()
@@ -366,32 +323,20 @@ def bench_projected_case(src: str, name: str, runs: int) -> dict:
 
     result = {"sectors": len(projectors.all_sector_projectors(q, spec))}
     if "first" in timed_calls:
-        call(fresh[0], projectors.all_sector_projectors(q, spec))
+        call(acquired[0], projectors.all_sector_projectors(q, spec))
         result["first_ms"] = median_ms([
             call(shadow, projectors.all_sector_projectors(q, spec))
-            for shadow in fresh[1:runs + 1]])
+            for shadow in acquired[1:runs + 1]])
     if "later" in timed_calls:
         family = projectors.all_sector_projectors(q, spec)
-        call(fresh[0], family)
+        call(acquired[0], family)
         result["later_ms"] = median_ms([call(shadow, family)
-                                        for shadow in fresh[runs + 1:]])
+                                        for shadow in acquired[runs + 1:]])
     return result
 
 
-def bench_projected(src: str, runs: int) -> dict:
-    """Every ``PROJECTED_CASES`` case, each in a fresh process."""
-    context = multiprocessing.get_context("spawn")
-    result = {}
-    for name in PROJECTED_CASES:
-        with context.Pool(1) as pool:
-            result[name] = pool.apply(bench_projected_case,
-                                      (src, name, runs))
-    return result
-
-
-def bench_oracle_case(src: str, layer: str, q: int, runs: int) -> dict:
-    """One dense-oracle layer of ``ORACLE_CASES``, timed in this process."""
-    sys.path.insert(0, src)
+def bench_oracle(layer: str, q: int, runs: int) -> dict:
+    """One dense-oracle layer of ``ORACLE_CASES``."""
     from shadowproj import pairing, projectors, statevector
 
     ham = pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0, 1.0))
@@ -414,27 +359,13 @@ def bench_oracle_case(src: str, layer: str, q: int, runs: int) -> dict:
     return result
 
 
-def bench_oracle(src: str, runs: int) -> dict:
-    """Every ``ORACLE_CASES`` layer, each in a fresh process."""
-    context = multiprocessing.get_context("spawn")
-    result = {}
-    for name, (layer, q) in ORACLE_CASES.items():
-        with context.Pool(1) as pool:
-            result[name] = pool.apply(bench_oracle_case,
-                                      (src, layer, q, runs))
-    return result
-
-
-def bench_figure_run(src: str, fig: str, work: str) -> tuple[float, str]:
+def bench_figure_run(fig: str, work: str) -> tuple[float, str]:
     """One ``run_experiment`` + ``write_results`` of a figure's default
-    config, timed in this process, and the sha256 of its CSV."""
-    sys.path.insert(0, src)
+    config, and the sha256 of its CSV."""
     import hashlib
-    import warnings
 
-    from shadowproj import experiments, projectors
+    from shadowproj import experiments
 
-    warnings.simplefilter("ignore", projectors.EmptySectorWarning)
     out = Path(work) / f"{fig}.csv"
     start = time.perf_counter()
     experiments.write_results(
@@ -443,26 +374,16 @@ def bench_figure_run(src: str, fig: str, work: str) -> tuple[float, str]:
     return seconds, hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def bench_figures(src: str, runs: int) -> dict:
-    """Every figure of ``FIGURES``, each run in a fresh process."""
-    context = multiprocessing.get_context("spawn")
-    result = {}
+def bench_figure(src: str, fig: str, runs: int) -> dict:
+    """``runs`` runs of one figure, each in a fresh process."""
     with tempfile.TemporaryDirectory() as work:
-        for fig in FIGURES:
-            times, digests = [], set()
-            for _ in range(runs):
-                with context.Pool(1) as pool:
-                    seconds, digest = pool.apply(bench_figure_run,
-                                                 (src, fig, work))
-                times.append(seconds)
-                digests.add(digest)
-            if len(digests) != 1:
-                raise RuntimeError(f"{fig}: CSV bytes differ between runs")
-            result[fig] = {"median_s": round(statistics.median(times), 4),
-                           "min_s": round(min(times), 4),
-                           "max_s": round(max(times), 4),
-                           "csv_sha256": digests.pop()}
-    return result
+        times, digests = zip(*(fresh(src, bench_figure_run, fig, work)
+                               for _ in range(runs)))
+    if len(set(digests)) != 1:
+        raise RuntimeError(f"{fig}: CSV bytes differ between runs")
+    return {"median_s": round(statistics.median(times), 4),
+            "min_s": round(min(times), 4), "max_s": round(max(times), 4),
+            "csv_sha256": digests[0]}
 
 
 def main(argv=None) -> int:
@@ -478,39 +399,34 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
-    sys.path.insert(0, args.src)
+
+    def each(fn, cases: dict) -> dict:
+        return {name: fresh(args.src, fn, *case, args.runs)
+                for name, case in cases.items()}
 
     record = {"machine": machine(), "runs": args.runs,
-              "cases": {name: bench_case(*case, args.runs)
-                        for name, case in CASES.items()},
-              "planning_q6": bench_planning(args.runs),
-              "sector_norms": {name: bench_sectors(*case, args.runs)
-                               for name, case in SECTOR_CASES.items()},
-              "distinct_snapshots": {f"q{q}": bench_distinct(q, args.runs)
-                                     for q in (4, 8)},
-              "shadow_io": {f"q{q}": bench_shadow_io(q, args.runs)
-                            for q in (4, 8)},
-              "number_sectors": {f"q{q}": bench_number_sectors(q, args.runs)
-                                 for q in (4, 6)},
-              "plain_random": {f"q{q}": bench_plain_random(q, args.runs)
-                               for q in (4, 6, 8)},
-              "spin_hamiltonian": bench_spin_hamiltonian(*SPIN_HAMILTONIAN),
-              "copied_spin_hamiltonian": bench_spin_hamiltonian(
-                  *COPIED_SPIN_HAMILTONIAN, copied=True),
-              "projected": bench_projected(args.src, args.runs),
-              "oracle": bench_oracle(args.src, args.runs),
-              "figures": bench_figures(args.src, args.runs)}
+              "cases": each(bench_case, CASES),
+              "planning_q6": summed(each(bench_planning, PLANNING_SETS)),
+              "distinct_snapshots": each(bench_distinct,
+                                         {f"q{q}": (q,) for q in (4, 8)}),
+              "shadow_io": each(bench_shadow_io,
+                                {f"q{q}": (q,) for q in (4, 8)}),
+              "plain_random": each(bench_plain_random,
+                                   {f"q{q}": (q,) for q in (4, 6, 8)}),
+              "spin_hamiltonian": fresh(args.src, bench_spin_hamiltonian,
+                                        *SPIN_HAMILTONIAN),
+              "copied_spin_hamiltonian": fresh(
+                  args.src, bench_spin_hamiltonian, *COPIED_SPIN_HAMILTONIAN,
+                  True),
+              "projected": each(bench_projected, PROJECTED_CASES),
+              "oracle": each(bench_oracle, ORACLE_CASES),
+              "figures": {fig: bench_figure(args.src, fig, args.runs)
+                          for fig in FIGURES}}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("layers", {})[args.label] = record
     out.write_text(json.dumps(data, indent=1) + "\n")
-    print(json.dumps({key: record[key] for key in
-                      ("cases", "planning_q6", "sector_norms",
-                       "distinct_snapshots", "shadow_io", "number_sectors",
-                       "plain_random", "spin_hamiltonian",
-                       "copied_spin_hamiltonian", "projected",
-                       "oracle", "figures")},
-                     indent=1))
+    print(json.dumps(record, indent=1))
     return 0
 
 

@@ -165,7 +165,7 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    shadow = shadows.load_shadow(args.shadow, prescribed=args.prescribed)
+    shadow = shadows.load_shadow(args.shadow)
     if args.projector:
         spec = _projector_spec(args.projector)
         proj = projectors.projector_from_spec(shadow.num_qubits, spec)
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dense (projected) density from a shadow")
     p.add_argument("--shadow", required=True)
     p.add_argument("--projector", default=None)
-    p.add_argument("--prescribed", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 

@@ -350,6 +350,8 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
     state = prepare_fig4_state(cfg.q)
     ham = _pairing_model(cfg)
     expanded = expand_projected_observable(ham, proj)
+    if not len(expanded) and set(cfg.methods) - {"random"}:
+        raise ConfigError(f"q={cfg.q}: H*P is zero, no target to measure")
     oracle = exact_projected_linear(state, ham,
                                     _exact_projector(cfg.q, proj))[0]
     weights = [abs(c) for c, _ in expanded.terms]

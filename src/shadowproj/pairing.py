@@ -68,6 +68,6 @@ def exact_sector_ground_energy(spec: PairingSpec, n_pairs: int) -> float:
     if not 0 <= n_pairs <= spec.q:
         raise ValueError(f"n_pairs={n_pairs} outside 0..{spec.q}")
     dense = pairing_dense(spec)
-    idx = [k for k in range(2 ** spec.q) if bin(k).count("1") == n_pairs]
+    idx = np.flatnonzero(np.bitwise_count(np.arange(2 ** spec.q)) == n_pairs)
     block = dense[np.ix_(idx, idx)]
     return float(np.linalg.eigvalsh(block)[0])

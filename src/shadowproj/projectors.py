@@ -620,8 +620,7 @@ def number_operator(num_qubits: int) -> WeightedPauliSum:
 
 
 def _popcounts(num_qubits: int) -> np.ndarray:
-    k = np.arange(2 ** num_qubits)
-    return np.array([bin(v).count("1") for v in k])
+    return np.bitwise_count(np.arange(2 ** num_qubits)).astype(np.int64)
 
 
 def exact_parity_projector(num_qubits: int, epsilon: int) -> np.ndarray:

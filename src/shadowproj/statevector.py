@@ -68,9 +68,7 @@ class Statevector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
             raise ValueError("amplitude count must be a power of two >= 2")
-        q = amps.size.bit_length() - 1
-        if q > MAX_QUBITS:
-            raise ValueError(f"q={q} exceeds the dense ceiling of {MAX_QUBITS}")
+        _dimension(amps.size.bit_length() - 1)
         bad = np.flatnonzero(~np.isfinite(amps))
         if bad.size:
             raise ValueError(f"amplitude {bad[0]} is not finite: "
@@ -119,8 +117,17 @@ class Statevector:
         return cls(np.array(amps, dtype=complex))
 
 
+def _dimension(q: int) -> int:
+    """2**q for q in 1..MAX_QUBITS, checked before any allocation."""
+    if q < 1:
+        raise ValueError("amplitude count must be a power of two >= 2")
+    if q > MAX_QUBITS:
+        raise ValueError(f"q={q} exceeds the dense ceiling of {MAX_QUBITS}")
+    return 2 ** q
+
+
 def prepare_basis_state(num_qubits: int, index: int = 0) -> Statevector:
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
+    amps = np.zeros(_dimension(num_qubits), dtype=complex)
     amps[index] = 1.0
     return Statevector(amps)
 
@@ -145,7 +152,7 @@ def prepare_gaussian(num_qubits: int, mu: float | None = None,
         sigma = mu / 3
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    k = np.arange(2 ** num_qubits, dtype=float)
+    k = np.arange(_dimension(num_qubits), dtype=float)
     arg = (k - mu) / sigma
     if squared:
         arg = arg ** 2
@@ -167,9 +174,9 @@ def prepare_parity_mixture(num_qubits: int, p_even: float,
     """Pseudo-random state with an exact even-parity probability ``p_even``."""
     if not 0.0 < p_even < 1.0:
         raise ValueError("p_even must be strictly between 0 and 1")
+    ones = np.bitwise_count(np.arange(_dimension(num_qubits)))
     gen = _rng.stream(seed, 0x5747)
-    vec = gen.normal(size=2 ** num_qubits) + 1j * gen.normal(size=2 ** num_qubits)
-    ones = np.array([bin(k).count("1") for k in range(2 ** num_qubits)])
+    vec = gen.normal(size=ones.size) + 1j * gen.normal(size=ones.size)
     even = vec * (ones % 2 == 0)
     odd = vec * (ones % 2 == 1)
     even /= np.linalg.norm(even)

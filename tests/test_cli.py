@@ -5,6 +5,7 @@ import pytest
 
 from shadowproj.cli import main
 from shadowproj.paulis import WeightedPauliSum
+from shadowproj.projectors import EmptySectorWarning
 from shadowproj.statevector import Statevector
 
 
@@ -137,6 +138,15 @@ def test_reconstruct_command(workdir, capsys):
                  str(rho_file)]) == 0
 
 
+def test_reconstruct_has_no_prescribed_option(workdir, capsys):
+    """Reconstruction reads a shadow the same way under either protocol."""
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--shadow", str(workdir / "shadow.txt"),
+              "--prescribed", "--out", str(workdir / "rho.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --prescribed" in capsys.readouterr().err
+
+
 def test_experiment_command_and_config_error(workdir, capsys):
     cfg = workdir / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "fig3", "shots": [100, 300],
@@ -194,6 +204,35 @@ def test_experiment_config_errors_exit_2(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("methods", [None, ["counts"]])
+def test_fig4_without_targets_exits_2(tmp_path, capsys, methods):
+    """At q=2 the default model's H*P_+ is the zero operator: a method that
+    measures its terms has nothing to measure."""
+    config = {"experiment": "fig4", "q": 2, "shots": [10], "repeats": 1}
+    if methods:
+        config["methods"] = methods
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "results.csv"
+    assert main(["experiment", "--config", str(cfg), "--out",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: q=2: H*P is zero")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_fig4_random_runs_without_targets(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "fig4", "q": 2, "shots": [10],
+                               "repeats": 1, "methods": ["random"]}))
+    out = tmp_path / "results.csv"
+    with pytest.warns(EmptySectorWarning):
+        assert main(["experiment", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("random,10,1,")
 
 
 def test_error_exit_code_on_bad_input(workdir, capsys):

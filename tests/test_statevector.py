@@ -47,6 +47,16 @@ def test_statevector_enforces_qubit_ceiling():
         Statevector(np.zeros(2 ** 13, dtype=complex))
 
 
+@pytest.mark.parametrize("prepare", [
+    prepare_basis_state, prepare_gaussian,
+    lambda q: prepare_parity_mixture(q, 0.5)])
+def test_preparers_check_the_ceiling_before_allocating(prepare):
+    """q=40 would need 2^40 amplitudes (16 TiB), so only a check made before
+    the allocation gives this error."""
+    with pytest.raises(ValueError, match="q=40 exceeds the dense ceiling"):
+        prepare(40)
+
+
 def test_gaussian_flat_limit():
     state = prepare_gaussian(1, mu=0.0, sigma=1e12)
     assert np.allclose(state.amplitudes, [1 / math.sqrt(2)] * 2, atol=1e-9)
