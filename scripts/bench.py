@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the fig4 budget path, planning on every budget-q6 target set, the
 distinct-snapshot pass, shadow file I/O, the plain random, spin-sector and
-projected estimates, the dense oracle and the figures, and record them in a
-JSON file.
+projected estimates, the dense oracle, acquisition and the figures, and
+record them in a JSON file.
 
 Every case runs in a fresh spawned process of its own that imports
 ``shadowproj`` from ``--src`` (``fresh``), because a layer's time depends on
@@ -63,13 +63,21 @@ and 10; ``to_matrix`` of the pairing Hamiltonian at q=8 and 10; and
 ``to_matrix`` of every sector of a freshly built n_p=10 spin family (so no
 Pauli expansion is cached) at q=4 and 6.
 
+Acquisition: ``acquire_shadow`` of the Gaussian state at q = 4, 6 and 8
+with M = 10^3, 10^4 and 10^5 and at q = 10 and 12 with M = 10^3 and 10^4,
+and of the fig4 state at q=6 on the 2000-round n0=3 plan (the ``budget-q6``
+shape), each with the sha256 of its outcome bytes, which must be the same
+whichever source is timed. ``acquire_peak`` is the ``tracemalloc`` peak of
+one q=12, M=10^5 acquisition; it is recorded only when the source timed is
+this checkout's own, because older samplers take minutes there.
+
 Figures: each of fig2-fig7 at its default config, as ``run_figures.py``
 runs it: the wall seconds of ``run_experiment`` plus ``write_results``,
 each of k runs in a fresh process (median, minimum and maximum), with the
 sha256 of the CSV, which must be the same in every run.
 
-    python scripts/bench.py --out BENCH_20.json --label change
-    python scripts/bench.py --out BENCH_20.json --label parent \
+    python scripts/bench.py --out BENCH_22.json --label change
+    python scripts/bench.py --out BENCH_22.json --label parent \
         --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
@@ -110,6 +118,16 @@ ORACLE_CASES = {f"{layer}_q{q}": (layer, q) for layer, sizes in (
     ("spin_matrices", (4, 6))) for q in sizes}
 ORACLE_SPIN_N_P = 10
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
+# name: (q, shots, plan n0 or None for random bases)
+ACQUIRE_CASES = {
+    **{f"q{q}_m{m}": (q, m, None) for q in (4, 6, 8)
+       for m in (10 ** 3, 10 ** 4, 10 ** 5)},
+    **{f"q{q}_m{m}": (q, m, None) for q in (10, 12)
+       for m in (10 ** 3, 10 ** 4)},
+    "plan_q6_m2000": (6, 2000, 3),
+}
+ACQUIRE_PEAK = (12, 10 ** 5)
+OWN_SRC = Path(__file__).resolve().parent.parent / "src"
 # name: (observable, family spec, q, shots, state, timed calls)
 PROJECTED_CASES = {
     "number_fresh_q4": ("pairing", {"type": "number"}, 4, 10_000,
@@ -359,6 +377,44 @@ def bench_oracle(layer: str, q: int, runs: int) -> dict:
     return result
 
 
+def bench_acquire(q: int, shots: int, n0: int | None, runs: int) -> dict:
+    """One ``ACQUIRE_CASES`` case."""
+    import hashlib
+
+    from shadowproj import experiments, measurement, pairing, projectors
+    from shadowproj import shadows, statevector
+
+    if n0 is None:
+        state, bases = statevector.prepare_gaussian(q), None
+    else:
+        state = experiments.prepare_fig4_state(q)
+        expanded = projectors.expand_projected_observable(
+            pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0,
+                                                                  1.0)),
+            projectors.number_projector(q, n0))
+        bases = measurement.derandomize_plan(
+            [s for _, s in expanded.terms],
+            [abs(c) for c, _ in expanded.terms], shots,
+            epsilon=EPSILON).bases_sequence
+    result, shadow = timed(
+        lambda: shadows.acquire_shadow(state, shots, 1, bases=bases), runs)
+    result["outcomes_sha256"] = hashlib.sha256(
+        shadow.outcomes.tobytes()).hexdigest()
+    return result
+
+
+def bench_acquire_peak(q: int, shots: int) -> dict:
+    """The ``tracemalloc`` peak of one acquisition."""
+    from shadowproj import shadows, statevector
+
+    state = statevector.prepare_gaussian(q)
+    tracemalloc.start()
+    shadows.acquire_shadow(state, shots, 1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"q": q, "shots": shots, "peak_mb": round(peak / 2**20, 3)}
+
+
 def bench_figure_run(fig: str, work: str) -> tuple[float, str]:
     """One ``run_experiment`` + ``write_results`` of a figure's default
     config, and the sha256 of its CSV."""
@@ -393,8 +449,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="change")
     parser.add_argument("--runs", type=int, default=7,
                         help="timed calls per layer (median of k)")
-    parser.add_argument("--src", default=str(
-        Path(__file__).resolve().parent.parent / "src"),
+    parser.add_argument("--src", default=str(OWN_SRC),
         help="source tree whose shadowproj is timed")
     args = parser.parse_args(argv)
     if args.runs < 1:
@@ -420,8 +475,12 @@ def main(argv=None) -> int:
                   True),
               "projected": each(bench_projected, PROJECTED_CASES),
               "oracle": each(bench_oracle, ORACLE_CASES),
+              "acquire": each(bench_acquire, ACQUIRE_CASES),
               "figures": {fig: bench_figure(args.src, fig, args.runs)
                           for fig in FIGURES}}
+    if Path(args.src).resolve() == OWN_SRC:
+        record["acquire_peak"] = fresh(args.src, bench_acquire_peak,
+                                       *ACQUIRE_PEAK)
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("layers", {})[args.label] = record

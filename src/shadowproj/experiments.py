@@ -15,7 +15,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -100,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError(f"q must lie in 1..{MAX_QUBITS}, got {self.q}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.shots or any(m < 1 for m in self.shots):
             raise ConfigError("shots schedule must contain positive values")
         if any(a >= b for a, b in zip(self.shots, self.shots[1:])):
@@ -217,6 +218,7 @@ def _parallel_map(fn: Callable, tasks: list) -> list:
                           f"{value!r}") from None
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # a costly import
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 

@@ -489,10 +489,7 @@ def _group_distributions(state: Statevector,
     codes = np.array([[BASIS_CODE[b] for b in g.shared_basis]
                       for g in groups], dtype=np.int8).reshape(-1, q)
     distinct, which = np.unique(_digit_keys(codes, 3), return_inverse=True)
-    probs = np.empty((distinct.size, 1 << q))
-    for start, chunk in _born_probabilities(state, distinct):
-        probs[start:start + len(chunk)] = chunk
-    return probs[which]
+    return _born_probabilities(state, distinct)[which]
 
 
 def _odd_parities(obs: WeightedPauliSum, members: Sequence[int]

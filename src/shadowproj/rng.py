@@ -14,6 +14,8 @@ from numpy.random import Generator, Philox, SeedSequence
 
 def derive_key(seed: int, *path: int) -> np.ndarray:
     """128-bit Philox key derived from a base seed and a branch path."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ss = SeedSequence([int(seed)] + [int(p) for p in path])
     return ss.generate_state(2, np.uint64)
 

@@ -165,7 +165,7 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
     Snapshot n consumes row n of a counter-based uniform block derived from
     the seed (q basis draws, unused for prescribed bases, then the outcome
     draw), so results are reproducible and independent of any parallel
-    execution order, and of how the Born distributions are computed.
+    execution order. :func:`_descend` draws the outcomes.
     """
     _check_count(shots)
     q = state.num_qubits
@@ -174,26 +174,47 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
         codes = np.minimum((block[:, :q] * 3).astype(np.int8), 2)
     else:
         codes = _prescribed_codes(list(bases), shots, q)
-
-    keys = _digit_keys(codes, 3)
-    rows = np.argsort(keys)  # the rows of each key form one run
-    keys = keys[rows]
-    bounds = np.append(np.flatnonzero(_run_starts(keys)), shots)
-    distinct, counts = keys[bounds[:-1]], np.diff(bounds)
-    uniforms = block[rows, q]
-    del keys, block
-    index = np.empty(shots, dtype=np.int32)
-    for start, cdf in _born_cdf(state, distinct):
-        stop = start + len(cdf)
-        run = slice(bounds[start], bounds[stop])
-        cdf_row = np.repeat(np.arange(len(cdf), dtype=np.int32),
-                            counts[start:stop])
-        index[rows[run]] = _search_rows(cdf, cdf_row, uniforms[run])
+    # level k holds at most min(shots, 3 * 6^k) keys of 2^(q-k) amplitudes
+    step = max(1, min([shots] + [_DESCENT_BUDGET >> (q - k) for k in range(q)
+                                 if 3 * 6 ** k << (q - k) > _DESCENT_BUDGET]))
     outcomes = np.empty((shots, q), dtype=np.int8)
-    for j in range(q):
-        outcomes[:, j] = (index >> j) & 1
+    for start in range(0, shots, step):
+        run = slice(start, start + step)
+        _descend(state, codes[run], block[run, q], outcomes[run])
     return ClassicalShadow.from_arrays(codes, outcomes, seed,
                                        bases is not None)
+
+
+def _descend(state: Statevector, codes: np.ndarray, uniforms: np.ndarray,
+             outcomes: np.ndarray) -> None:
+    """Write into ``outcomes`` each shot's inverse-CDF outcome of its
+    uniform u, one qubit at a time from qubit q-1, the leading bit: the
+    shot's basis rotates its node (a history of bases and bits), and it
+    takes bit 1 iff its residual u |psi|^2 is at least the bit-0 child's
+    mass and the bit-1 child's mass is not zero, then drops that mass.
+    Nodes are all 6^k histories while 3 * 6^k is at most a quarter of the
+    shots, and then only the (node, basis) keys some shot reached."""
+    q = state.num_qubits
+    amps, node = state.amplitudes[None], np.zeros(len(codes), dtype=np.intp)
+    residual = uniforms * (np.abs(state.amplitudes) ** 2).sum()
+    for k, j in enumerate(range(q - 1, -1, -1)):
+        key = 3 * node + codes[:, j]
+        reached = np.arange(3 * len(amps))
+        if 12 * 6 ** k > len(codes):  # keys < 6 * shots: no sort needed
+            seen = np.bincount(key, minlength=reached.size) > 0
+            reached, key = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+        half, parent = amps.shape[1] // 2, reached // 3
+        low, high = amps[parent, None, :half], amps[parent, None, half:]
+        del amps
+        gate = _LEVEL_GATES[reached % 3][:, :, :, None]
+        children = gate[:, :, 0] * low  # (keys, bit, 2^j)
+        children += gate[:, :, 1] * high
+        amps = children.reshape(-1, half)
+        mass = (np.abs(children) ** 2).sum(axis=2)
+        edge = np.where(mass[:, 1] > 0, mass[:, 0], np.inf)[key]
+        bit = residual >= edge
+        np.subtract(residual, edge, out=residual, where=bit)
+        outcomes[:, j], node = bit, 2 * key + bit
 
 
 def _digit_keys(digits: np.ndarray, base: int) -> np.ndarray:
@@ -248,27 +269,27 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
 # zero, which no later sum or probability can see.
 _LEVEL_GATES = np.stack([BASIS_ROTATIONS[b] for b in BASIS_LETTERS])
 
-# Amplitudes one level of the basis-prefix expansion may hold: 2^13 complex
-# values (128 KiB), so acquisition memory stays bounded up to q = 12.
-_AMPLITUDE_BUDGET = 1 << 13
+# Amplitudes one level may hold: 2^21 complex values (32 MiB) in the
+# acquisition descent, whose shots go in consecutive runs to keep to it, and
+# 2^13 (128 KiB) in the basis-prefix expansion of whole distributions.
+_DESCENT_BUDGET, _AMPLITUDE_BUDGET = 1 << 21, 1 << 13
 
 
-def _born_probabilities(state: Statevector, keys: np.ndarray
-                        ) -> Iterator[tuple[int, np.ndarray]]:
-    """Outcome distributions of ``state`` in the bases ``keys``, in chunks.
+def _born_probabilities(state: Statevector, keys: np.ndarray) -> np.ndarray:
+    """(K, 2^q) outcome distributions of ``state`` in the bases ``keys``.
 
     A key reads a basis row as a base-3 number with qubit 0 as its leading
-    digit; ``keys`` must be sorted and distinct. Yields ``(start, probs)``
-    with ``probs[i]`` equal, float for float, to
-    ``rotate_to_bases(state, row).probabilities()`` for ``keys[start + i]``:
+    digit; ``keys`` must be sorted and distinct. Row i equals, float for
+    float, ``rotate_to_bases(state, row).probabilities()`` for ``keys[i]``:
     the gates go on qubit 0 first, each as the same (2, 2) @ (2, 2^(q-1))
     product, and Z applies the identity. Keys with the same codes on qubits
-    0..j share those rotations, which happen once per chunk. A chunk has at
-    most ``_AMPLITUDE_BUDGET >> q`` keys, so no level exceeds the budget.
+    0..j share those rotations, which happen once per chunk of at most
+    ``_AMPLITUDE_BUDGET >> q`` keys, so no level exceeds the budget.
     """
     q = state.num_qubits
     dim = 1 << q
     per_chunk = max(1, _AMPLITUDE_BUDGET >> q)
+    probs = np.empty((keys.size, dim))
     for start in range(0, keys.size, per_chunk):
         chunk = keys[start:start + per_chunk]
         prefixes, amps = np.zeros(1, dtype=np.int64), state.amplitudes[None]
@@ -283,41 +304,9 @@ def _born_probabilities(state: Statevector, keys: np.ndarray
             amps = rotated.reshape(slab.shape).swapaxes(1, 2).reshape(
                 level.size, dim)
             prefixes = level
-        probs = np.abs(amps) ** 2
-        del amps
-        probs /= probs.sum(axis=1, keepdims=True)
-        yield start, probs
-
-
-def _born_cdf(state: Statevector, keys: np.ndarray
-              ) -> Iterator[tuple[int, np.ndarray]]:
-    """Chunks of :func:`_born_probabilities` as cumulative distributions,
-    the last entry clamped to 1."""
-    for start, probs in _born_probabilities(state, keys):
-        cdf = np.cumsum(probs, axis=1, out=probs)
-        cdf[:, -1] = 1.0
-        yield start, cdf
-
-
-def _search_rows(cdf: np.ndarray, row: np.ndarray,
-                 uniforms: np.ndarray) -> np.ndarray:
-    """``min(searchsorted(cdf[row[n]], uniforms[n], "right"), 2^q - 1)`` for
-    every n at once, by q halving steps over [0, 2^q - 1]."""
-    width = cdf.shape[1]
-    flat = cdf.reshape(-1)
-    before = row * width - 1  # flat index just before each row
-    pos = before.copy()  # last flat index known to hold a value <= u
-    probe = np.empty_like(pos)
-    seen = np.empty(pos.size)
-    take = np.empty(pos.size, dtype=bool)
-    step = width >> 1
-    while step:
-        np.add(pos, step, out=probe)
-        np.less_equal(np.take(flat, probe, out=seen), uniforms, out=take)
-        np.copyto(pos, probe, where=take)
-        step >>= 1
-    pos -= before
-    return pos
+        part = np.abs(amps) ** 2
+        probs[start:start + per_chunk] = part / part.sum(axis=1, keepdims=True)
+    return probs
 
 
 def qubit_trace_factor(basis: str, outcome_bit: int, p: str) -> int:
@@ -482,14 +471,14 @@ def iter_snapshot_distribution(state: Statevector
     q = state.num_qubits
     combos = itertools.product(BASIS_LETTERS, repeat=q)
     # itertools.product order is key order: qubit 0 is the leading digit
-    for _, chunk in _born_probabilities(state, np.arange(3 ** q)):
-        for probs, combo in zip(chunk, combos):
-            for k in range(2 ** q):
-                p = probs[k] / 3 ** q
-                if p == 0.0:
-                    continue
-                bits = tuple((k >> j) & 1 for j in range(q))
-                yield Snapshot(combo, bits), float(p)
+    for probs, combo in zip(_born_probabilities(state, np.arange(3 ** q)),
+                            combos):
+        for k in range(2 ** q):
+            p = probs[k] / 3 ** q
+            if p == 0.0:
+                continue
+            bits = tuple((k >> j) & 1 for j in range(q))
+            yield Snapshot(combo, bits), float(p)
 
 
 _BYTE_CODES = np.full(256, -1, dtype=np.int8)
@@ -546,7 +535,8 @@ def load_shadow(path: str | Path, prescribed: bool = False) -> ClassicalShadow:
     Lines may end in LF, CRLF or CR, and the last one may lack its line
     end; whitespace around the text and between header fields is ignored.
     Malformed input, a byte that is not UTF-8 included, raises ValueError
-    naming the offending line.
+    naming the offending line; so does a header field other than q, M, seed
+    and protocol, or one given twice.
 
     The body is viewed as one (M, 2q + 2) byte array; a row must hold a
     space at column q and a line end at its last column. Only a body that
@@ -557,7 +547,12 @@ def load_shadow(path: str | Path, prescribed: bool = False) -> ClassicalShadow:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     head, _, body = data.strip().partition(b"\n")
     try:
-        header = dict(item.split("=") for item in head.decode().split())
+        items = [item.split("=") for item in head.decode().split()]
+        header, names = dict(items), [item[0] for item in items]
+        for name in names:
+            if names.count(name) > 1 or name not in ("q", "M", "seed",
+                                                     "protocol"):
+                raise ValueError(f"unknown or repeated field {name!r}")
         q, m, seed = int(header["q"]), int(header["M"]), int(header["seed"])
         protocol = header.get("protocol", "random")
         if q < 1 or m < 1 or protocol not in ("random", "prescribed"):

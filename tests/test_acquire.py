@@ -2,10 +2,12 @@
 
 The reference rotates the state once per distinct basis row with
 ``rotate_to_bases`` and searches that row's CDF; the shadow acquired through
-the prefix-shared expansion must match it byte for byte.
+the descent over the (basis, outcome) prefix tree must match it byte for
+byte.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from shadowproj.projectors import (expand_projected_observable,
 from shadowproj.shadows import (BASIS_CODE, BASIS_LETTERS, ClassicalShadow,
                                 acquire_shadow, iter_snapshot_distribution)
 from shadowproj.statevector import (Statevector, prepare_basis_state,
-                                    prepare_gaussian, rotate_to_bases)
+                                    prepare_gaussian, prepare_parity_mixture,
+                                    rotate_to_bases)
 
 
 def reference_acquire_shadow(state, shots, seed, bases=None):
@@ -106,19 +109,113 @@ def test_q10_shadow_matches_reference():
                        reference_acquire_shadow(state, 120, 5))
 
 
+def assert_reference_distributions(state):
+    """Every row of _born_probabilities over all 3^q bases equals
+    rotate_to_bases's probabilities float for float."""
+    combos = itertools.product(BASIS_LETTERS, repeat=state.num_qubits)
+    probs = shadows._born_probabilities(state,
+                                        np.arange(3 ** state.num_qubits))
+    for row, combo in zip(probs, combos, strict=True):
+        want = rotate_to_bases(state, combo).probabilities()
+        assert row.tobytes() == want.tobytes()
+
+
 def test_keys_crossing_the_chunk_budget_match_reference(monkeypatch):
-    state = random_state(6, 3)
-    keys = np.arange(3 ** 6)
     # the module budget alone splits the 729 q=6 bases into several chunks
-    assert len(list(shadows._born_cdf(state, keys))) > 2
+    assert 3 ** 6 > 2 * (shadows._AMPLITUDE_BUDGET >> 6)
+    state = random_state(6, 3)
+    assert_reference_distributions(state)
     assert_same_shadow(acquire_shadow(state, 6000, 4),
                        reference_acquire_shadow(state, 6000, 4))
     # two keys per chunk: every prefix is rebuilt many times over
     monkeypatch.setattr(shadows, "_AMPLITUDE_BUDGET", 16)
     state = random_state(3, 3)
-    assert len(list(shadows._born_cdf(state, np.arange(27)))) == 14
+    assert_reference_distributions(state)
     assert_same_shadow(acquire_shadow(state, 500, 4),
                        reference_acquire_shadow(state, 500, 4))
+
+
+@pytest.mark.parametrize("q, budget, chunk", [(5, 64, 2), (8, 1 << 10, 8)])
+def test_descending_in_small_chunks_gives_the_same_bytes(monkeypatch, q,
+                                                         budget, chunk):
+    state = random_state(q, 21)
+    whole = acquire_shadow(state, 400, 6)
+    assert_same_shadow(whole, reference_acquire_shadow(state, 400, 6))
+    calls = []
+    descend = shadows._descend
+    monkeypatch.setattr(shadows, "_DESCENT_BUDGET", budget)
+    monkeypatch.setattr(shadows, "_descend",
+                        lambda *args: calls.append(len(args[1]))
+                        or descend(*args))
+    assert_same_shadow(acquire_shadow(state, 400, 6), whole)
+    assert calls == [chunk] * (400 // chunk)
+
+
+def even_parity_state(q):
+    """A parity mixture with its odd-parity amplitudes set to exact zeros."""
+    amps = prepare_parity_mixture(q, 0.5, seed=q).amplitudes.copy()
+    amps[np.bitwise_count(np.arange(1 << q)) % 2 == 1] = 0.0
+    return Statevector(amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0), 1.0])
+def test_the_descent_never_lands_on_an_outcome_of_probability_zero(u):
+    # u = 0 meets zero-mass bit-0 children, u = 1 zero-mass bit-1 children
+    for state, allowed in ((prepare_basis_state(5, 0b10110), [0b10110]),
+                           (even_parity_state(5), [
+                               k for k in range(32) if k.bit_count() % 2 == 0
+                           ])):
+        outcomes = np.empty((1, 5), dtype=np.int8)
+        shadows._descend(state, np.full((1, 5), 2, dtype=np.int8),
+                         np.array([u]), outcomes)
+        assert int(outcomes[0] @ (1 << np.arange(5))) in allowed
+
+
+class BoundaryShot(UserWarning):
+    """A shot whose outcome differs from the reference's, with its uniform
+    within rounding of the reference CDF boundary between the two."""
+
+
+SWEEP_STATES = {**STATES, "parity": even_parity_state}
+# q, seeds, shots per seed
+SWEEP_SIZES = [*((q, 200, 100) for q in range(1, 7)), (7, 6, 200),
+               (8, 4, 200), (9, 2, 200), (10, 2, 200)]
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_STATES))
+@pytest.mark.parametrize("q, seeds, shots", SWEEP_SIZES)
+def test_descent_matches_the_reference_over_a_seed_sweep(kind, q, seeds,
+                                                         shots):
+    """Outcomes equal the reference's clamped CDF search, except a shot
+    whose uniform lies within 2^q * 1e-15 of the boundary between the two
+    outcomes, which is reported as a BoundaryShot warning."""
+    state = SWEEP_STATES[kind](q)
+    cdfs = {}  # basis key -> the reference's CDF
+    for seed in range(seeds):
+        got = acquire_shadow(state, shots, seed)
+        block = _rng.uniform_block(seed, (shadows._ACQUIRE_TAG,), shots,
+                                   q + 1)
+        assert got.codes.tobytes() == np.minimum(
+            (block[:, :q] * 3).astype(np.int8), 2).tobytes()
+        keys = shadows._digit_keys(got.codes, 3)
+        for key, row in zip(keys.tolist(), got.codes):
+            if key not in cdfs:
+                cdf = np.cumsum(rotate_to_bases(
+                    state, [BASIS_LETTERS[c] for c in row]).probabilities())
+                cdf[-1] = 1.0
+                cdfs[key] = cdf
+        cdf = np.stack([cdfs[key] for key in keys.tolist()])
+        u = block[:, q]
+        # searchsorted(side="right") as a count; u < 1 = cdf[-1]
+        want = np.minimum((cdf <= u[:, None]).sum(axis=1), (1 << q) - 1)
+        index = got.outcomes.astype(np.int64) @ (1 << np.arange(q))
+        for n in np.flatnonzero(index != want):
+            low, high = sorted((index[n], want[n]))
+            gap = np.abs(cdf[n, low:high] - u[n]).min()
+            assert gap <= 2 ** q * 1e-15, (seed, n, index[n], want[n], gap)
+            warnings.warn(BoundaryShot(
+                f"{kind} q={q} seed={seed} shot {n}: outcome {index[n]}, "
+                f"reference {want[n]}, |u - cdf| = {gap:.2e}"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,24 +225,6 @@ def test_acquire_matches_reference_property(q, seed, shots):
     state = random_state(q, seed)
     assert_same_shadow(acquire_shadow(state, shots, seed),
                        reference_acquire_shadow(state, shots, seed))
-
-
-def test_search_rows_equals_clamped_searchsorted():
-    gen = np.random.default_rng(0)
-    for q in (1, 2, 3, 5):
-        probs = gen.random((7, 2 ** q))
-        probs[gen.random(probs.shape) < 0.4] = 0.0  # flat runs
-        probs[:, 0] += 1e-3
-        cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
-        cdf[:, -1] = 1.0
-        row = gen.integers(0, 7, 400).astype(np.int32)
-        u = gen.random(400)
-        u[:50] = cdf[row[:50], gen.integers(0, 2 ** q, 50)]  # exact hits
-        u[50:60] = 0.0
-        want = np.minimum([np.searchsorted(cdf[r], x, side="right")
-                           for r, x in zip(row, u)], 2 ** q - 1)
-        np.testing.assert_array_equal(shadows._search_rows(cdf, row, u),
-                                      want)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

@@ -275,6 +275,17 @@ def test_acquire_rejects_a_malformed_plan(workdir, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_acquire_rejects_a_negative_seed(workdir, capsys):
+    shadow = workdir / "shadow.txt"
+    assert main(["acquire", "--state", str(workdir / "state.json"),
+                 "--shots", "5", "--seed", "-1", "--out", str(shadow)]) == 1
+    captured = capsys.readouterr()
+    # numpy's own message named no seed
+    assert "error: seed must be a non-negative integer, got -1" in \
+        captured.err
+    assert not shadow.exists()
+
+
 def test_plan_shadow_file_estimates_as_prescribed(workdir, capsys):
     plan = workdir / "plan.txt"
     assert main(["derandomize", "--observables", str(workdir / "ham.json"),

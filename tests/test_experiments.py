@@ -1,6 +1,10 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +244,7 @@ def test_csv_bytes_are_pinned(tmp_path, fig):
     ("gaussian_squared", 1, "gaussian_squared must be a boolean"),
     ("q", 0, "q must lie in 1..12, got 0"),
     ("q", 13, "q must lie in 1..12, got 13"),
+    ("seed", -1, "seed must be >= 0, got -1"),
 ])
 def test_config_rejects_wrong_types(key, value, message):
     with pytest.raises(ConfigError, match=message):
@@ -302,13 +307,23 @@ def test_pool_starts_at_most_one_worker_per_task(monkeypatch):
     cfg = ExperimentConfig.from_dict(
         {"experiment": "fig3", "shots": [100, 400], "repeats": 3, "seed": 3})
     serial = run_experiment(cfg)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setenv("SHADOW_THREADS", "64")
     assert experiments._parallel_map(abs, [-1, 2, -3]) == [1, 2, 3]
     assert seen == [3]
     pooled = run_experiment(cfg)
     assert seen == [3, 3, 3]
     assert pooled.rows == serial.rows
+
+
+def test_importing_the_package_leaves_the_process_pool_out():
+    # the pool's import pulls in multiprocessing, socket and logging
+    code = "import sys, shadowproj; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         cwd=Path(experiments.__file__).parents[1]).stdout
+    assert out.strip() == "False"
 
 
 def test_fig6_at_a_non_default_sector():

@@ -408,7 +408,11 @@ def test_malformed_shadow_line_names_the_line(tmp_path, line):
 @pytest.mark.parametrize("header", ["q=2 M=1", "q=2 M=1 seed=x",
                                     "q=2 M=1 seed=0 protocol=other",
                                     "q=0 M=1 seed=0", "q 2",
-                                    "q=2 M=0 seed=0"])
+                                    "q=2 M=0 seed=0",
+                                    # a misspelled protocol once read as
+                                    # random; a repeat kept the last value
+                                    "q=2 M=1 seed=1 protocl=prescribed",
+                                    "q=2 M=1 seed=1 seed=2"])
 def test_malformed_shadow_header_names_line_one(tmp_path, header):
     path = tmp_path / "bad.txt"
     path.write_text(f"{header}\nXZ 01\n")
