@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the fig4 budget path, planning on every budget-q6 target set, the
 distinct-snapshot pass, shadow file I/O, the plain random, spin-sector and
-projected estimates, the dense oracle, acquisition and the figures, and
-record them in a JSON file.
+projected estimates, the dense oracle, acquisition, direct counts and the
+figures, and record them in a JSON file.
 
 Every case runs in a fresh spawned process of its own that imports
 ``shadowproj`` from ``--src`` (``fresh``), because a layer's time depends on
@@ -71,13 +71,20 @@ whichever source is timed. ``acquire_peak`` is the ``tracemalloc`` peak of
 one q=12, M=10^5 acquisition; it is recorded only when the source timed is
 this checkout's own, because older samplers take minutes there.
 
+Counts: on the fig4 state and the pairing Hamiltonian times the
+half-filling number projector at q = 6, 8 and 10 (n0 = q/2; q=6 is the
+``budget-q6`` counts layer), ``singleton_groups``, ``group_qwc_rlf`` (q <= 8
+only; it takes seconds at q=10) and ``measurement._group_distributions`` of
+both groupings, with the group and distinct-basis counts and the sha256 of
+each distribution array, which must be the same whichever source is timed.
+
 Figures: each of fig2-fig7 at its default config, as ``run_figures.py``
 runs it: the wall seconds of ``run_experiment`` plus ``write_results``,
 each of k runs in a fresh process (median, minimum and maximum), with the
 sha256 of the CSV, which must be the same in every run.
 
-    python scripts/bench.py --out BENCH_22.json --label change
-    python scripts/bench.py --out BENCH_22.json --label parent \
+    python scripts/bench.py --out BENCH_24.json --label change
+    python scripts/bench.py --out BENCH_24.json --label parent \
         --src /path/to/other/checkout/src
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
@@ -127,6 +134,9 @@ ACQUIRE_CASES = {
     "plan_q6_m2000": (6, 2000, 3),
 }
 ACQUIRE_PEAK = (12, 10 ** 5)
+COUNTS_SIZES = (6, 8, 10)
+# largest q at which the counts section times RLF grouping
+COUNTS_RLF_MAX_Q = 8
 OWN_SRC = Path(__file__).resolve().parent.parent / "src"
 # name: (observable, family spec, q, shots, state, timed calls)
 PROJECTED_CASES = {
@@ -415,6 +425,31 @@ def bench_acquire_peak(q: int, shots: int) -> dict:
     return {"q": q, "shots": shots, "peak_mb": round(peak / 2**20, 3)}
 
 
+def bench_counts(q: int, runs: int) -> dict:
+    """One ``COUNTS_SIZES`` case."""
+    import hashlib
+
+    from shadowproj import experiments, measurement, pairing, projectors
+
+    state = experiments.prepare_fig4_state(q)
+    expanded = projectors.expand_projected_observable(
+        pairing.build_pairing_hamiltonian(pairing.PairingSpec(q, 1.0, 1.0)),
+        projectors.number_projector(q, q // 2))
+    result = {"terms": len(expanded)}
+    groupings = {"singleton": measurement.singleton_groups}
+    if q <= COUNTS_RLF_MAX_Q:
+        groupings["rlf"] = measurement.group_qwc_rlf
+    for name, grouping in groupings.items():
+        result[name], groups = timed(lambda: grouping(expanded), runs)
+        result[f"{name}_distributions"], probs = timed(
+            lambda: measurement._group_distributions(state, groups), runs)
+        result[f"{name}_distributions"].update(
+            groups=len(groups),
+            distinct_bases=len({g.shared_basis for g in groups}),
+            sha256=hashlib.sha256(probs.tobytes()).hexdigest())
+    return result
+
+
 def bench_figure_run(fig: str, work: str) -> tuple[float, str]:
     """One ``run_experiment`` + ``write_results`` of a figure's default
     config, and the sha256 of its CSV."""
@@ -476,6 +511,8 @@ def main(argv=None) -> int:
               "projected": each(bench_projected, PROJECTED_CASES),
               "oracle": each(bench_oracle, ORACLE_CASES),
               "acquire": each(bench_acquire, ACQUIRE_CASES),
+              "counts": each(bench_counts,
+                             {f"q{q}": (q,) for q in COUNTS_SIZES}),
               "figures": {fig: bench_figure(args.src, fig, args.runs)
                           for fig in FIGURES}}
     if Path(args.src).resolve() == OWN_SRC:

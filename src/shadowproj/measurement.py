@@ -29,11 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .paulis import PauliString, WeightedPauliSum, letter_codes
+from .paulis import PauliString, WeightedPauliSum, _digit_keys, letter_codes
 from .shadows import (BASIS_CODE, BASIS_LETTERS, ClassicalShadow,
-                      _born_probabilities, _check_count, _digit_keys,
-                      _distinct_snapshots, _line_text, _prescribed_codes,
-                      _sum_in_order, _term_counts)
+                      _born_probabilities, _check_count, _distinct_snapshots,
+                      _line_text, _prescribed_codes, _sum_in_order,
+                      _term_counts)
 from .statevector import Statevector
 
 # Candidate order implementing the Z < X < Y tie-break.
@@ -359,12 +359,13 @@ def _conflict_graph(codes: np.ndarray) -> np.ndarray:
 
 
 def _groups(codes: np.ndarray, classes) -> list[ObservableGroup]:
-    """One group per boolean class mask. Members agree where they share a
-    qubit, so the largest code is the shared letter; Z where none acts."""
-    return [ObservableGroup(tuple(np.flatnonzero(cls).tolist()),
+    """One group per ascending array of member indices. Members agree where
+    they share a qubit, so the largest code is the shared letter; Z where
+    none acts."""
+    return [ObservableGroup(tuple(members.tolist()),
                             tuple("Z" if c < 0 else BASIS_LETTERS[c]
-                                  for c in codes[cls].max(axis=0)))
-            for cls in classes]
+                                  for c in codes[members].max(axis=0)))
+            for members in classes]
 
 
 def group_qwc_rlf(obs: WeightedPauliSum) -> list[ObservableGroup]:
@@ -413,7 +414,7 @@ def group_qwc_rlf(obs: WeightedPauliSum) -> list[ObservableGroup]:
             score += adj[newly][:, cand].sum(axis=0)
         uncolored &= ~group
         degree -= adj[group].sum(axis=0)
-        classes.append(group)
+        classes.append(np.flatnonzero(group))
     return _groups(codes, classes)
 
 
@@ -428,13 +429,14 @@ def group_qwc_greedy(obs: WeightedPauliSum) -> list[ObservableGroup]:
         free[color[adj[v] & (color >= 0)]] = False
         color[v] = int(np.argmax(free))
         n_colors = max(n_colors, color[v] + 1)
-    return _groups(codes, [color == c for c in range(n_colors)])
+    return _groups(codes, [np.flatnonzero(color == c)
+                           for c in range(n_colors)])
 
 
 def singleton_groups(obs: WeightedPauliSum) -> list[ObservableGroup]:
     """One group per term: the ungrouped direct-counts baseline."""
     codes = obs.codes - 1
-    return _groups(codes, np.eye(len(codes), dtype=bool))
+    return _groups(codes, np.arange(len(codes))[:, None])
 
 
 def _check_cover(groups: Sequence[ObservableGroup], n_terms: int) -> None:

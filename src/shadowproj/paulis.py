@@ -213,12 +213,14 @@ def letter_codes(strings: Sequence[PauliString], num_qubits: int
         len(strings), num_qubits)
 
 
-def _row_keys(codes: np.ndarray) -> np.ndarray:
-    """Each code row as a base-4 number, qubit 0 the leading digit."""
-    keys = np.zeros(len(codes), dtype=np.int64)
-    for column in codes.T:
-        keys <<= 2
-        keys |= column
+def _digit_keys(digits: np.ndarray, base: int) -> np.ndarray:
+    """Each row of digits as one int64 number, column 0 the leading digit:
+    letter codes in base 4 are the merge keys of :class:`WeightedPauliSum`,
+    basis codes in base 3 the keys of ``shadows._born_probabilities``."""
+    keys = np.zeros(len(digits), dtype=np.int64)
+    for column in digits.T:
+        keys *= base
+        keys += column
     return keys
 
 
@@ -262,7 +264,7 @@ class WeightedPauliSum:
         codes = letter_codes([string for _, string in terms], num_qubits)
         coeffs = np.array([complex(coeff) * string.phase
                            for coeff, string in terms], dtype=complex)
-        self._assign(num_qubits, _row_keys(codes), coeffs)
+        self._assign(num_qubits, _digit_keys(codes, 4), coeffs)
 
     @classmethod
     def from_arrays(cls, num_qubits: int, codes, coeffs
@@ -280,7 +282,7 @@ class WeightedPauliSum:
             raise ValueError("letter codes must be integers in 0..3 "
                              "(I, X, Y, Z)")
         obj = cls.__new__(cls)
-        obj._assign(num_qubits, _row_keys(codes.astype(np.int8)), coeffs)
+        obj._assign(num_qubits, _digit_keys(codes.astype(np.int8), 4), coeffs)
         return obj
 
     def _assign(self, num_qubits: int, keys: np.ndarray,

@@ -8,14 +8,19 @@ parallel workers without shared state.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 
 def derive_key(seed: int, *path: int) -> np.ndarray:
-    """128-bit Philox key derived from a base seed and a branch path."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    """128-bit Philox key derived from a base seed and a branch path; the
+    seed must be a non-negative integer (a numpy integer too, not a bool),
+    or ValueError."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     ss = SeedSequence([int(seed)] + [int(p) for p in path])
     return ss.generate_state(2, np.uint64)
 

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .paulis import WeightedPauliSum
+from .paulis import WeightedPauliSum, _digit_keys
 from .statevector import BASIS_ROTATIONS, I2, Statevector
 
 BASIS_LETTERS = ("X", "Y", "Z")
@@ -213,18 +213,8 @@ def _descend(state: Statevector, codes: np.ndarray, uniforms: np.ndarray,
         mass = (np.abs(children) ** 2).sum(axis=2)
         edge = np.where(mass[:, 1] > 0, mass[:, 0], np.inf)[key]
         bit = residual >= edge
-        np.subtract(residual, edge, out=residual, where=bit)
+        residual = np.where(bit, residual - edge, residual)
         outcomes[:, j], node = bit, 2 * key + bit
-
-
-def _digit_keys(digits: np.ndarray, base: int) -> np.ndarray:
-    """Each row of digits as one int64 number, column 0 the leading digit.
-    Basis rows in base 3 are the keys of :func:`_born_probabilities`."""
-    keys = np.zeros(len(digits), dtype=np.int64)
-    for column in digits.T:
-        keys *= base
-        keys += column
-    return keys
 
 
 def _prescribed_codes(bases: list, shots: int, q: int) -> np.ndarray:
@@ -259,11 +249,6 @@ def _letter_round(row, q: int) -> bool:
         return False
 
 
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of each run of equal values."""
-    return np.append(True, ordered[1:] != ordered[:-1])
-
-
 # The basis rotations by code. rotate_to_bases skips Z; here Z is the
 # identity, whose product returns its input exactly, up to the sign of a
 # zero, which no later sum or probability can see.
@@ -271,7 +256,7 @@ _LEVEL_GATES = np.stack([BASIS_ROTATIONS[b] for b in BASIS_LETTERS])
 
 # Amplitudes one level may hold: 2^21 complex values (32 MiB) in the
 # acquisition descent, whose shots go in consecutive runs to keep to it, and
-# 2^13 (128 KiB) in the basis-prefix expansion of whole distributions.
+# 2^13 (128 KiB) in the rotations of whole distributions.
 _DESCENT_BUDGET, _AMPLITUDE_BUDGET = 1 << 21, 1 << 13
 
 
@@ -279,32 +264,29 @@ def _born_probabilities(state: Statevector, keys: np.ndarray) -> np.ndarray:
     """(K, 2^q) outcome distributions of ``state`` in the bases ``keys``.
 
     A key reads a basis row as a base-3 number with qubit 0 as its leading
-    digit; ``keys`` must be sorted and distinct. Row i equals, float for
+    digit; keys may come in any order and repeat. Row i equals, float for
     float, ``rotate_to_bases(state, row).probabilities()`` for ``keys[i]``:
     the gates go on qubit 0 first, each as the same (2, 2) @ (2, 2^(q-1))
-    product, and Z applies the identity. Keys with the same codes on qubits
-    0..j share those rotations, which happen once per chunk of at most
-    ``_AMPLITUDE_BUDGET >> q`` keys, so no level exceeds the budget.
+    product, and Z applies the identity. Every key gets its own rotations,
+    one batched product per qubit over chunks of ``_AMPLITUDE_BUDGET >> q``
+    keys.
     """
     q = state.num_qubits
     dim = 1 << q
+    codes = keys[:, None] // 3 ** np.arange(q - 1, -1, -1) % 3
     per_chunk = max(1, _AMPLITUDE_BUDGET >> q)
     probs = np.empty((keys.size, dim))
     for start in range(0, keys.size, per_chunk):
-        chunk = keys[start:start + per_chunk]
-        prefixes, amps = np.zeros(1, dtype=np.int64), state.amplitudes[None]
+        rows = codes[start:start + per_chunk]
+        amps = np.broadcast_to(state.amplitudes, (len(rows), dim))
         for j in range(q):
-            prefix = chunk // 3 ** (q - 1 - j)
-            level = prefix[_run_starts(prefix)]
-            parent = np.searchsorted(prefixes, level // 3)
-            # qubit j moved to axis 1: apply_gate's (2, 2^(q-1)) layout
-            split = (-1, dim >> (j + 1), 2, 1 << j)
-            slab = np.take(amps.reshape(split).swapaxes(1, 2), parent, axis=0)
-            rotated = _LEVEL_GATES[level % 3] @ slab.reshape(level.size, 2, -1)
-            amps = rotated.reshape(slab.shape).swapaxes(1, 2).reshape(
-                level.size, dim)
-            prefixes = level
-        part = np.abs(amps) ** 2
+            # amps leads with qubit j-1, the rest in order; qubit j in its
+            # place is apply_gate's (2, 2^(q-1)) layout, and after qubit
+            # q-1 the order is the natural one
+            split = (len(rows), -1, dim >> (j + 1), 2, max(1, 1 << j >> 1))
+            slab = amps.reshape(split).transpose(0, 3, 2, 1, 4)
+            amps = _LEVEL_GATES[rows[:, j]] @ slab.reshape(len(rows), 2, -1)
+        part = np.abs(amps.reshape(len(rows), dim)) ** 2
         probs[start:start + per_chunk] = part / part.sum(axis=1, keepdims=True)
     return probs
 
@@ -455,7 +437,7 @@ def reconstruct_density(shadow: ClassicalShadow) -> np.ndarray:
         sums = (sums[:, :, None, :, None] * factor[:, None, :, None, :]
                 ).reshape(-1, dim, dim)
         keys //= 6
-        starts = np.flatnonzero(_run_starts(keys))
+        starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
         sums, keys = np.add.reduceat(sums, starts), keys[starts]
     return sums[0] / len(shadow)
 

@@ -127,12 +127,37 @@ def test_keys_crossing_the_chunk_budget_match_reference(monkeypatch):
     assert_reference_distributions(state)
     assert_same_shadow(acquire_shadow(state, 6000, 4),
                        reference_acquire_shadow(state, 6000, 4))
-    # two keys per chunk: every prefix is rebuilt many times over
+    # two keys per chunk
     monkeypatch.setattr(shadows, "_AMPLITUDE_BUDGET", 16)
     state = random_state(3, 3)
     assert_reference_distributions(state)
     assert_same_shadow(acquire_shadow(state, 500, 4),
                        reference_acquire_shadow(state, 500, 4))
+
+
+def assert_keys_match_reference(state, keys):
+    """Row i of _born_probabilities is rotate_to_bases's probabilities in
+    the basis of keys[i], float for float."""
+    q = state.num_qubits
+    probs = shadows._born_probabilities(state, keys)
+    assert probs.shape == (len(keys), 1 << q)
+    for row, key in zip(probs, keys.tolist()):
+        combo = [BASIS_LETTERS[key // 3 ** (q - 1 - j) % 3] for j in range(q)]
+        want = rotate_to_bases(state, combo).probabilities()
+        assert row.tobytes() == want.tobytes()
+
+
+def test_unsorted_and_repeated_keys_match_reference():
+    keys = np.array([17, 3, 17, 0, 80, 3, 41, 0, 17])
+    assert_keys_match_reference(random_state(4, 11), keys)
+
+
+def test_q10_keys_crossing_the_chunk_budget_match_reference():
+    # 8 keys per chunk at q=10; 30 unsorted keys with repeats span 4 chunks
+    assert shadows._AMPLITUDE_BUDGET >> 10 == 8
+    keys = np.random.default_rng(5).integers(0, 3 ** 10, size=30)
+    keys[[7, 8, 20]] = keys[0]
+    assert_keys_match_reference(random_state(10, 12), keys)
 
 
 @pytest.mark.parametrize("q, budget, chunk", [(5, 64, 2), (8, 1 << 10, 8)])

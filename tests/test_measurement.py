@@ -241,6 +241,18 @@ def test_rlf_on_pairing_terms():
 
 # --- direct counts ----------------------------------------------------------
 
+def test_singleton_groups_are_each_term_with_z_where_it_acts_as_i():
+    ham = build_pairing_hamiltonian(PairingSpec(8, 1.0, 1.0))
+    obs = WeightedPauliSum.from_arrays(
+        8, np.concatenate([ham.codes, random_obs(8, 3, 40).codes]),
+        np.ones(len(ham) + 40))
+    groups = singleton_groups(obs)
+    assert [g.members for g in groups] == [(a,) for a in range(len(obs))]
+    for group, (_, string) in zip(groups, obs.terms, strict=True):
+        assert group.shared_basis == tuple(
+            "Z" if letter == "I" else letter for letter in string.letters)
+
+
 def test_counts_on_z_eigenstate():
     state = prepare_basis_state(1)
     obs = WeightedPauliSum(1, ((1.0, PauliString(("Z",))),))
