@@ -75,8 +75,9 @@ Counts: on the fig4 state and the pairing Hamiltonian times the
 half-filling number projector at q = 6, 8 and 10 (n0 = q/2; q=6 is the
 ``budget-q6`` counts layer), ``singleton_groups``, ``group_qwc_rlf`` (q <= 8
 only; it takes seconds at q=10) and ``measurement._group_distributions`` of
-both groupings, with the group and distinct-basis counts and the sha256 of
-each distribution array, which must be the same whichever source is timed.
+both groupings, checks included, with the group and distinct-basis counts
+and the sha256 of the distributions expanded to one row per group, which
+must be the same whichever source is timed.
 
 Figures: each of fig2-fig7 at its default config, as ``run_figures.py``
 runs it: the wall seconds of ``run_experiment`` plus ``write_results``,
@@ -428,6 +429,7 @@ def bench_acquire_peak(q: int, shots: int) -> dict:
 def bench_counts(q: int, runs: int) -> dict:
     """One ``COUNTS_SIZES`` case."""
     import hashlib
+    import inspect
 
     from shadowproj import experiments, measurement, pairing, projectors
 
@@ -439,10 +441,17 @@ def bench_counts(q: int, runs: int) -> dict:
     groupings = {"singleton": measurement.singleton_groups}
     if q <= COUNTS_RLF_MAX_Q:
         groupings["rlf"] = measurement.group_qwc_rlf
+    # sources before the group checks take no observable and return one
+    # row per group
+    obs = (expanded,) if "obs" in inspect.signature(
+        measurement._group_distributions).parameters else ()
     for name, grouping in groupings.items():
         result[name], groups = timed(lambda: grouping(expanded), runs)
         result[f"{name}_distributions"], probs = timed(
-            lambda: measurement._group_distributions(state, groups), runs)
+            lambda: measurement._group_distributions(state, groups, *obs),
+            runs)
+        if isinstance(probs, tuple):
+            probs = probs[0][probs[1]]
         result[f"{name}_distributions"].update(
             groups=len(groups),
             distinct_bases=len({g.shared_basis for g in groups}),

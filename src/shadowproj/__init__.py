@@ -23,8 +23,7 @@ from .projectors import (ProjectorLCU, expand_projected_observable,
 from .measurement import (MeasurementPlan, ObservableGroup,
                           derandomize_plan, direct_counts_estimate,
                           group_qwc_rlf)
-from .pairing import (PairingSpec, build_pairing_hamiltonian,
-                      exact_sector_ground_energy)
+from .pairing import PairingSpec, build_pairing_hamiltonian
 from .experiments import ExperimentConfig, run_experiment, write_results
 
 __version__ = "0.1.0"

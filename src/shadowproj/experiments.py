@@ -358,8 +358,9 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
                                     _exact_projector(cfg.q, proj))[0]
     weights = [abs(c) for c, _ in expanded.terms]
     target_strings = [s for _, s in expanded.terms]
-    single = singleton_groups(expanded)
-    grouped = group_qwc_rlf(expanded)
+    groupings = {method: grouping(expanded) for method, grouping in (
+        ("counts", singleton_groups), ("counts-grouped", group_qwc_rlf))
+        if method in cfg.methods}
     rows = []
     totals: dict[str, dict] = {}
     for shots in cfg.shots:
@@ -374,7 +375,7 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
                     "projected observables would never be measured")
         for method in cfg.methods:
             if method in ("counts", "counts-grouped"):
-                groups = single if method == "counts" else grouped
+                groups = groupings[method]
                 spg = max(1, shots // len(groups))
                 totals.setdefault(method, {})[str(shots)] = {
                     "groups": len(groups), "shots_per_group": spg,

@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .paulis import PauliString, WeightedPauliSum, _digit_keys, letter_codes
+from .paulis import (LETTERS, PauliString, WeightedPauliSum, _digit_keys,
+                     letter_codes)
 from .shadows import (BASIS_CODE, BASIS_LETTERS, ClassicalShadow,
                       _born_probabilities, _check_count, _distinct_snapshots,
                       _line_text, _prescribed_codes, _sum_in_order,
@@ -102,15 +103,6 @@ def load_plan(path) -> MeasurementPlan:
                              f"expected {len(rows[0])}")
         rows.append(tuple(reversed(text)))
     return MeasurementPlan(tuple(rows))
-
-
-def random_plan(num_qubits: int, shots: int, seed: int) -> MeasurementPlan:
-    _check_count(num_qubits, "num_qubits")
-    _check_count(shots)
-    gen = _rng.stream(seed, 0x91a7)
-    codes = gen.integers(0, 3, size=(shots, num_qubits))
-    rows = tuple(tuple(BASIS_LETTERS[c] for c in row) for row in codes)
-    return MeasurementPlan(rows)
 
 
 @dataclass(frozen=True)
@@ -326,28 +318,6 @@ def plan_hit_counts(plan: MeasurementPlan,
     return _term_counts(*_distinct_snapshots(rounds), codes)[1]
 
 
-def plan_cost(plan: MeasurementPlan, obs_list: Sequence[PauliString],
-              weights: Sequence[float] | None = None,
-              epsilon: float = 0.3) -> float:
-    """Realized confidence-bound cost sum_i w_i exp(-eps^2/2 * hits_i)."""
-    w = _weights(weights, len(obs_list))
-    _check_epsilon(epsilon)
-    hits = plan_hit_counts(plan, obs_list)
-    return float(np.sum(w * np.exp(-epsilon ** 2 / 2 * hits)))
-
-
-def expected_random_cost(obs_list: Sequence[PauliString], shots: int,
-                         weights: Sequence[float] | None = None,
-                         epsilon: float = 0.3) -> float:
-    """Expected confidence-bound cost of a uniform-random plan."""
-    _check_count(shots)
-    w = _weights(weights, len(obs_list))
-    _check_epsilon(epsilon)
-    nu = 1.0 - math.exp(-epsilon ** 2 / 2)
-    locality = np.array([p.weight() for p in obs_list], dtype=float)
-    return float(np.sum(w * (1.0 - nu * 3.0 ** (-locality)) ** shots))
-
-
 def _conflict_graph(codes: np.ndarray) -> np.ndarray:
     """(L, L) boolean adjacency of the QWC incompatibility graph: two terms
     conflict where both act on a qubit with different letters."""
@@ -439,12 +409,6 @@ def singleton_groups(obs: WeightedPauliSum) -> list[ObservableGroup]:
     return _groups(codes, np.arange(len(codes))[:, None])
 
 
-def _check_cover(groups: Sequence[ObservableGroup], n_terms: int) -> None:
-    covered = sorted(i for g in groups for i in g.members)
-    if covered != list(range(n_terms)):
-        raise ValueError("groups must cover every term exactly once")
-
-
 def allocate_shots(groups: Sequence[ObservableGroup], obs: WeightedPauliSum,
                    shots_per_group: int, weighted: bool = False) -> list[int]:
     """Shots per group: flat, or proportional to the group's sum of |gamma|.
@@ -470,28 +434,45 @@ def allocate_shots(groups: Sequence[ObservableGroup], obs: WeightedPauliSum,
     return alloc.tolist()
 
 
-def _check_counts_inputs(state: Statevector,
-                         groups: Sequence[ObservableGroup],
-                         obs: WeightedPauliSum) -> None:
-    if obs.num_qubits != state.num_qubits:
-        raise ValueError(f"state has {state.num_qubits} qubits but the "
-                         f"observable {obs.num_qubits}")
-    _check_cover(groups, len(obs))
-
-
 def _group_distributions(state: Statevector,
-                         groups: Sequence[ObservableGroup]) -> np.ndarray:
-    """(G, 2^q) outcome distributions of ``state`` in every group's shared
-    basis, from one :func:`_born_probabilities` pass over the distinct
-    bases; each row equals ``rotate_to_bases(state, basis).probabilities()``
-    float for float."""
+                         groups: Sequence[ObservableGroup],
+                         obs: WeightedPauliSum
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome distributions of ``state`` in the distinct shared bases of
+    ``groups``, (K, 2^q) from one :func:`_born_probabilities` pass, and
+    each group's row: row ``which[g]`` equals
+    ``rotate_to_bases(state, groups[g].shared_basis).probabilities()`` float
+    for float.
+
+    ValueError unless ``obs`` acts on the state's qubits, the groups
+    partition its terms, and every shared basis is q letters X, Y or Z that
+    match each member's letter wherever the member acts; the error names
+    the first group and member that do not.
+    """
     q = state.num_qubits
-    if any(len(g.shared_basis) != q for g in groups):
-        raise ValueError(f"every shared basis needs {q} letters")
-    codes = np.array([[BASIS_CODE[b] for b in g.shared_basis]
-                      for g in groups], dtype=np.int8).reshape(-1, q)
+    if obs.num_qubits != q:
+        raise ValueError(f"state has {q} qubits but the observable "
+                         f"{obs.num_qubits}")
+    members = np.fromiter(itertools.chain.from_iterable(
+        g.members for g in groups), dtype=np.intp)
+    if not np.array_equal(np.sort(members), np.arange(len(obs))):
+        raise ValueError("groups must cover every term exactly once")
+    codes = _prescribed_codes([g.shared_basis for g in groups], len(groups),
+                              q, "group")
+    owner = np.empty(len(obs), dtype=np.intp)
+    owner[members] = np.repeat(np.arange(len(groups)),
+                               [len(g.members) for g in groups])
+    # a member's letter code is its basis code + 1, and 0 where it acts as I
+    missed = (obs.codes != 0) & (obs.codes != codes[owner] + 1)
+    if missed.any():
+        i = int(np.argmax(missed.any(axis=1)))
+        g = owner[i]
+        raise ValueError(f"group {g} measures "
+                         f"{''.join(reversed(groups[g].shared_basis))}, "
+                         f"which does not measure its member {i}, "
+                         f"{''.join(LETTERS[c] for c in obs.codes[i, ::-1])}")
     distinct, which = np.unique(_digit_keys(codes, 3), return_inverse=True)
-    return _born_probabilities(state, distinct)[which]
+    return _born_probabilities(state, distinct), which
 
 
 def _odd_parities(obs: WeightedPauliSum, members: Sequence[int]
@@ -525,13 +506,13 @@ def direct_counts_estimate(state: Statevector,
     distributions are computed. A member's signed count is an exact
     integer sum over the outcome histogram.
     """
-    _check_counts_inputs(state, groups, obs)
+    probs, which = _group_distributions(state, groups, obs)
     alloc = allocate_shots(groups, obs, shots_per_group, weighted_allocation)
-    probs = _group_distributions(state, groups)
     means = np.empty(len(obs))
     for gi, group in enumerate(groups):
         gen = _rng.stream(seed, 0xc0de, gi)
-        outcomes = gen.choice(probs.shape[1], size=alloc[gi], p=probs[gi])
+        outcomes = gen.choice(probs.shape[1], size=alloc[gi],
+                              p=probs[which[gi]])
         counts = np.bincount(outcomes, minlength=probs.shape[1])
         odd = (_odd_parities(obs, group.members) * counts).sum(axis=1)
         means[list(group.members)] = (alloc[gi] - 2 * odd) / alloc[gi]
@@ -546,10 +527,9 @@ def counts_expectation_exact(state: Statevector,
     Uses the rotated-basis Born distribution and diagonal parities only, so
     it is an independent route to <obs> for unbiasedness checks.
     """
-    _check_counts_inputs(state, groups, obs)
-    probs = _group_distributions(state, groups)
+    probs, which = _group_distributions(state, groups, obs)
     means = np.empty(len(obs))
     for gi, group in enumerate(groups):
         signs = 1.0 - 2.0 * _odd_parities(obs, group.members)
-        means[list(group.members)] = (signs * probs[gi]).sum(axis=1)
+        means[list(group.members)] = (signs * probs[which[gi]]).sum(axis=1)
     return _recombine(obs, groups, means)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .paulis import PauliString, WeightedPauliSum
 
 
@@ -32,9 +30,6 @@ class PairingSpec:
         if self.q < 1:
             raise ValueError("need at least one level")
 
-    def level_energy(self, i: int) -> float:
-        return i * self.delta_eps
-
 
 def build_pairing_hamiltonian(spec: PairingSpec) -> WeightedPauliSum:
     """Qubit form of the pairing Hamiltonian.
@@ -45,7 +40,7 @@ def build_pairing_hamiltonian(spec: PairingSpec) -> WeightedPauliSum:
     q = spec.q
     terms: list[tuple[complex, PauliString]] = []
     for i in range(q):
-        level = 2 * spec.level_energy(i) - spec.g
+        level = 2 * (i * spec.delta_eps) - spec.g
         terms.append((level / 2, PauliString.identity(q)))
         terms.append((-level / 2, PauliString.single(q, i, "Z")))
     for i in range(q):
@@ -57,17 +52,3 @@ def build_pairing_hamiltonian(spec: PairingSpec) -> WeightedPauliSum:
                 terms.append((-spec.g / 2, PauliString(tuple(letters))))
     return WeightedPauliSum(q, tuple(terms))
 
-
-def pairing_dense(spec: PairingSpec) -> np.ndarray:
-    """Dense matrix of the qubit Hamiltonian."""
-    return build_pairing_hamiltonian(spec).to_matrix()
-
-
-def exact_sector_ground_energy(spec: PairingSpec, n_pairs: int) -> float:
-    """Minimum eigenvalue within the fixed-pair-number subspace."""
-    if not 0 <= n_pairs <= spec.q:
-        raise ValueError(f"n_pairs={n_pairs} outside 0..{spec.q}")
-    dense = pairing_dense(spec)
-    idx = np.flatnonzero(np.bitwise_count(np.arange(2 ** spec.q)) == n_pairs)
-    block = dense[np.ix_(idx, idx)]
-    return float(np.linalg.eigvalsh(block)[0])

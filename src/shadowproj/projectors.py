@@ -611,14 +611,6 @@ def reconstruct_projected_density(shadow: ClassicalShadow,
     return p @ rho @ p
 
 
-def number_operator(num_qubits: int) -> WeightedPauliSum:
-    """N = sum_j (I - Z_j)/2, eigenvalue = number of 1-bits."""
-    terms = [(num_qubits / 2 + 0j, PauliString.identity(num_qubits))]
-    for j in range(num_qubits):
-        terms.append((-0.5 + 0j, PauliString.single(num_qubits, j, "Z")))
-    return WeightedPauliSum(num_qubits, tuple(terms))
-
-
 def _popcounts(num_qubits: int) -> np.ndarray:
     return np.bitwise_count(np.arange(2 ** num_qubits)).astype(np.int64)
 

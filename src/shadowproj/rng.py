@@ -14,13 +14,18 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 
-def derive_key(seed: int, *path: int) -> np.ndarray:
-    """128-bit Philox key derived from a base seed and a branch path; the
-    seed must be a non-negative integer (a numpy integer too, not a bool),
-    or ValueError."""
+def _check_seed(seed) -> None:
+    """ValueError unless ``seed`` is a non-negative integer (a numpy integer
+    too, not a bool)."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
             or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def derive_key(seed: int, *path: int) -> np.ndarray:
+    """128-bit Philox key derived from a base seed and a branch path; the
+    seed must pass :func:`_check_seed`."""
+    _check_seed(seed)
     ss = SeedSequence([int(seed)] + [int(p) for p in path])
     return ss.generate_state(2, np.uint64)
 

@@ -91,7 +91,8 @@ class ClassicalShadow:
     :func:`estimate`.
 
     ``ClassicalShadow(q, snapshots, seed)`` converts Snapshot objects once;
-    :meth:`from_arrays` takes the arrays directly.
+    :meth:`from_arrays` takes the arrays directly. Either way the seed must
+    be a non-negative integer, as for :func:`acquire_shadow`.
     """
 
     __slots__ = ("codes", "outcomes", "seed", "prescribed")
@@ -124,6 +125,7 @@ class ClassicalShadow:
         if codes.shape[0] < 1:
             raise ValueError("a shadow needs at least one snapshot")
         _check_count(codes.shape[1], "num_qubits")
+        _rng._check_seed(seed)
         # one flat test: a reduction along rows of q entries is slow
         bad = (codes < 0) | (codes > 2) | (outcomes < 0) | (outcomes > 1)
         if bad.any():
@@ -217,9 +219,11 @@ def _descend(state: Statevector, codes: np.ndarray, uniforms: np.ndarray,
         outcomes[:, j], node = bit, 2 * key + bit
 
 
-def _prescribed_codes(bases: list, shots: int, q: int) -> np.ndarray:
+def _prescribed_codes(bases: list, shots: int, q: int,
+                      name: str = "prescribed round") -> np.ndarray:
     """(shots, q) int8 codes of prescribed basis rows; ValueError names the
-    first round that is not q letters X, Y or Z."""
+    first row, as ``name`` and its index, that is not q letters X, Y or
+    Z."""
     if len(bases) != shots:
         raise ValueError("prescribed basis list length must equal shots")
     try:
@@ -236,7 +240,7 @@ def _prescribed_codes(bases: list, shots: int, q: int) -> np.ndarray:
             dtype=np.uint8)].reshape(shots, q)
         bad = np.flatnonzero((codes < 0).any(axis=1))
     if bad.size:
-        raise ValueError(f"prescribed round {bad[0]}: expected {q} basis "
+        raise ValueError(f"{name} {bad[0]}: expected {q} basis "
                          f"letters X, Y or Z, got {bases[bad[0]]!r}")
     return codes
 
@@ -536,6 +540,7 @@ def load_shadow(path: str | Path, prescribed: bool = False) -> ClassicalShadow:
                                                      "protocol"):
                 raise ValueError(f"unknown or repeated field {name!r}")
         q, m, seed = int(header["q"]), int(header["M"]), int(header["seed"])
+        _rng._check_seed(seed)
         protocol = header.get("protocol", "random")
         if q < 1 or m < 1 or protocol not in ("random", "prescribed"):
             raise ValueError(f"q={q} M={m} protocol={protocol}")

@@ -28,12 +28,7 @@ NORM_TOLERANCE = 1e-10
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2)
 S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 SDG = S.conj().T
-X = PAULI_MATRICES["X"]
-Y = PAULI_MATRICES["Y"]
-Z = PAULI_MATRICES["Z"]
 I2 = PAULI_MATRICES["I"]
-CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                dtype=complex)
 
 # Basis-change unitaries U applied before a computational-basis measurement,
 # chosen so that U^dag Z U is the measured Pauli: H for X, H S^dag for Y.
@@ -132,11 +127,6 @@ def prepare_basis_state(num_qubits: int, index: int = 0) -> Statevector:
     return Statevector(amps)
 
 
-def prepare_normalized(amplitudes: Sequence[complex]) -> Statevector:
-    amps = np.asarray(amplitudes, dtype=complex)
-    return Statevector(amps / np.linalg.norm(amps))
-
-
 def prepare_gaussian(num_qubits: int, mu: float | None = None,
                      sigma: float | None = None,
                      squared: bool = False) -> Statevector:
@@ -156,7 +146,8 @@ def prepare_gaussian(num_qubits: int, mu: float | None = None,
     arg = (k - mu) / sigma
     if squared:
         arg = arg ** 2
-    return prepare_normalized(np.exp(-0.5 * arg))
+    amps = np.exp(-0.5 * arg).astype(complex)
+    return Statevector(amps / np.linalg.norm(amps))
 
 
 def prepare_product_state(thetas: Sequence[float]) -> Statevector:
@@ -239,14 +230,12 @@ def exact_expectation(state: Statevector, obs: WeightedPauliSum) -> float:
 
 
 def exact_projected_expectation(state: Statevector, obs: WeightedPauliSum,
-                                proj: np.ndarray,
-                                idem_tol: float = 1e-10
-                                ) -> tuple[float, float]:
+                                proj: np.ndarray) -> tuple[float, float]:
     """(<psi|P O P|psi>, <psi|P|psi>) for an idempotent Hermitian P."""
     proj, phi, norm = _projected(state, proj)
-    if np.max(np.abs(proj @ proj - proj)) > idem_tol:
+    if np.max(np.abs(proj @ proj - proj)) > 1e-10:
         raise ValueError("projector is not idempotent within tolerance")
-    if np.max(np.abs(proj - proj.conj().T)) > idem_tol:
+    if np.max(np.abs(proj - proj.conj().T)) > 1e-10:
         raise ValueError("projector is not Hermitian within tolerance")
     if norm < 1e-12:
         raise EmptySectorError(f"projected norm {norm} below 1e-12")
@@ -280,12 +269,3 @@ def rotate_to_bases(state: Statevector, bases: Sequence[str]) -> Statevector:
         out = apply_gate(out, BASIS_ROTATIONS[basis], j)
     return out
 
-
-def sample_bitstrings(state: Statevector, bases: Sequence[str], shots: int,
-                      gen: np.random.Generator) -> np.ndarray:
-    """(shots, q) array of outcome bits; column j is qubit j."""
-    rotated = rotate_to_bases(state, bases)
-    probs = rotated.probabilities()
-    idx = gen.choice(probs.size, size=shots, p=probs)
-    q = state.num_qubits
-    return ((idx[:, None] >> np.arange(q)) & 1).astype(np.uint8)

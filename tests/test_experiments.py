@@ -192,6 +192,36 @@ def test_fig4_small_run_has_all_methods(tmp_path):
     assert all(r.oracle == oracle for r in result.rows)
 
 
+@pytest.mark.parametrize("methods,built", [
+    (["random", "derandomized"], set()),
+    (["random", "counts"], {"singleton"}),
+    (["counts-grouped"], {"rlf"})])
+def test_fig4_builds_only_the_groupings_its_methods_use(monkeypatch, methods,
+                                                        built):
+    # RLF alone took seconds and hundreds of MB at q=10 for configs that
+    # never read its groups
+    calls = set()
+
+    def grouping(name, real):
+        def run(obs):
+            if name not in built:
+                raise AssertionError(f"{name} grouping built")
+            calls.add(name)
+            return real(obs)
+        return run
+
+    monkeypatch.setattr(experiments, "singleton_groups", grouping(
+        "singleton", experiments.singleton_groups))
+    monkeypatch.setattr(experiments, "group_qwc_rlf", grouping(
+        "rlf", experiments.group_qwc_rlf))
+    cfg = ExperimentConfig.from_dict({"experiment": "fig4", "shots": [300],
+                                      "repeats": 2, "seed": 5,
+                                      "methods": methods})
+    result = run_experiment(cfg)
+    assert calls == built
+    assert sorted({r.method for r in result.rows}) == sorted(methods)
+
+
 # sha256 of CSVs from cheap configs. The README promises bit-for-bit output
 # from a seed; a change that moves these bytes must declare it and re-pin.
 PINNED_CSV_SHA256 = {

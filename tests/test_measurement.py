@@ -6,20 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowproj import rng as _rng
-from shadowproj.measurement import (MeasurementPlan, _group_distributions,
-                                    _observable_codes, allocate_shots,
-                                    counts_expectation_exact,
+from conftest import (expected_random_cost, plan_cost, random_plan,
+                      sample_bitstrings)
+from shadowproj.measurement import (MeasurementPlan, ObservableGroup,
+                                    _group_distributions, _observable_codes,
+                                    allocate_shots, counts_expectation_exact,
                                     derandomize_plan, direct_counts_estimate,
-                                    expected_random_cost, group_qwc_greedy,
-                                    group_qwc_rlf, load_plan, plan_cost,
-                                    plan_hit_counts, random_plan, save_plan,
+                                    group_qwc_greedy, group_qwc_rlf,
+                                    load_plan, plan_hit_counts, save_plan,
                                     singleton_groups)
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.paulis import PauliString, WeightedPauliSum, qwc_commutes
 from shadowproj.shadows import BASIS_CODE
 from shadowproj.statevector import (Statevector, exact_expectation,
-                                    prepare_basis_state, rotate_to_bases,
-                                    sample_bitstrings)
+                                    prepare_basis_state, rotate_to_bases)
 
 
 def pairing_observables(q=4):
@@ -447,11 +447,14 @@ def test_budget_q6_counts_match_the_reference(budget_q6):
 
 def test_group_distributions_equal_rotated_probabilities(budget_q6):
     state, cases = budget_q6
-    groups = cases[4][5]
-    probs = _group_distributions(state, groups)
-    for row, group in zip(probs, groups):
-        want = rotate_to_bases(state, group.shared_basis).probabilities()
-        assert np.array_equal(row, want)
+    expanded = cases[4][3]
+    for groups in (cases[4][5], singleton_groups(expanded)):
+        probs, which = _group_distributions(state, groups, expanded)
+        # one row per distinct basis: singletons share many
+        assert len(probs) == len({g.shared_basis for g in groups})
+        for row, group in zip(probs[which], groups, strict=True):
+            want = rotate_to_bases(state, group.shared_basis).probabilities()
+            assert np.array_equal(row, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,3 +492,43 @@ def test_counts_of_the_empty_sum_are_zero():
     state = prepare_basis_state(2)
     assert direct_counts_estimate(state, [], empty, 5, 0) == 0.0
     assert counts_expectation_exact(state, [], empty) == 0.0
+
+
+def test_counts_reject_a_group_whose_basis_does_not_measure_a_member():
+    # |00> has <ZZ> = 1, but the XX group once gave 0.088 from 1000 shots
+    # and an exact limit of 0.0
+    state = prepare_basis_state(2)
+    zz = WeightedPauliSum(2, ((1.0, PauliString.from_label("ZZ")),))
+    groups = [ObservableGroup((0,), ("X", "X"))]
+    message = "group 0 measures XX, which does not measure its member 0, ZZ"
+    with pytest.raises(ValueError, match=message):
+        direct_counts_estimate(state, groups, zz, 1000, 1)
+    with pytest.raises(ValueError, match=message):
+        counts_expectation_exact(state, groups, zz)
+    # a later group and member, and a mismatch on qubit 0 only
+    obs = WeightedPauliSum(3, tuple((1.0, PauliString.from_label(label))
+                                    for label in ("ZII", "IXX", "IXY")))
+    groups = [ObservableGroup((0,), ("Y", "Y", "Z")),
+              ObservableGroup((1, 2), ("X", "X", "Y"))]
+    with pytest.raises(ValueError, match="group 1 measures YXX, which does "
+                                         "not measure its member 2, IXY"):
+        counts_expectation_exact(prepare_basis_state(3), groups, obs)
+    # where a member acts as I, any basis letter measures it
+    groups = [ObservableGroup((0,), ("Y", "Y", "Z")),
+              ObservableGroup((1,), ("X", "X", "Z")),
+              ObservableGroup((2,), ("Y", "X", "X"))]
+    assert counts_expectation_exact(prepare_basis_state(3), groups, obs) \
+        == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("basis", [("Z", "Q"), ("Z",), ("Z", "Z", "Z"),
+                                   ("Z", "z"), ("Z", None)])
+def test_counts_reject_a_shared_basis_that_is_not_q_letters(basis):
+    # "Q" once ended in a raw KeyError
+    obs = WeightedPauliSum(2, ((1.0, PauliString.from_label("IZ")),))
+    groups = [ObservableGroup((0,), basis)]
+    with pytest.raises(ValueError, match="group 0: expected 2 basis letters "
+                                         "X, Y or Z"):
+        direct_counts_estimate(prepare_basis_state(2), groups, obs, 10, 0)
+    with pytest.raises(ValueError, match="group 0: expected 2 basis"):
+        counts_expectation_exact(prepare_basis_state(2), groups, obs)

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from shadowproj.pairing import (PairingSpec, build_pairing_hamiltonian,
-                                exact_sector_ground_energy, pairing_dense)
-from shadowproj.projectors import number_operator
+from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 
 # Frozen fixtures from the fermionic dense oracle below.
 Q2_G05_SPECTRUM = [-0.6180339887498948, 0.0, 1.0, 1.618033988749895]
@@ -27,11 +25,21 @@ def fermionic_dense(q, delta_eps, g):
     return h
 
 
+def exact_sector_ground_energy(spec, n_pairs):
+    """Minimum eigenvalue within the fixed-pair-number subspace."""
+    if not 0 <= n_pairs <= spec.q:
+        raise ValueError(f"n_pairs={n_pairs} outside 0..{spec.q}")
+    dense = build_pairing_hamiltonian(spec).to_matrix()
+    idx = np.flatnonzero(np.bitwise_count(np.arange(2 ** spec.q)) == n_pairs)
+    block = dense[np.ix_(idx, idx)]
+    return float(np.linalg.eigvalsh(block)[0])
+
+
 def test_qubit_hamiltonian_matches_fermionic_oracle():
     for q, de, g in ((2, 1.0, 0.5), (3, 0.5, 2.0), (4, 1.0, 1.0),
                      (6, 0.7, 1.3)):
         spec = PairingSpec(q, de, g)
-        assert np.max(np.abs(pairing_dense(spec)
+        assert np.max(np.abs(build_pairing_hamiltonian(spec).to_matrix()
                              - fermionic_dense(q, de, g))) < 1e-10
 
 
@@ -51,7 +59,7 @@ def test_single_level_closed_form():
 
 def test_q2_spectrum_fixture():
     spec = PairingSpec(2, 1.0, 0.5)
-    spectrum = np.linalg.eigvalsh(pairing_dense(spec))
+    spectrum = np.linalg.eigvalsh(build_pairing_hamiltonian(spec).to_matrix())
     assert np.allclose(spectrum, Q2_G05_SPECTRUM, atol=1e-10)
     assert np.allclose(np.linalg.eigvalsh(fermionic_dense(2, 1.0, 0.5)),
                        Q2_G05_SPECTRUM, atol=1e-10)
@@ -78,8 +86,8 @@ def test_sector_range_check():
 
 def test_hamiltonian_commutes_with_number_operator():
     spec = PairingSpec(4, 1.0, 1.0)
-    h = pairing_dense(spec)
-    n = number_operator(4).to_matrix()
+    h = build_pairing_hamiltonian(spec).to_matrix()
+    n = np.diag(np.bitwise_count(np.arange(16)))
     assert np.max(np.abs(h @ n - n @ h)) < 1e-10
 
 

@@ -11,7 +11,7 @@ from shadowproj.projectors import (EmptySectorWarning, ProjectorLCU,
                                    exact_parity_projector,
                                    exact_spin_projector,
                                    expand_projected_observable,
-                                   number_operator, number_projector,
+                                   number_projector,
                                    number_sector_projectors, parity_projector,
                                    parity_sector_projectors,
                                    projected_estimate,
@@ -118,12 +118,6 @@ def test_idempotence_and_hermiticity_dense():
         dense = proj.to_matrix()
         assert np.max(np.abs(dense @ dense - dense)) < 1e-10
         assert np.max(np.abs(dense - dense.conj().T)) < 1e-10
-
-
-def test_number_operator_counts_ones():
-    dense = number_operator(3).to_matrix()
-    ones = [bin(k).count("1") for k in range(8)]
-    assert np.allclose(dense, np.diag(ones), atol=1e-12)
 
 
 # --- wigner -----------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowproj.measurement import random_plan
+from conftest import random_plan
 from shadowproj.paulis import PauliString, WeightedPauliSum
 from shadowproj.projectors import (parity_projector,
                                    reconstruct_projected_density)
@@ -386,6 +386,32 @@ def test_outcome_bits_outside_zero_one_rejected():
 def test_zero_qubit_arrays_are_rejected():
     with pytest.raises(ValueError, match="num_qubits must be an integer >= 1"):
         ClassicalShadow.from_arrays(np.zeros((3, 0)), np.zeros((3, 0)), 1)
+
+
+@pytest.mark.parametrize("seed", [1.5, -7, True, "3"])
+def test_a_shadow_seed_is_a_non_negative_integer(seed):
+    # from_arrays(codes, bits, 1.5) once saved a file that load_shadow
+    # rejects, and seed=-7 was saved and loaded back, though acquire_shadow
+    # rejects both
+    message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        ClassicalShadow.from_arrays([[0, 2]], [[1, 0]], seed)
+    with pytest.raises(ValueError, match=message):
+        ClassicalShadow(2, (Snapshot(("X", "Z"), (1, 0)),), seed)
+
+
+def test_a_numpy_integer_seed_is_saved_as_the_integer(tmp_path):
+    shadow = ClassicalShadow.from_arrays([[0, 2]], [[1, 0]], np.int64(3))
+    save_shadow(shadow, tmp_path / "s.txt")
+    assert load_shadow(tmp_path / "s.txt").seed == 3
+
+
+def test_a_negative_header_seed_is_a_bad_header(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("q=2 M=1 seed=-7\nXZ 01\n")
+    with pytest.raises(ValueError, match="line 1: bad header: seed must be a "
+                                         "non-negative integer, got -7"):
+        load_shadow(path)
 
 
 @pytest.mark.parametrize("q", [0, -1, 2.5, True])

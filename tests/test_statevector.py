@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from shadowproj import rng as _rng
 from shadowproj.paulis import PAULI_MATRICES, PauliString, WeightedPauliSum
 from shadowproj.projectors import exact_number_projector, exact_parity_projector
-from shadowproj.statevector import (CNOT, H, EmptySectorError, Statevector,
-                                    Z, apply_gate, exact_expectation,
+from conftest import sample_bitstrings
+from shadowproj.statevector import (H, EmptySectorError, Statevector,
+                                    apply_gate, exact_expectation,
                                     exact_projected_expectation,
                                     exact_projected_linear,
                                     prepare_basis_state, prepare_gaussian,
                                     prepare_parity_mixture,
-                                    prepare_product_state, rotate_to_bases,
-                                    sample_bitstrings)
+                                    prepare_product_state, rotate_to_bases)
 from shadowproj.statevector import _overlap
 
 # Exact particle-number probabilities of the default q=4 Gaussian profile
@@ -102,7 +102,7 @@ def test_fig2_state_is_uniform():
 
 def test_apply_z_flips_relative_sign():
     plus = apply_gate(prepare_basis_state(1), H, 0)
-    minus = apply_gate(plus, Z, 0)
+    minus = apply_gate(plus, PAULI_MATRICES["Z"], 0)
     assert np.allclose(minus.amplitudes,
                        [1 / math.sqrt(2), -1 / math.sqrt(2)])
 
@@ -110,7 +110,8 @@ def test_apply_z_flips_relative_sign():
 def test_apply_cnot_ordering():
     # targets[0] is the control (most significant gate index)
     state = prepare_basis_state(2, 0b01)   # qubit 0 set
-    flipped = apply_gate(state, CNOT, (0, 1))
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    flipped = apply_gate(state, cnot, (0, 1))
     assert np.argmax(np.abs(flipped.amplitudes)) == 0b11
 
 
