@@ -84,12 +84,22 @@ runs it: the wall seconds of ``run_experiment`` plus ``write_results``,
 each of k runs in a fresh process (median, minimum and maximum), with the
 sha256 of the CSV, which must be the same in every run.
 
+Repeats: fig6 (in the half-filling sector n0 = q/2) and fig3 at their
+default configs with q = 4, 8, 10 and 12, timed as the figures are, each
+of k runs in a fresh interpreter of its own (not a spawned process, see
+``bench_repeats``), with every run's seconds and peak RSS (the process's
+``ru_maxrss``, and that of its largest worker, if any) and the CSV sha256.
+A source that still reads ``SHADOW_THREADS`` is also run with
+``SHADOW_THREADS=2``.
+
     python scripts/bench.py --out BENCH_24.json --label change
     python scripts/bench.py --out BENCH_24.json --label parent \
         --src /path/to/other/checkout/src
+    python scripts/bench.py --out BENCH_26.json --sections repeats --runs 5
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
 Python and the numpy version; other keys of an existing file are kept.
+``--sections`` runs only the sections named.
 """
 
 import argparse
@@ -97,7 +107,9 @@ import json
 import multiprocessing
 import os
 import platform
+import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -126,6 +138,8 @@ ORACLE_CASES = {f"{layer}_q{q}": (layer, q) for layer, sizes in (
     ("spin_matrices", (4, 6))) for q in sizes}
 ORACLE_SPIN_N_P = 10
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
+REPEATS_FIGURES = ("fig6", "fig3")
+REPEATS_SIZES = (4, 8, 10, 12)
 # name: (q, shots, plan n0 or None for random bases)
 ACQUIRE_CASES = {
     **{f"q{q}_m{m}": (q, m, None) for q in (4, 6, 8)
@@ -486,6 +500,64 @@ def bench_figure(src: str, fig: str, runs: int) -> dict:
             "csv_sha256": digests[0]}
 
 
+def bench_repeats_case(fig: str, q: int, work: str) -> dict:
+    """One ``run_experiment`` + ``write_results`` of a ``REPEATS`` case."""
+    import hashlib
+
+    from shadowproj import experiments
+
+    cfg = experiments.default_config(fig).to_dict()
+    cfg["q"] = q
+    if fig == "fig6":
+        cfg["projector"] = {"type": "number", "n0": q // 2}
+    out = Path(work) / f"{fig}_q{q}.csv"
+    start = time.perf_counter()
+    experiments.write_results(experiments.run_experiment(
+        experiments.ExperimentConfig.from_dict(cfg)), out)
+    seconds = time.perf_counter() - start
+    return {"seconds": round(seconds, 4),
+            "csv_sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
+            **{name: round(resource.getrusage(who).ru_maxrss / 1024, 1)
+               for name, who in (("peak_rss_mb", resource.RUSAGE_SELF),
+                                 ("workers_peak_rss_mb",
+                                  resource.RUSAGE_CHILDREN))}}
+
+
+def bench_repeats(src: str, runs: int) -> dict:
+    """``runs`` runs of each ``REPEATS`` case, each in a fresh interpreter
+    started as a user starts one: a process spawned by ``fresh`` would hand
+    its spawn start method to the process pool of an older source, whose
+    workers then import everything again. A source that reads
+    ``SHADOW_THREADS`` also runs with ``SHADOW_THREADS=2``."""
+    envs = {"serial": {}}
+    if "SHADOW_THREADS" in (Path(src) / "shadowproj" /
+                            "experiments.py").read_text():
+        envs["threads2"] = {"SHADOW_THREADS": "2"}
+    record = {}
+    with tempfile.TemporaryDirectory() as work:
+        for fig in REPEATS_FIGURES:
+            for q in REPEATS_SIZES:
+                code = ("import bench, json; print(json.dumps(bench."
+                        f"_call_with_src({src!r}, bench.bench_repeats_case, "
+                        f"({fig!r}, {q}, {work!r}))))")
+                for name, env in envs.items():
+                    done = [json.loads(subprocess.run(
+                        [sys.executable, "-c", code], check=True,
+                        capture_output=True, text=True,
+                        cwd=Path(__file__).resolve().parent,
+                        env={**os.environ, **env}).stdout)
+                        for _ in range(runs)]
+                    digests = {run.pop("csv_sha256") for run in done}
+                    if len(digests) != 1:
+                        raise RuntimeError(f"{fig} q={q}: CSV bytes differ "
+                                           "between runs")
+                    seconds = [run["seconds"] for run in done]
+                    record.setdefault(f"{fig}_q{q}", {})[name] = {
+                        "median_s": round(statistics.median(seconds), 4),
+                        "runs": done, "csv_sha256": digests.pop()}
+    return record
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True,
@@ -495,6 +567,8 @@ def main(argv=None) -> int:
                         help="timed calls per layer (median of k)")
     parser.add_argument("--src", default=str(OWN_SRC),
         help="source tree whose shadowproj is timed")
+    parser.add_argument("--sections", nargs="+", default=None,
+                        help="run only these sections (default: all)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
@@ -503,30 +577,37 @@ def main(argv=None) -> int:
         return {name: fresh(args.src, fn, *case, args.runs)
                 for name, case in cases.items()}
 
-    record = {"machine": machine(), "runs": args.runs,
-              "cases": each(bench_case, CASES),
-              "planning_q6": summed(each(bench_planning, PLANNING_SETS)),
-              "distinct_snapshots": each(bench_distinct,
-                                         {f"q{q}": (q,) for q in (4, 8)}),
-              "shadow_io": each(bench_shadow_io,
-                                {f"q{q}": (q,) for q in (4, 8)}),
-              "plain_random": each(bench_plain_random,
-                                   {f"q{q}": (q,) for q in (4, 6, 8)}),
-              "spin_hamiltonian": fresh(args.src, bench_spin_hamiltonian,
-                                        *SPIN_HAMILTONIAN),
-              "copied_spin_hamiltonian": fresh(
-                  args.src, bench_spin_hamiltonian, *COPIED_SPIN_HAMILTONIAN,
-                  True),
-              "projected": each(bench_projected, PROJECTED_CASES),
-              "oracle": each(bench_oracle, ORACLE_CASES),
-              "acquire": each(bench_acquire, ACQUIRE_CASES),
-              "counts": each(bench_counts,
-                             {f"q{q}": (q,) for q in COUNTS_SIZES}),
-              "figures": {fig: bench_figure(args.src, fig, args.runs)
-                          for fig in FIGURES}}
+    sections = {
+        "cases": lambda: each(bench_case, CASES),
+        "planning_q6": lambda: summed(each(bench_planning, PLANNING_SETS)),
+        "distinct_snapshots": lambda: each(bench_distinct,
+                                           {f"q{q}": (q,) for q in (4, 8)}),
+        "shadow_io": lambda: each(bench_shadow_io,
+                                  {f"q{q}": (q,) for q in (4, 8)}),
+        "plain_random": lambda: each(bench_plain_random,
+                                     {f"q{q}": (q,) for q in (4, 6, 8)}),
+        "spin_hamiltonian": lambda: fresh(args.src, bench_spin_hamiltonian,
+                                          *SPIN_HAMILTONIAN),
+        "copied_spin_hamiltonian": lambda: fresh(
+            args.src, bench_spin_hamiltonian, *COPIED_SPIN_HAMILTONIAN, True),
+        "projected": lambda: each(bench_projected, PROJECTED_CASES),
+        "oracle": lambda: each(bench_oracle, ORACLE_CASES),
+        "acquire": lambda: each(bench_acquire, ACQUIRE_CASES),
+        "counts": lambda: each(bench_counts,
+                               {f"q{q}": (q,) for q in COUNTS_SIZES}),
+        "figures": lambda: {fig: bench_figure(args.src, fig, args.runs)
+                            for fig in FIGURES},
+        "repeats": lambda: bench_repeats(args.src, args.runs),
+    }
     if Path(args.src).resolve() == OWN_SRC:
-        record["acquire_peak"] = fresh(args.src, bench_acquire_peak,
-                                       *ACQUIRE_PEAK)
+        sections["acquire_peak"] = lambda: fresh(
+            args.src, bench_acquire_peak, *ACQUIRE_PEAK)
+    unknown = set(args.sections or ()) - set(sections)
+    if unknown:
+        parser.error(f"unknown sections {sorted(unknown)}")
+    record = {"machine": machine(), "runs": args.runs}
+    for name in args.sections or sections:
+        record[name] = sections[name]()
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("layers", {})[args.label] = record

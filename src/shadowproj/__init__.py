@@ -10,9 +10,9 @@ direct-counts baseline for comparison.
 from .paulis import (PauliString, WeightedPauliSum, decompose_2x2, multiply,
                      multiply_sums, qwc_commutes)
 from .statevector import (Statevector, apply_gate, exact_expectation,
-                          exact_projected_expectation, exact_projected_linear,
-                          prepare_basis_state, prepare_gaussian,
-                          prepare_parity_mixture, prepare_product_state)
+                          exact_projected_linear, prepare_basis_state,
+                          prepare_gaussian, prepare_parity_mixture,
+                          prepare_product_state)
 from .shadows import (ClassicalShadow, Snapshot, acquire_shadow, estimate,
                       load_shadow, qubit_trace_factor, reconstruct_density,
                       save_shadow)

@@ -139,8 +139,9 @@ def _cmd_derandomize(args) -> int:
     weights = obs.magnitudes().tolist() if args.weights == "coeff" else None
     plan = measurement.derandomize_plan(strings, weights, args.shots,
                                         epsilon=args.epsilon)
-    measurement.save_plan(plan, args.out)
     hits = measurement.plan_hit_counts(plan, strings)
+    experiments._check_coverage(hits, args.shots)
+    measurement.save_plan(plan, args.out)
     _emit({"rounds": len(plan), "targets": len(strings),
            "min_hits": int(hits.min()), "max_hits": int(hits.max()),
            "out": args.out})

@@ -13,11 +13,9 @@ import csv
 import json
 import math
 import numbers
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .projectors import (ProjectorLCU, _spin_eigenprojector,
                          projected_estimate, projected_estimate_sectors,
                          projector_from_spec, spin_sectors,
                          total_spin_matrices)
-from .shadows import acquire_shadow, reconstruct_density
+from .shadows import _acquire_shadows, acquire_shadow, reconstruct_density
 from .shadows import estimate as shadow_estimate
 from .statevector import (MAX_QUBITS, H, Statevector, apply_gate,
                           exact_projected_linear, prepare_basis_state,
@@ -204,47 +202,15 @@ def prepare_spin_rotated_gaussian(q: int, squared: bool = False) -> Statevector:
     return Statevector(vecs @ base.amplitudes)
 
 
-def _parallel_map(fn: Callable, tasks: list) -> list:
-    """Map over repeat tasks; SHADOW_THREADS > 1 enables a process pool of
-    at most one worker per task.
-
-    Results are ordered like the tasks, so scheduling cannot change output.
-    """
-    value = os.environ.get("SHADOW_THREADS", "1") or "1"
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ConfigError(f"SHADOW_THREADS must be an integer, got "
-                          f"{value!r}") from None
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # a costly import
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _shadow_sector_task(args) -> list[tuple[float, float]]:
-    state, obs, projectors, shots, seed = args
-    shadow = acquire_shadow(state, shots, seed)
-    return projected_estimate_sectors(shadow, obs, projectors)
-
-
-def _fig4_task(args) -> float:
-    (method, state, expanded, ham, proj, plan, groups,
-     shots_per_group, shots, seed) = args
-    if method == "random":
-        shadow = acquire_shadow(state, shots, seed)
-        num, _ = projected_estimate(shadow, ham, proj)
-        return num
-    if method == "derandomized":
-        shadow = acquire_shadow(state, shots, seed,
-                                bases=plan.bases_sequence)
-        return shadow_estimate(shadow, expanded)
-    # counts and counts-grouped, with coefficient-weighted shot allocation:
-    # the pairing coefficients are strongly skewed, so the flat split would
-    # waste most of the budget on near-irrelevant terms
-    return direct_counts_estimate(state, groups, expanded, shots_per_group,
-                                  seed, weighted_allocation=True)
+def _check_coverage(hits: np.ndarray, shots: int) -> None:
+    """ConfigError unless a derandomized plan of ``shots`` rounds measures
+    every target, given the targets' hit counts."""
+    uncovered = int((hits == 0).sum())
+    if uncovered:
+        raise ConfigError(
+            f"shots={shots} is too small for derandomized estimation: "
+            f"{uncovered} of {hits.size} target observables would never be "
+            "measured")
 
 
 def _repeat_seeds(cfg: ExperimentConfig, *path: int) -> list[int]:
@@ -315,9 +281,9 @@ def _sector_rows(cfg: ExperimentConfig, state: Statevector,
                for proj in projectors]
     rows = []
     for shots in cfg.shots:
-        tasks = [(state, obs, projectors, shots, s)
-                 for s in _repeat_seeds(cfg, shots)]
-        outcomes = _parallel_map(_shadow_sector_task, tasks)
+        outcomes = [projected_estimate_sectors(shadow, obs, projectors)
+                    for shadow in _acquire_shadows(
+                        state, shots, _repeat_seeds(cfg, shots))]
         for si, proj in enumerate(projectors):
             values = np.array([out[si][part] for out in outcomes])
             rows.append(ResultRow(
@@ -364,33 +330,34 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     totals: dict[str, dict] = {}
     for shots in cfg.shots:
-        plan = None
         if "derandomized" in cfg.methods:
             plan = derandomize_plan(target_strings, weights, shots)
-            uncovered = int((plan_hit_counts(plan, target_strings) == 0).sum())
-            if uncovered:
-                raise ConfigError(
-                    f"shots={shots} is too small for derandomized "
-                    f"estimation: {uncovered} of {len(target_strings)} "
-                    "projected observables would never be measured")
+            _check_coverage(plan_hit_counts(plan, target_strings), shots)
         for method in cfg.methods:
-            if method in ("counts", "counts-grouped"):
+            seeds = _repeat_seeds(cfg, shots, METHODS.index(method))
+            total = {"total_measurements": shots}
+            if method == "random":
+                values = [projected_estimate(shadow, ham, proj)[0]
+                          for shadow in _acquire_shadows(state, shots, seeds)]
+            elif method == "derandomized":
+                values = [shadow_estimate(shadow, expanded)
+                          for shadow in _acquire_shadows(
+                              state, shots, seeds, plan.bases_sequence)]
+            else:
+                # coefficient-weighted shot allocation: the pairing
+                # coefficients are strongly skewed, so the flat split would
+                # waste most of the budget on near-irrelevant terms
                 groups = groupings[method]
                 spg = max(1, shots // len(groups))
-                totals.setdefault(method, {})[str(shots)] = {
-                    "groups": len(groups), "shots_per_group": spg,
-                    "total_measurements": spg * len(groups)}
-            else:
-                groups, spg = None, 0
-                totals.setdefault(method, {})[str(shots)] = {
-                    "total_measurements": shots}
-            tasks = [(method, state, expanded, ham, proj, plan, groups, spg,
-                      shots, s)
-                     for s in _repeat_seeds(cfg, shots, METHODS.index(method))]
-            values = np.array(_parallel_map(_fig4_task, tasks))
+                total = {"groups": len(groups), "shots_per_group": spg,
+                         "total_measurements": spg * len(groups)}
+                values = [direct_counts_estimate(state, groups, expanded, spg,
+                                                 seed, weighted_allocation=True)
+                          for seed in seeds]
+            totals.setdefault(method, {})[str(shots)] = total
             rows.append(ResultRow(method, shots, cfg.repeats,
-                                  float(values.mean()), float(values.std()),
-                                  oracle, cfg.seed))
+                                  float(np.mean(values)),
+                                  float(np.std(values)), oracle, cfg.seed))
     rows.sort(key=lambda r: (r.method, r.shots))
     return ExperimentResult(cfg, rows, {"measurement_totals": totals})
 

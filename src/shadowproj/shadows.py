@@ -169,22 +169,47 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
     draw), so results are reproducible and independent of any parallel
     execution order. :func:`_descend` draws the outcomes.
     """
+    return next(_acquire_shadows(state, shots, [seed], bases))
+
+
+def _acquire_shadows(state: Statevector, shots: int, seeds: Sequence[int],
+                     bases: Sequence[Sequence[str]] | None = None
+                     ) -> Iterator[ClassicalShadow]:
+    """``acquire_shadow(state, shots, seed, bases)`` for each seed in turn,
+    byte for byte, drawn lazily in batches.
+
+    A shot's outcome depends only on its basis, its uniform and the state,
+    so a batch concatenates the uniform blocks of consecutive seeds, up to
+    ``_BATCH_SHOTS >> abs(q - 8)`` shots (at least one seed), descends them
+    together and splits the result: the top levels of the tree are rotated
+    once per batch, not once per seed.
+    """
     _check_count(shots)
     q = state.num_qubits
-    block = _rng.uniform_block(seed, (_ACQUIRE_TAG,), shots, q + 1)
-    if bases is None:
-        codes = np.minimum((block[:, :q] * 3).astype(np.int8), 2)
-    else:
-        codes = _prescribed_codes(list(bases), shots, q)
+    if bases is not None:
+        prescribed = _prescribed_codes(list(bases), shots, q)
+    per_batch = max(1, (_BATCH_SHOTS >> abs(q - 8)) // shots)
     # level k holds at most min(shots, 3 * 6^k) keys of 2^(q-k) amplitudes
-    step = max(1, min([shots] + [_DESCENT_BUDGET >> (q - k) for k in range(q)
-                                 if 3 * 6 ** k << (q - k) > _DESCENT_BUDGET]))
-    outcomes = np.empty((shots, q), dtype=np.int8)
-    for start in range(0, shots, step):
-        run = slice(start, start + step)
-        _descend(state, codes[run], block[run, q], outcomes[run])
-    return ClassicalShadow.from_arrays(codes, outcomes, seed,
-                                       bases is not None)
+    step = max(1, min([per_batch * shots] + [
+        _DESCENT_BUDGET >> (q - k) for k in range(q)
+        if 3 * 6 ** k << (q - k) > _DESCENT_BUDGET]))
+    for first in range(0, len(seeds), per_batch):
+        batch = seeds[first:first + per_batch]
+        blocks = [_rng.uniform_block(seed, (_ACQUIRE_TAG,), shots, q + 1)
+                  for seed in batch]
+        block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        if bases is None:
+            codes = np.minimum((block[:, :q] * 3).astype(np.int8), 2)
+        else:
+            codes = np.tile(prescribed, (len(batch), 1))
+        outcomes = np.empty_like(codes)
+        for start in range(0, len(block), step):
+            run = slice(start, start + step)
+            _descend(state, codes[run], block[run, q], outcomes[run])
+        for n, seed in enumerate(batch):
+            run = slice(n * shots, (n + 1) * shots)
+            yield ClassicalShadow.from_arrays(codes[run], outcomes[run], seed,
+                                              bases is not None)
 
 
 def _descend(state: Statevector, codes: np.ndarray, uniforms: np.ndarray,
@@ -262,6 +287,10 @@ _LEVEL_GATES = np.stack([BASIS_ROTATIONS[b] for b in BASIS_LETTERS])
 # acquisition descent, whose shots go in consecutive runs to keep to it, and
 # 2^13 (128 KiB) in the rotations of whole distributions.
 _DESCENT_BUDGET, _AMPLITUDE_BUDGET = 1 << 21, 1 << 13
+# Shots of a batch of seeds at q = 8, halved for each qubit above, so that
+# each level k >= 5 holds at most 2^19 amplitudes, and for each qubit below,
+# where the top levels are cheap to repeat and longer batches cost memory.
+_BATCH_SHOTS = _DESCENT_BUDGET >> 5
 
 
 def _born_probabilities(state: Statevector, keys: np.ndarray) -> np.ndarray:

@@ -49,10 +49,6 @@ def phase_gate(phi: float) -> np.ndarray:
     return np.diag([1.0, np.exp(1j * phi)])
 
 
-class EmptySectorError(ValueError):
-    """Projection norm too small for a meaningful projected expectation."""
-
-
 @dataclass(frozen=True)
 class Statevector:
     """Normalized amplitude vector over 2**num_qubits basis states."""
@@ -199,6 +195,23 @@ def apply_gate(state: Statevector, matrix: np.ndarray,
     return Statevector(psi.reshape(-1))
 
 
+# Elements per np.vdot call. OpenBLAS splits a complex dot product over its
+# threads only past 10 000 elements, so shorter calls add in one order.
+_DOT_CHUNK = 1 << 13
+
+
+def _dot(bra: np.ndarray, ket: np.ndarray) -> complex:
+    """sum conj(bra) ket over the flattened arrays: one np.vdot per run of
+    ``_DOT_CHUNK`` elements, the runs added in order, so the bits do not
+    depend on the BLAS thread count."""
+    bra, ket = bra.reshape(-1), ket.reshape(-1)
+    total = np.vdot(bra[:_DOT_CHUNK], ket[:_DOT_CHUNK])
+    for start in range(_DOT_CHUNK, bra.size, _DOT_CHUNK):
+        total += np.vdot(bra[start:start + _DOT_CHUNK],
+                         ket[start:start + _DOT_CHUNK])
+    return complex(total)
+
+
 def _overlap(bra: np.ndarray, ket: np.ndarray,
              obs: WeightedPauliSum) -> complex:
     """<bra|O|ket> = sum_m sum_x conj(bra[x ^ m]) d_m[x] ket[x]."""
@@ -208,17 +221,21 @@ def _overlap(bra: np.ndarray, ket: np.ndarray,
     masks, diagonals = _mask_form(obs)
     diagonals *= ket
     x = np.arange(ket.size)
-    return complex(np.vdot(bra[x ^ masks[:, None]], diagonals))
+    return _dot(bra[x ^ masks[:, None]], diagonals)
 
 
 def _projected(state: Statevector, proj) -> tuple:
-    """(P, P|psi>, <psi|P|psi>) for a dense P of the state's dimension."""
+    """(P, P|psi>, <psi|P|psi>) for a dense P of the state's dimension.
+
+    P|psi> is an einsum, not a BLAS product, which may stall on its threads;
+    for a 0/1 diagonal P it is exact.
+    """
     proj = np.asarray(proj, dtype=complex)
     if proj.shape != (state.amplitudes.size,) * 2:
         raise ValueError(f"projector shape {proj.shape} does not match the "
                          f"{state.num_qubits}-qubit state")
-    phi = proj @ state.amplitudes
-    return proj, phi, float(np.vdot(state.amplitudes, phi).real)
+    phi = np.einsum("ij,j->i", proj, state.amplitudes)
+    return proj, phi, _dot(state.amplitudes, phi).real
 
 
 def exact_expectation(state: Statevector, obs: WeightedPauliSum) -> float:
@@ -229,30 +246,14 @@ def exact_expectation(state: Statevector, obs: WeightedPauliSum) -> float:
     return float(total.real)
 
 
-def exact_projected_expectation(state: Statevector, obs: WeightedPauliSum,
-                                proj: np.ndarray) -> tuple[float, float]:
-    """(<psi|P O P|psi>, <psi|P|psi>) for an idempotent Hermitian P."""
-    proj, phi, norm = _projected(state, proj)
-    if np.max(np.abs(proj @ proj - proj)) > 1e-10:
-        raise ValueError("projector is not idempotent within tolerance")
-    if np.max(np.abs(proj - proj.conj().T)) > 1e-10:
-        raise ValueError("projector is not Hermitian within tolerance")
-    if norm < 1e-12:
-        raise EmptySectorError(f"projected norm {norm} below 1e-12")
-    total = _overlap(phi, phi, obs)
-    if abs(total.imag) > 1e-10:
-        raise ValueError(f"non-Hermitian projected expectation: {total.imag}")
-    return float(total.real), norm
-
-
 def exact_projected_linear(state: Statevector, obs: WeightedPauliSum,
                            proj: np.ndarray) -> tuple[float, float]:
     """(Tr[O P rho], Tr[P rho]) with a single projector application.
 
     This is the quantity the shadow-side projected estimator targets. For an
     exactly idempotent P commuting with O it coincides with
-    :func:`exact_projected_expectation`; for a discretized projector it is
-    the honest linear functional of that matrix.
+    <psi|P O P|psi>; for a discretized projector it is the honest linear
+    functional of that matrix.
     """
     _, phi, norm = _projected(state, proj)
     return float(_overlap(state.amplitudes, phi, obs).real), norm

@@ -1,6 +1,7 @@
 """Fixtures shared by the reference tests of the array-native paths, and
 the test-only references: random plans, the confidence-bound costs of a
-plan, and Born sampling of one rotated state."""
+plan, Born sampling of one rotated state, and the sandwiched projected
+oracle."""
 
 import math
 
@@ -16,7 +17,9 @@ from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.projectors import (expand_projected_observable,
                                    projector_from_spec)
 from shadowproj.shadows import BASIS_LETTERS, _check_count, acquire_shadow
-from shadowproj.statevector import rotate_to_bases
+from shadowproj.paulis import WeightedPauliSum
+from shadowproj.statevector import (Statevector, _overlap, _projected,
+                                    rotate_to_bases)
 
 # The eight target sets of the fig4 path at q=6: the pairing Hamiltonian
 # times the parity and number projectors (n0 = 0 expands to no terms).
@@ -79,3 +82,23 @@ def sample_bitstrings(state, bases, shots, gen):
     idx = gen.choice(probs.size, size=shots, p=probs)
     q = state.num_qubits
     return ((idx[:, None] >> np.arange(q)) & 1).astype(np.uint8)
+
+
+class EmptySectorError(ValueError):
+    """Projection norm too small for a meaningful projected expectation."""
+
+
+def exact_projected_expectation(state: Statevector, obs: WeightedPauliSum,
+                                proj: np.ndarray) -> tuple[float, float]:
+    """(<psi|P O P|psi>, <psi|P|psi>) for an idempotent Hermitian P."""
+    proj, phi, norm = _projected(state, proj)
+    if np.max(np.abs(proj @ proj - proj)) > 1e-10:
+        raise ValueError("projector is not idempotent within tolerance")
+    if np.max(np.abs(proj - proj.conj().T)) > 1e-10:
+        raise ValueError("projector is not Hermitian within tolerance")
+    if norm < 1e-12:
+        raise EmptySectorError(f"projected norm {norm} below 1e-12")
+    total = _overlap(phi, phi, obs)
+    if abs(total.imag) > 1e-10:
+        raise ValueError(f"non-Hermitian projected expectation: {total.imag}")
+    return float(total.real), norm

@@ -176,6 +176,44 @@ def test_descending_in_small_chunks_gives_the_same_bytes(monkeypatch, q,
     assert calls == [chunk] * (400 // chunk)
 
 
+@pytest.mark.parametrize("prescribed", [False, True])
+def test_many_seeds_match_one_acquisition_per_seed(monkeypatch, prescribed):
+    # 7 seeds of 300 shots, at most 1000 shots a batch at q = 6: batches of
+    # 3, 3 and 1 seed, each drawn only when its first shadow is asked for
+    state, shots = random_state(6, 31), 300
+    bases = [[BASIS_LETTERS[(n * j + n) % 3] for j in range(6)]
+             for n in range(shots)] if prescribed else None
+    seeds = [4, 0, 17, 9, 2 ** 40, 3, 11]
+    singles = [acquire_shadow(state, shots, seed, bases) for seed in seeds]
+    calls = []
+    descend = shadows._descend
+    monkeypatch.setattr(shadows, "_BATCH_SHOTS", 1000 << 2)
+    monkeypatch.setattr(shadows, "_descend",
+                        lambda *args: calls.append(len(args[1]))
+                        or descend(*args))
+    batched = shadows._acquire_shadows(state, shots, seeds, bases)
+    first = next(batched)
+    assert calls == [900]
+    for single, shadow in zip(singles, [first, *batched], strict=True):
+        assert_same_shadow(shadow, single)
+    assert calls == [900, 900, 300]
+
+
+def test_seeds_past_the_batch_bound_descend_one_at_a_time(monkeypatch):
+    state = random_state(5, 8)
+    singles = [acquire_shadow(state, 700, seed) for seed in (1, 2)]
+    calls = []
+    descend = shadows._descend
+    monkeypatch.setattr(shadows, "_BATCH_SHOTS", 500 << 3)
+    monkeypatch.setattr(shadows, "_descend",
+                        lambda *args: calls.append(len(args[1]))
+                        or descend(*args))
+    for single, shadow in zip(singles, shadows._acquire_shadows(
+            state, 700, [1, 2]), strict=True):
+        assert_same_shadow(shadow, single)
+    assert calls == [700, 700]
+
+
 def even_parity_state(q):
     """A parity mixture with its odd-parity amplitudes set to exact zeros."""
     amps = prepare_parity_mixture(q, 0.5, seed=q).amplitudes.copy()

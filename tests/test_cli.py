@@ -312,6 +312,19 @@ def test_derandomize_rejects_a_bad_epsilon(workdir, capsys, epsilon):
     assert not (workdir / "plan.txt").exists()
 
 
+def test_derandomize_exits_2_when_the_plan_leaves_targets_unmeasured(
+        workdir, capsys):
+    plan = workdir / "plan.txt"
+    assert main(["derandomize", "--observables", str(workdir / "ham.json"),
+                 "--projector", '{"type": "parity", "epsilon": 1}',
+                 "--shots", "3", "--out", str(plan)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: shots=3 is too small for "
+                          "derandomized estimation: ")
+    assert "target observables would never be measured" in err
+    assert not plan.exists()
+
+
 def test_derandomize_number_sector_zero_targets_the_norm(workdir, capsys):
     # H P_0 has no Pauli terms, but the plan also covers the norm terms of
     # P_0 = prod_j (I + Z_j) / 2, so the target set is not empty

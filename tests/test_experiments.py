@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -22,11 +21,16 @@ from shadowproj.experiments import (CSV_COLUMNS, ConfigError,
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.projectors import (exact_number_projector,
                                    exact_parity_projector, number_projector,
-                                   parity_projector, spin_sector_projectors,
+                                   parity_projector,
+                                   projected_estimate_sectors,
+                                   spin_sector_projectors,
                                    total_spin_matrices)
+from shadowproj.shadows import acquire_shadow
 from shadowproj.statevector import (exact_expectation,
                                     exact_projected_linear, prepare_gaussian)
 from shadowproj.paulis import PauliString, WeightedPauliSum
+
+from conftest import exact_projected_expectation
 
 
 def small_fig3():
@@ -73,7 +77,6 @@ def test_fig4_oracle_energy_fixture():
     comparison state, frozen from the dense oracle."""
     from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
     from shadowproj.projectors import exact_parity_projector
-    from shadowproj.statevector import exact_projected_expectation
     state = prepare_fig4_state(4)
     ham = build_pairing_hamiltonian(PairingSpec(4, 1.0, 1.0))
     num, norm = exact_projected_expectation(state, ham,
@@ -125,25 +128,6 @@ def test_run_experiment_deterministic():
     b = run_experiment(small_fig3())
     assert [(r.method, r.shots, r.mean, r.stddev) for r in a.rows] \
         == [(r.method, r.shots, r.mean, r.stddev) for r in b.rows]
-
-
-def test_parallel_repeats_match_serial(monkeypatch):
-    serial = run_experiment(small_fig3())
-    monkeypatch.setenv("SHADOW_THREADS", "3")
-    parallel = run_experiment(small_fig3())
-    assert [(r.method, r.mean) for r in serial.rows] \
-        == [(r.method, r.mean) for r in parallel.rows]
-
-
-def test_bad_shadow_threads_is_a_config_error(monkeypatch, tmp_path):
-    from shadowproj.cli import main
-    monkeypatch.setenv("SHADOW_THREADS", "abc")
-    with pytest.raises(ConfigError, match="SHADOW_THREADS"):
-        run_experiment(small_fig3())
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(small_fig3().to_dict()))
-    assert main(["experiment", "--config", str(cfg), "--out",
-                 str(tmp_path / "out.csv")]) == 2
 
 
 def test_rows_carry_oracle_targets():
@@ -236,7 +220,7 @@ PINNED_CSV_SHA256 = {
     "fig6": ({"shots": [100, 1000], "repeats": 3},
              "fa39a0a0631b7269de190bdcc2f1d3aaca3e3851765410e9dbf9fb2c10e1b2f3"),
     "fig7": ({"shots": [1000], "repeats": 3},
-             "695952be07e1487dd2b6eb035c74dd7eeeec3d3b405bf85e62378c0f2989d31d"),
+             "7b7c232000393bc0844d6c529e3884d5342083df56c706529db5cc84ed57f810"),
 }
 
 
@@ -307,48 +291,16 @@ def test_projector_spec_the_figure_cannot_build(experiment, projector,
 
 
 def test_estimation_errors_are_not_config_errors(monkeypatch):
-    def fail(args):
+    def fail(*args):
         raise ValueError("estimation failed")
-    monkeypatch.setattr(experiments, "_shadow_sector_task", fail)
+    monkeypatch.setattr(experiments, "projected_estimate_sectors", fail)
     with pytest.raises(ValueError, match="estimation failed") as info:
         run_experiment(small_fig3())
     assert not isinstance(info.value, ConfigError)
 
 
-def test_pool_starts_at_most_one_worker_per_task(monkeypatch):
-    seen = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers and maps
-        in this process, so no worker is started."""
-
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    cfg = ExperimentConfig.from_dict(
-        {"experiment": "fig3", "shots": [100, 400], "repeats": 3, "seed": 3})
-    serial = run_experiment(cfg)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setenv("SHADOW_THREADS", "64")
-    assert experiments._parallel_map(abs, [-1, 2, -3]) == [1, 2, 3]
-    assert seen == [3]
-    pooled = run_experiment(cfg)
-    assert seen == [3, 3, 3]
-    assert pooled.rows == serial.rows
-
-
 def test_importing_the_package_leaves_the_process_pool_out():
-    # the pool's import pulls in multiprocessing, socket and logging
+    # concurrent.futures pulls in multiprocessing, socket and logging
     code = "import sys, shadowproj; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
@@ -370,8 +322,8 @@ def test_fig6_at_a_non_default_sector():
     for row in result.rows:
         assert row.oracle == oracle and row.repeat_count == 3
         nums = np.array([
-            experiments._shadow_sector_task(
-                (state, ham, [number_projector(3, 1)], row.shots, seed))[0][0]
+            projected_estimate_sectors(acquire_shadow(state, row.shots, seed),
+                                       ham, [number_projector(3, 1)])[0][0]
             for seed in experiments._repeat_seeds(cfg, row.shots)])
         assert (row.mean, row.stddev) == (nums.mean(), nums.std())
 

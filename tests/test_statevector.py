@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +13,14 @@ from hypothesis import strategies as st
 from shadowproj import rng as _rng
 from shadowproj.paulis import PAULI_MATRICES, PauliString, WeightedPauliSum
 from shadowproj.projectors import exact_number_projector, exact_parity_projector
-from conftest import sample_bitstrings
-from shadowproj.statevector import (H, EmptySectorError, Statevector,
-                                    apply_gate, exact_expectation,
-                                    exact_projected_expectation,
-                                    exact_projected_linear,
+from conftest import (EmptySectorError, exact_projected_expectation,
+                      sample_bitstrings)
+from shadowproj.statevector import (H, Statevector, apply_gate,
+                                    exact_expectation, exact_projected_linear,
                                     prepare_basis_state, prepare_gaussian,
                                     prepare_parity_mixture,
                                     prepare_product_state, rotate_to_bases)
-from shadowproj.statevector import _overlap
+from shadowproj.statevector import _overlap, _projected
 
 # Exact particle-number probabilities of the default q=4 Gaussian profile
 # (first-power exponent, mu = 7.5, sigma = 2.5), frozen from the diagonal
@@ -349,3 +352,31 @@ def test_statevector_rejects_non_finite_amplitudes(amps):
 def test_state_json_rejects_malformed_entries(text, message):
     with pytest.raises(ValueError, match=message):
         Statevector.from_json(text)
+
+
+def test_diagonal_projection_is_exact():
+    state = prepare_gaussian(6)
+    for n0 in range(7):
+        proj = exact_number_projector(6, n0)
+        _, phi, _ = _projected(state, proj)
+        assert np.array_equal(phi, np.diag(proj) * state.amplitudes)
+
+
+def test_q10_oracle_bits_do_not_depend_on_blas_threads():
+    # 46 masks x 1024 amplitudes: one np.vdot over them all would be split
+    # over OpenBLAS's threads
+    code = ("from shadowproj.pairing import PairingSpec, "
+            "build_pairing_hamiltonian\n"
+            "from shadowproj.projectors import exact_number_projector\n"
+            "from shadowproj.statevector import exact_projected_linear, "
+            "prepare_gaussian\n"
+            "num, norm = exact_projected_linear(prepare_gaussian(10), "
+            "build_pairing_hamiltonian(PairingSpec(10, 1.0, 1.0)), "
+            "exact_number_projector(10, 5))\n"
+            "print(num.hex(), norm.hex())")
+    src = Path(_rng.__file__).parents[1]
+    outs = {subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True, cwd=src,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": n}
+                           ).stdout for n in ("1", "2")}
+    assert len(outs) == 1
