@@ -61,7 +61,9 @@ Dense oracle: ``exact_expectation`` of the pairing Hamiltonian times the
 half-filling number projector, expanded, on the Gaussian state at q=6, 8
 and 10; ``to_matrix`` of the pairing Hamiltonian at q=8 and 10; and
 ``to_matrix`` of every sector of a freshly built n_p=10 spin family (so no
-Pauli expansion is cached) at q=4 and 6.
+Pauli expansion is cached) at q=4, 6 and 8, and of its first sector alone
+at q=10, each spin case with the ``tracemalloc`` peak of one more call of
+that sector's ``to_matrix``.
 
 Acquisition: ``acquire_shadow`` of the Gaussian state at q = 4, 6 and 8
 with M = 10^3, 10^4 and 10^5 and at q = 10 and 12 with M = 10^3 and 10^4,
@@ -90,12 +92,16 @@ of k runs in a fresh interpreter of its own (not a spawned process, see
 ``bench_repeats``), with every run's seconds and peak RSS (the process's
 ``ru_maxrss``, and that of its largest worker, if any) and the CSV sha256.
 A source that still reads ``SHADOW_THREADS`` is also run with
-``SHADOW_THREADS=2``.
+``SHADOW_THREADS=2``. Spin sizes: fig7 at its default config with q = 6, 8
+and 10, run as the repeats are; a run that takes more than 10 minutes is
+stopped and recorded as not run.
 
     python scripts/bench.py --out BENCH_24.json --label change
     python scripts/bench.py --out BENCH_24.json --label parent \
         --src /path/to/other/checkout/src
     python scripts/bench.py --out BENCH_26.json --sections repeats --runs 5
+    python scripts/bench.py --out BENCH_27.json --sections spin_sizes oracle \
+        --runs 3
 
 The numbers go under ``layers.<label>`` of ``--out``, with the machine, the
 Python and the numpy version; other keys of an existing file are kept.
@@ -135,11 +141,16 @@ COPIED_SPIN_HAMILTONIAN = (4, 10, 10_000)
 # name: (oracle layer, q)
 ORACLE_CASES = {f"{layer}_q{q}": (layer, q) for layer, sizes in (
     ("expectation", (6, 8, 10)), ("pairing_matrix", (8, 10)),
-    ("spin_matrices", (4, 6))) for q in sizes}
+    ("spin_matrices", (4, 6, 8, 10))) for q in sizes}
 ORACLE_SPIN_N_P = 10
+# largest q whose spin oracle case builds every sector, not the first alone
+ORACLE_SPIN_FAMILY_MAX_Q = 8
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 REPEATS_FIGURES = ("fig6", "fig3")
 REPEATS_SIZES = (4, 8, 10, 12)
+SPIN_SIZES = (6, 8, 10)
+# seconds after which a fresh-interpreter figure run is stopped
+FIGURE_TIMEOUT = 600
 # name: (q, shots, plan n0 or None for random bases)
 ACQUIRE_CASES = {
     **{f"q{q}_m{m}": (q, m, None) for q in (4, 6, 8)
@@ -394,11 +405,17 @@ def bench_oracle(layer: str, q: int, runs: int) -> dict:
         result, _ = timed(ham.to_matrix, runs)
         result["terms"] = len(ham)
     else:
+        sectors = None if q <= ORACLE_SPIN_FAMILY_MAX_Q else 1
         families = [projectors.spin_sector_projectors(q, ORACLE_SPIN_N_P)
-                    for _ in range(runs + 1)]
+                    [:sectors] for _ in range(runs + 2)]
         result, _ = timed(lambda: [p.to_matrix() for p in families.pop()],
                           runs)
-        result["sectors"] = len(projectors.spin_sectors(q))
+        result["sectors"] = len(families[0])
+        tracemalloc.start()
+        families[0][0].to_matrix()
+        result["sector_peak_mb"] = round(
+            tracemalloc.get_traced_memory()[1] / 2**20, 3)
+        tracemalloc.stop()
     return result
 
 
@@ -501,7 +518,8 @@ def bench_figure(src: str, fig: str, runs: int) -> dict:
 
 
 def bench_repeats_case(fig: str, q: int, work: str) -> dict:
-    """One ``run_experiment`` + ``write_results`` of a ``REPEATS`` case."""
+    """One ``run_experiment`` + ``write_results`` of a ``REPEATS`` or
+    ``SPIN_SIZES`` case."""
     import hashlib
 
     from shadowproj import experiments
@@ -523,30 +541,39 @@ def bench_repeats_case(fig: str, q: int, work: str) -> dict:
                                   resource.RUSAGE_CHILDREN))}}
 
 
-def bench_repeats(src: str, runs: int) -> dict:
-    """``runs`` runs of each ``REPEATS`` case, each in a fresh interpreter
+def bench_repeats(src: str, runs: int, figures=REPEATS_FIGURES,
+                  sizes=REPEATS_SIZES) -> dict:
+    """``runs`` runs of each figure at each size, each in a fresh interpreter
     started as a user starts one: a process spawned by ``fresh`` would hand
     its spawn start method to the process pool of an older source, whose
     workers then import everything again. A source that reads
-    ``SHADOW_THREADS`` also runs with ``SHADOW_THREADS=2``."""
+    ``SHADOW_THREADS`` also runs with ``SHADOW_THREADS=2``. A case whose
+    run passes ``FIGURE_TIMEOUT`` is recorded as not run."""
     envs = {"serial": {}}
     if "SHADOW_THREADS" in (Path(src) / "shadowproj" /
                             "experiments.py").read_text():
         envs["threads2"] = {"SHADOW_THREADS": "2"}
     record = {}
     with tempfile.TemporaryDirectory() as work:
-        for fig in REPEATS_FIGURES:
-            for q in REPEATS_SIZES:
+        for fig in figures:
+            for q in sizes:
                 code = ("import bench, json; print(json.dumps(bench."
                         f"_call_with_src({src!r}, bench.bench_repeats_case, "
                         f"({fig!r}, {q}, {work!r}))))")
                 for name, env in envs.items():
-                    done = [json.loads(subprocess.run(
-                        [sys.executable, "-c", code], check=True,
-                        capture_output=True, text=True,
-                        cwd=Path(__file__).resolve().parent,
-                        env={**os.environ, **env}).stdout)
-                        for _ in range(runs)]
+                    try:
+                        done = [json.loads(subprocess.run(
+                            [sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            timeout=FIGURE_TIMEOUT,
+                            cwd=Path(__file__).resolve().parent,
+                            env={**os.environ, **env}).stdout)
+                            for _ in range(runs)]
+                    except subprocess.TimeoutExpired:
+                        record.setdefault(f"{fig}_q{q}", {})[name] = {
+                            "not_run": "did not finish within "
+                                       f"{FIGURE_TIMEOUT} s"}
+                        continue
                     digests = {run.pop("csv_sha256") for run in done}
                     if len(digests) != 1:
                         raise RuntimeError(f"{fig} q={q}: CSV bytes differ "
@@ -598,6 +625,8 @@ def main(argv=None) -> int:
         "figures": lambda: {fig: bench_figure(args.src, fig, args.runs)
                             for fig in FIGURES},
         "repeats": lambda: bench_repeats(args.src, args.runs),
+        "spin_sizes": lambda: bench_repeats(args.src, args.runs, ("fig7",),
+                                            SPIN_SIZES),
     }
     if Path(args.src).resolve() == OWN_SRC:
         sections["acquire_peak"] = lambda: fresh(

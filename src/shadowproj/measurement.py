@@ -61,13 +61,12 @@ class MeasurementPlan:
     def __post_init__(self):
         if not self.bases_sequence:
             raise ValueError("empty plan")
-        q = len(self.bases_sequence[0])
-        _check_count(q, "num_qubits")
-        if any(len(row) != q for row in self.bases_sequence):
+        rows = tuple(map(tuple, self.bases_sequence))
+        _check_count(len(rows[0]), "num_qubits")
+        if len(set(map(len, rows))) > 1:
             raise ValueError("all rounds need the same number of qubits")
-        object.__setattr__(self, "bases_sequence",
-                           tuple(tuple(row) for row in self.bases_sequence))
-        bad = {b for row in self.bases_sequence for b in row} - set(BASIS_CODE)
+        object.__setattr__(self, "bases_sequence", rows)
+        bad = set(itertools.chain.from_iterable(rows)) - set(BASIS_CODE)
         if bad:
             raise ValueError(f"plan bases must be X, Y or Z, got "
                              f"{', '.join(sorted(map(repr, bad)))}")

@@ -43,8 +43,8 @@ import numpy as np
 from .paulis import (_I_POWERS, _PRODUCT_POWER, LETTERS, MERGE_TOLERANCE,
                      PauliString, WeightedPauliSum, decompose_2x2,
                      multiply_sums)
-from .shadows import (_LETTER_FACTOR, ClassicalShadow, _check_count,
-                      _distinct_snapshots)
+from .shadows import (_DENSE_KEYS, _LETTER_FACTOR, ClassicalShadow,
+                      _check_count, _distinct_snapshots)
 from .shadows import estimate as shadow_estimate
 from .shadows import reconstruct_density
 from .statevector import phase_gate, ry, rz
@@ -106,8 +106,33 @@ class ProjectorLCU:
         object.__setattr__(self, "gates", gates)
 
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix sum_k beta_k G_k^(x)q, from its Pauli expansion."""
-        return self.to_pauli_sum().to_matrix()
+        """Dense matrix sum_k beta_k G_k^(x)q. Entry <x|G^(x)q|y> is
+        prod_ab g_ab^n_ab, g_ab = <a|G|b>, n_ab the qubits whose bits (x_j,
+        y_j) are ab: one value per class n_01 r^2 + n_10 r + n_11 (r = q+1),
+        taken 2^16 at a time through class codes built by doubling qubits."""
+        q, r = self.num_qubits, self.num_qubits + 1
+        c_i, c_x, c_y, c_z = self.gates.T
+        table = np.ones((r, 4, len(c_i)), dtype=complex)  # g_kab^n
+        table[1] = c_i + c_z, c_x - 1j * c_y, c_x + 1j * c_y, c_i - c_z
+        for n in range(2, r):
+            table[n] = table[n - 1] * table[1]
+        counts = np.indices((r, r, r)).reshape(3, -1)
+        counts = np.vstack([q - counts.sum(axis=0), counts])  # n_ab by code
+        valid = np.flatnonzero(counts[0] >= 0)
+        values = np.zeros(r ** 3, dtype=complex)
+        step = max(1, (1 << 12) // len(c_i))  # small blocks reuse memory
+        for part in np.split(valid, range(step, len(valid), step)):
+            block = table[counts[:, part], np.arange(4)[:, None]].prod(axis=0)
+            values[part] = np.einsum("k,ck->c", self.betas, block)
+        codes = w = np.array([[0, r * r], [r, 1]], np.min_scalar_type(r ** 3))
+        for _ in range(q - 1):
+            codes = np.add.outer(w, codes).swapaxes(1, 2).reshape(
+                2 * len(codes), -1)
+        out, chunk = np.empty(codes.shape, complex), max(1, (1 << 16) >> q)
+        for start in range(0, len(codes), chunk):
+            np.take(values, codes[start:start + chunk],
+                    out=out[start:start + chunk])
+        return out
 
     def to_pauli_sum(self) -> WeightedPauliSum:
         """Expansion into a merged weighted Pauli sum (cached).
@@ -274,8 +299,6 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # X, Y and Z run over 6..23, and _PAD pads a key's codes with the factor 1.
 _KERNEL = np.stack(list(_LETTER_KERNEL.values()), axis=1).reshape(4, 24)
 _PAD = 24
-# Largest key range summed densely, 2 MiB per bincount.
-_DENSE_KEYS = 1 << 18
 # Largest table, 8 MiB: the pairing H over a family at q <= 8 needs 2 MiB.
 _TABLE_BYTES = 1 << 23
 

@@ -335,6 +335,8 @@ def qubit_trace_factor(basis: str, outcome_bit: int, p: str) -> int:
 
 # Qubits per int64 word of a snapshot key: 6^24 < 2^63.
 _SYMBOLS_PER_WORD = 24
+# Largest key range counted or summed densely, 2 MiB per bincount.
+_DENSE_KEYS = 1 << 18
 
 
 def _distinct_snapshots(shadow: ClassicalShadow
@@ -343,13 +345,19 @@ def _distinct_snapshots(shadow: ClassicalShadow
     and the number of snapshots equal to each.
 
     A row is read as base-6 int64 words of 24 qubits, qubit 0 the leading
-    digit of the first word, so rows sort as their keys. A single word is
-    sorted unstably: the rows of a run of equal keys are equal.
+    digit of the first word, so rows sort as their keys. At most 4 M and
+    _DENSE_KEYS keys are counted by one bincount and the keys met decoded;
+    more are sorted, a single word unstably: equal keys are equal rows.
     """
     symbols = 2 * shadow.codes + shadow.outcomes
+    q = shadow.num_qubits
+    if 6 ** q <= min(4 * len(symbols), _DENSE_KEYS):
+        counts = np.bincount(_digit_keys(symbols, 6))
+        keys = np.flatnonzero(counts)
+        return keys[:, None] // 6 ** np.arange(q)[::-1] % 6, counts[keys]
     words = np.stack([
         _digit_keys(symbols[:, start:start + _SYMBOLS_PER_WORD], 6)
-        for start in range(0, shadow.num_qubits, _SYMBOLS_PER_WORD)])
+        for start in range(0, q, _SYMBOLS_PER_WORD)])
     order = (np.argsort(words[0]) if len(words) == 1
              else np.lexsort(words[::-1]))
     words = words[:, order]

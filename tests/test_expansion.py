@@ -7,8 +7,10 @@ one coefficient per letter-count class instead; the two must give the same
 strings with coefficients within 1e-14.
 
 ``reference_lcu_matrix`` is the dense matrix as it was built before it
-went through the expansion: chunked Kronecker powers of the gates. At
-q <= 4 ``ProjectorLCU.to_matrix`` must agree with it within 1e-12.
+went through the expansion: chunked Kronecker powers of the gates.
+``ProjectorLCU.to_matrix``, which gathers one value per class of bit-pair
+counts, must agree with it within 1e-12 on every projector checked here,
+up to q=8.
 
 ``reference_multiply_sums`` is ``multiply_sums`` as it ran on PauliString
 objects, one product per pair of terms merged in a dict. The array products
@@ -79,9 +81,12 @@ def assert_expansions_agree(proj):
     want = {s.letters: c for c, s in reference_pauli_sum(proj).terms}
     assert set(got) == set(want)
     assert max(abs(got[key] - want[key]) for key in want) <= 1e-14
-    if proj.num_qubits <= 4:
-        assert np.abs(proj.to_matrix()
-                      - reference_lcu_matrix(proj)).max() <= 1e-12
+    assert_matrix_agrees(proj)
+
+
+def assert_matrix_agrees(proj):
+    assert np.abs(proj.to_matrix()
+                  - reference_lcu_matrix(proj)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("q", range(1, 9))
@@ -98,6 +103,17 @@ def test_spin_families(q, n_p):
     # highest-spin and the lowest-spin sector there
     for proj in (family if q <= 5 else (family[0], family[-1])):
         assert_expansions_agree(proj)
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_spin_matrices_past_the_expansion_sizes(q):
+    # class codes pass 255 from q=6 on (up to q (q+1)^2 = 448 at q=7), so
+    # codes or counts kept in 8 bits would wrap; the reference takes most
+    # of a second per sector at q=8, so check the highest-spin and the
+    # lowest-spin sector of the n_p=10 family
+    family = spin_sector_projectors(q, 10)
+    for proj in (family[0], family[-1]):
+        assert_matrix_agrees(proj)
 
 
 def test_q6_spin_expansion_matches_the_dense_matrix():

@@ -220,7 +220,7 @@ PINNED_CSV_SHA256 = {
     "fig6": ({"shots": [100, 1000], "repeats": 3},
              "fa39a0a0631b7269de190bdcc2f1d3aaca3e3851765410e9dbf9fb2c10e1b2f3"),
     "fig7": ({"shots": [1000], "repeats": 3},
-             "7b7c232000393bc0844d6c529e3884d5342083df56c706529db5cc84ed57f810"),
+             "8fae0e067e372637d6c2ec061432790d763f944feadbdc4f1c460c34e45bd703"),
 }
 
 

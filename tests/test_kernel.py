@@ -24,7 +24,7 @@ from shadowproj.experiments import prepare_spin_rotated_gaussian
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.paulis import (LETTERS, PAULI_MATRICES, PauliString,
                                WeightedPauliSum, letter_product)
-from shadowproj import projectors
+from shadowproj import projectors, shadows
 from shadowproj.projectors import (_LETTER_KERNEL, _PAD, _TABLES,
                                    EmptySectorWarning, _all_classes,
                                    _histogram, _key_terms, _live_codes,
@@ -356,6 +356,38 @@ def test_distinct_snapshots_over_two_key_words():
     assert len(rows) < shots
     assert len(np.unique(rows[:, :24], axis=0)) < len(rows)
     assert_distinct_match_reference(shadow)
+
+
+@pytest.mark.parametrize("prescribed", [False, True])
+@pytest.mark.parametrize("q", range(1, 8))
+def test_counted_and_sorted_distinct_snapshots_agree(q, prescribed,
+                                                     monkeypatch):
+    """Keys are counted densely from M >= 6^q / 4 on, up to q=6, where 6^7
+    passes _DENSE_KEYS; with _DENSE_KEYS = 0 every shadow is sorted. Both
+    give the same rows, order, dtypes and counts, on random bases and on the
+    few repeated rows of a prescribed plan, at M = 1 and on both sides of
+    the switch."""
+    gen = np.random.default_rng(q)
+    switch = -(-6 ** q // 4)
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(shadows.np, "bincount",
+                        lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    for shots in sorted({1, max(1, switch - 1), switch, 3 * switch}):
+        codes = gen.integers(0, 3, size=(shots, q))
+        if prescribed:
+            codes = codes[:5][gen.integers(0, min(5, shots), shots)]
+        outcomes = gen.integers(0, 2, size=(shots, q))
+        shadow = ClassicalShadow.from_arrays(codes, outcomes, 0, prescribed)
+        calls.clear()
+        counted = _distinct_snapshots(shadow)
+        assert bool(calls) == (shots >= switch and q <= 6)
+        with monkeypatch.context() as patch:
+            patch.setattr(shadows, "_DENSE_KEYS", 0)
+            ordered = _distinct_snapshots(shadow)
+        for got, want in zip(counted, ordered):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert_distinct_match_reference(shadow)
 
 
 # --- the all-I string over symbol-count classes -----------------------------

@@ -86,7 +86,8 @@ def reference_plan_hit_counts(plan, obs_list):
 @pytest.mark.parametrize("q", range(1, 7))
 def test_plan_hit_counts_match_the_per_round_loop(q):
     """Random, derandomized and few-row plans, whose rounds repeat, against
-    targets with repeats and the all-I string."""
+    targets with repeats and the all-I string; the last plan is long enough,
+    6^q / 4 rounds, for its distinct rounds to be counted, not sorted."""
     gen = np.random.default_rng(q)
     strings = [PauliString(tuple(gen.choice(list("IXYZ"), q)))
                for _ in range(30)]
@@ -94,7 +95,8 @@ def test_plan_hit_counts_match_the_per_round_loop(q):
     few = random_plan(q, 5, seed=q).bases_sequence
     plans = [random_plan(q, 400, seed=q),
              derandomize_plan(strings, None, 60),
-             MeasurementPlan(tuple(few[i] for i in gen.integers(0, 5, 200)))]
+             MeasurementPlan(tuple(few[i] for i in gen.integers(0, 5, 200))),
+             random_plan(q, -(-6 ** q // 4), seed=q)]
     for plan in plans:
         got = plan_hit_counts(plan, strings)
         want = reference_plan_hit_counts(plan, strings)
