@@ -70,8 +70,7 @@ with M = 10^3, 10^4 and 10^5 and at q = 10 and 12 with M = 10^3 and 10^4,
 and of the fig4 state at q=6 on the 2000-round n0=3 plan (the ``budget-q6``
 shape), each with the sha256 of its outcome bytes, which must be the same
 whichever source is timed. ``acquire_peak`` is the ``tracemalloc`` peak of
-one q=12, M=10^5 acquisition; it is recorded only when the source timed is
-this checkout's own, because older samplers take minutes there.
+one q=12, M=10^5 acquisition.
 
 Counts: on the fig4 state and the pairing Hamiltonian times the
 half-filling number projector at q = 6, 8 and 10 (n0 = q/2; q=6 is the
@@ -90,11 +89,9 @@ Repeats: fig6 (in the half-filling sector n0 = q/2) and fig3 at their
 default configs with q = 4, 8, 10 and 12, timed as the figures are, each
 of k runs in a fresh interpreter of its own (not a spawned process, see
 ``bench_repeats``), with every run's seconds and peak RSS (the process's
-``ru_maxrss``, and that of its largest worker, if any) and the CSV sha256.
-A source that still reads ``SHADOW_THREADS`` is also run with
-``SHADOW_THREADS=2``. Spin sizes: fig7 at its default config with q = 6, 8
-and 10, run as the repeats are; a run that takes more than 10 minutes is
-stopped and recorded as not run.
+``ru_maxrss``) and the CSV sha256. Spin sizes: fig7 at its default config
+with q = 6, 8 and 10, run as the repeats are; a run that takes more than 10
+minutes is stopped and recorded as not run.
 
     python scripts/bench.py --out BENCH_24.json --label change
     python scripts/bench.py --out BENCH_24.json --label parent \
@@ -460,7 +457,6 @@ def bench_acquire_peak(q: int, shots: int) -> dict:
 def bench_counts(q: int, runs: int) -> dict:
     """One ``COUNTS_SIZES`` case."""
     import hashlib
-    import inspect
 
     from shadowproj import experiments, measurement, pairing, projectors
 
@@ -472,21 +468,15 @@ def bench_counts(q: int, runs: int) -> dict:
     groupings = {"singleton": measurement.singleton_groups}
     if q <= COUNTS_RLF_MAX_Q:
         groupings["rlf"] = measurement.group_qwc_rlf
-    # sources before the group checks take no observable and return one
-    # row per group
-    obs = (expanded,) if "obs" in inspect.signature(
-        measurement._group_distributions).parameters else ()
     for name, grouping in groupings.items():
         result[name], groups = timed(lambda: grouping(expanded), runs)
-        result[f"{name}_distributions"], probs = timed(
-            lambda: measurement._group_distributions(state, groups, *obs),
+        result[f"{name}_distributions"], (probs, which) = timed(
+            lambda: measurement._group_distributions(state, groups, expanded),
             runs)
-        if isinstance(probs, tuple):
-            probs = probs[0][probs[1]]
         result[f"{name}_distributions"].update(
             groups=len(groups),
             distinct_bases=len({g.shared_basis for g in groups}),
-            sha256=hashlib.sha256(probs.tobytes()).hexdigest())
+            sha256=hashlib.sha256(probs[which].tobytes()).hexdigest())
     return result
 
 
@@ -535,24 +525,15 @@ def bench_repeats_case(fig: str, q: int, work: str) -> dict:
     seconds = time.perf_counter() - start
     return {"seconds": round(seconds, 4),
             "csv_sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
-            **{name: round(resource.getrusage(who).ru_maxrss / 1024, 1)
-               for name, who in (("peak_rss_mb", resource.RUSAGE_SELF),
-                                 ("workers_peak_rss_mb",
-                                  resource.RUSAGE_CHILDREN))}}
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
 def bench_repeats(src: str, runs: int, figures=REPEATS_FIGURES,
                   sizes=REPEATS_SIZES) -> dict:
     """``runs`` runs of each figure at each size, each in a fresh interpreter
-    started as a user starts one: a process spawned by ``fresh`` would hand
-    its spawn start method to the process pool of an older source, whose
-    workers then import everything again. A source that reads
-    ``SHADOW_THREADS`` also runs with ``SHADOW_THREADS=2``. A case whose
-    run passes ``FIGURE_TIMEOUT`` is recorded as not run."""
-    envs = {"serial": {}}
-    if "SHADOW_THREADS" in (Path(src) / "shadowproj" /
-                            "experiments.py").read_text():
-        envs["threads2"] = {"SHADOW_THREADS": "2"}
+    started as a user starts one, so that its peak RSS is the run's own. A
+    case whose run passes ``FIGURE_TIMEOUT`` is recorded as not run."""
     record = {}
     with tempfile.TemporaryDirectory() as work:
         for fig in figures:
@@ -560,28 +541,25 @@ def bench_repeats(src: str, runs: int, figures=REPEATS_FIGURES,
                 code = ("import bench, json; print(json.dumps(bench."
                         f"_call_with_src({src!r}, bench.bench_repeats_case, "
                         f"({fig!r}, {q}, {work!r}))))")
-                for name, env in envs.items():
-                    try:
-                        done = [json.loads(subprocess.run(
-                            [sys.executable, "-c", code], check=True,
-                            capture_output=True, text=True,
-                            timeout=FIGURE_TIMEOUT,
-                            cwd=Path(__file__).resolve().parent,
-                            env={**os.environ, **env}).stdout)
-                            for _ in range(runs)]
-                    except subprocess.TimeoutExpired:
-                        record.setdefault(f"{fig}_q{q}", {})[name] = {
-                            "not_run": "did not finish within "
-                                       f"{FIGURE_TIMEOUT} s"}
-                        continue
-                    digests = {run.pop("csv_sha256") for run in done}
-                    if len(digests) != 1:
-                        raise RuntimeError(f"{fig} q={q}: CSV bytes differ "
-                                           "between runs")
-                    seconds = [run["seconds"] for run in done]
-                    record.setdefault(f"{fig}_q{q}", {})[name] = {
-                        "median_s": round(statistics.median(seconds), 4),
-                        "runs": done, "csv_sha256": digests.pop()}
+                try:
+                    done = [json.loads(subprocess.run(
+                        [sys.executable, "-c", code], check=True,
+                        capture_output=True, text=True,
+                        timeout=FIGURE_TIMEOUT,
+                        cwd=Path(__file__).resolve().parent).stdout)
+                        for _ in range(runs)]
+                except subprocess.TimeoutExpired:
+                    record[f"{fig}_q{q}"] = {
+                        "not_run": f"did not finish within {FIGURE_TIMEOUT} s"}
+                    continue
+                digests = {run.pop("csv_sha256") for run in done}
+                if len(digests) != 1:
+                    raise RuntimeError(f"{fig} q={q}: CSV bytes differ "
+                                       "between runs")
+                seconds = [run["seconds"] for run in done]
+                record[f"{fig}_q{q}"] = {
+                    "median_s": round(statistics.median(seconds), 4),
+                    "runs": done, "csv_sha256": digests.pop()}
     return record
 
 
@@ -627,10 +605,9 @@ def main(argv=None) -> int:
         "repeats": lambda: bench_repeats(args.src, args.runs),
         "spin_sizes": lambda: bench_repeats(args.src, args.runs, ("fig7",),
                                             SPIN_SIZES),
+        "acquire_peak": lambda: fresh(args.src, bench_acquire_peak,
+                                      *ACQUIRE_PEAK),
     }
-    if Path(args.src).resolve() == OWN_SRC:
-        sections["acquire_peak"] = lambda: fresh(
-            args.src, bench_acquire_peak, *ACQUIRE_PEAK)
     unknown = set(args.sections or ()) - set(sections)
     if unknown:
         parser.error(f"unknown sections {sorted(unknown)}")

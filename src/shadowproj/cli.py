@@ -135,14 +135,13 @@ def _cmd_derandomize(args) -> int:
         obs = WeightedPauliSum.from_arrays(
             obs.num_qubits, np.concatenate([s.codes for s in sources]),
             np.concatenate([s.magnitudes() for s in sources]))
-    strings = [s for _, s in obs.terms]
-    weights = obs.magnitudes().tolist() if args.weights == "coeff" else None
-    plan = measurement.derandomize_plan(strings, weights, args.shots,
+    weights = obs.magnitudes() if args.weights == "coeff" else None
+    plan = measurement.derandomize_plan(obs, weights, args.shots,
                                         epsilon=args.epsilon)
-    hits = measurement.plan_hit_counts(plan, strings)
+    hits = measurement.plan_hit_counts(plan, obs)
     experiments._check_coverage(hits, args.shots)
     measurement.save_plan(plan, args.out)
-    _emit({"rounds": len(plan), "targets": len(strings),
+    _emit({"rounds": len(plan), "targets": len(obs),
            "min_hits": int(hits.min()), "max_hits": int(hits.max()),
            "out": args.out})
     return 0

@@ -322,8 +322,6 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"q={cfg.q}: H*P is zero, no target to measure")
     oracle = exact_projected_linear(state, ham,
                                     _exact_projector(cfg.q, proj))[0]
-    weights = [abs(c) for c, _ in expanded.terms]
-    target_strings = [s for _, s in expanded.terms]
     groupings = {method: grouping(expanded) for method, grouping in (
         ("counts", singleton_groups), ("counts-grouped", group_qwc_rlf))
         if method in cfg.methods}
@@ -331,8 +329,8 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
     totals: dict[str, dict] = {}
     for shots in cfg.shots:
         if "derandomized" in cfg.methods:
-            plan = derandomize_plan(target_strings, weights, shots)
-            _check_coverage(plan_hit_counts(plan, target_strings), shots)
+            plan = derandomize_plan(expanded, expanded.magnitudes(), shots)
+            _check_coverage(plan_hit_counts(plan, expanded), shots)
         for method in cfg.methods:
             seeds = _repeat_seeds(cfg, shots, METHODS.index(method))
             total = {"total_measurements": shots}
@@ -342,7 +340,7 @@ def _run_fig4(cfg: ExperimentConfig) -> ExperimentResult:
             elif method == "derandomized":
                 values = [shadow_estimate(shadow, expanded)
                           for shadow in _acquire_shadows(
-                              state, shots, seeds, plan.bases_sequence)]
+                              state, shots, seeds, plan.codes)]
             else:
                 # coefficient-weighted shot allocation: the pairing
                 # coefficients are strongly skewed, so the flat split would

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -54,22 +54,20 @@ _REBUILD = 64
 
 @dataclass(frozen=True)
 class MeasurementPlan:
-    """A fixed sequence of per-qubit measurement bases."""
+    """A fixed sequence of per-qubit measurement bases, and in ``codes``
+    the basis codes ``shadows._prescribed_codes`` checked them into."""
 
     bases_sequence: tuple[tuple[str, ...], ...]
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.bases_sequence:
             raise ValueError("empty plan")
         rows = tuple(map(tuple, self.bases_sequence))
         _check_count(len(rows[0]), "num_qubits")
-        if len(set(map(len, rows))) > 1:
-            raise ValueError("all rounds need the same number of qubits")
         object.__setattr__(self, "bases_sequence", rows)
-        bad = set(itertools.chain.from_iterable(rows)) - set(BASIS_CODE)
-        if bad:
-            raise ValueError(f"plan bases must be X, Y or Z, got "
-                             f"{', '.join(sorted(map(repr, bad)))}")
+        object.__setattr__(self, "codes", _prescribed_codes(
+            rows, len(rows), len(rows[0]), "plan round"))
 
     @property
     def num_qubits(self) -> int:
@@ -117,15 +115,17 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be finite and positive")
 
 
-def _observable_codes(obs_list: Sequence[PauliString]) -> np.ndarray:
-    """(L, q) basis codes with -1 marking identity positions; ValueError for
-    an empty list."""
-    if not obs_list:
+def _observable_codes(targets) -> np.ndarray:
+    """(L, q) basis codes with -1 marking identity positions, read from a
+    sum's codes or from a list of strings; ValueError for no targets."""
+    if not len(targets):
         raise ValueError("no target observables")
-    q = obs_list[0].num_qubits
-    if any(p.num_qubits != q for p in obs_list):
+    if isinstance(targets, WeightedPauliSum):
+        return targets.codes - 1
+    q = targets[0].num_qubits
+    if any(p.num_qubits != q for p in targets):
         raise ValueError("observables must share num_qubits")
-    return letter_codes(obs_list, q) - 1
+    return letter_codes(targets, q) - 1
 
 
 def _weights(weights: Sequence[float] | None, n: int) -> np.ndarray:
@@ -139,11 +139,12 @@ def _weights(weights: Sequence[float] | None, n: int) -> np.ndarray:
     return w
 
 
-def derandomize_plan(obs_list: Sequence[PauliString],
+def derandomize_plan(targets: WeightedPauliSum | Sequence[PauliString],
                      weights: Sequence[float] | None,
                      shots: int, epsilon: float = 0.3,
                      return_cost: bool = False):
-    """Greedy derandomized measurement plan for the target Pauli set.
+    """Greedy derandomized measurement plan for the targets: the strings
+    of a sum, whose coefficients are ignored, or a list of PauliStrings.
 
     Round by round and qubit by qubit, the basis letter is chosen to
     minimize the conditional expectation of the confidence-bound cost
@@ -186,7 +187,7 @@ def derandomize_plan(obs_list: Sequence[PauliString],
     """
     _check_count(shots)
     _check_epsilon(epsilon)
-    codes = _observable_codes(obs_list)
+    codes = _observable_codes(targets)
     n_obs, q = codes.shape
     w = _weights(weights, n_obs)
     decay = epsilon ** 2 / 2
@@ -305,15 +306,15 @@ def derandomize_plan(obs_list: Sequence[PauliString],
 
 
 def plan_hit_counts(plan: MeasurementPlan,
-                    obs_list: Sequence[PauliString]) -> np.ndarray:
-    """How many plan rounds cover each observable's full support: the hit
-    counts of ``shadows._term_counts`` over the distinct plan rows, read as
-    a prescribed shadow whose outcome bits are all 0."""
-    codes = _observable_codes(obs_list) + 1
+                    targets: WeightedPauliSum | Sequence[PauliString]
+                    ) -> np.ndarray:
+    """How many plan rounds cover each target's full support (targets as
+    for :func:`derandomize_plan`): the hit counts of ``_term_counts`` over
+    the distinct plan rows, read as a shadow whose bits are all 0."""
+    codes = _observable_codes(targets) + 1
     if plan.num_qubits != codes.shape[1]:
         raise ValueError("plan and observables differ in num_qubits")
-    bases = _prescribed_codes(plan.bases_sequence, len(plan), plan.num_qubits)
-    rounds = ClassicalShadow.from_arrays(bases, np.zeros_like(bases), 0, True)
+    rounds = ClassicalShadow.from_arrays(plan.codes, 0 * plan.codes, 0, True)
     return _term_counts(*_distinct_snapshots(rounds), codes)[1]
 
 

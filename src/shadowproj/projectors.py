@@ -47,7 +47,7 @@ from .shadows import (_DENSE_KEYS, _LETTER_FACTOR, ClassicalShadow,
                       _check_count, _distinct_snapshots)
 from .shadows import estimate as shadow_estimate
 from .shadows import reconstruct_density
-from .statevector import phase_gate, ry, rz
+from .statevector import _dot, phase_gate, ry, rz
 
 # Per-qubit trace kernel on the six (basis, bit) symbols s = 2 * code + bit:
 # _LETTER_KERNEL[L][m, s] = Tr[L P_m (3 r_s - I)], so a gate with Pauli
@@ -614,15 +614,14 @@ def _random_sectors(shadow: ClassicalShadow, obs: WeightedPauliSum,
         live = entry[0][2] if entry else _live_codes(family[0].gates)
         met, sums = _histogram(rows, live, classes, which, counts, codes,
                                scale)
-        values = _table_values(family, met, live)[:, None]
-        # the all-I keys come first and alone carry the norm; one dot
-        # product per projector, as for the table values
-        norm_keys = np.count_nonzero(sums[0])
-        norms = np.matmul(values[:, :, :norm_keys],
-                          sums[0, :norm_keys, None].astype(complex))
-        nums = np.matmul(values, (sums[1] + 1j * sums[2])[:, None])
-        for i, num, norm in zip(indices, nums.real.flat, norms.real.flat):
-            results[i] = (float(num), float(norm))
+        values = _table_values(family, met, live).conj()
+        # one dot product per projector, as for the table values, in runs
+        # that no BLAS thread splits; the all-I keys come first and alone
+        # carry the norm
+        norm_keys, num_sums = np.count_nonzero(sums[0]), sums[1] + 1j * sums[2]
+        for i, row in zip(indices, values):
+            results[i] = (_dot(row, num_sums).real,
+                          _dot(row[:norm_keys], sums[0, :norm_keys]).real)
     return results
 
 
@@ -697,6 +696,23 @@ def _spec_number(spec: dict, key: str, integer: bool = True, default=None):
     return int(value) if integer else float(value)
 
 
+# The keys of a projector spec of each type.
+_SPEC_KEYS = {"parity": {"type", "epsilon"}, "number": {"type", "n0"},
+              "spin": {"type", "s", "m", "n_p"}}
+
+
+def _spec_type(spec: dict) -> str:
+    """``spec["type"]``; ValueError for an unknown type, or naming a key
+    that no spec of that type has."""
+    kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown projector type {kind!r}")
+    unknown = [key for key in spec if key not in _SPEC_KEYS[kind]]
+    if unknown:
+        raise ValueError(f"{kind} projector spec has no key {unknown[0]!r}")
+    return kind
+
+
 def projector_from_spec(num_qubits: int, spec: dict) -> ProjectorLCU:
     """Build a projector from the CLI/config mapping.
 
@@ -704,27 +720,22 @@ def projector_from_spec(num_qubits: int, spec: dict) -> ProjectorLCU:
     ``{"type": "number", "n0": int}`` or
     ``{"type": "spin", "s": ..., "m": ..., "n_p": int}``.
     """
-    kind = spec.get("type")
+    kind = _spec_type(spec)
     if kind == "parity":
         return parity_projector(num_qubits, _spec_number(spec, "epsilon"))
     if kind == "number":
         return number_projector(num_qubits, _spec_number(spec, "n0"))
-    if kind == "spin":
-        return spin_projector(num_qubits,
-                              _spec_number(spec, "s", integer=False),
-                              _spec_number(spec, "m", integer=False),
-                              _spec_number(spec, "n_p", default=10))
-    raise ValueError(f"unknown projector type {kind!r}")
+    return spin_projector(num_qubits, _spec_number(spec, "s", integer=False),
+                          _spec_number(spec, "m", integer=False),
+                          _spec_number(spec, "n_p", default=10))
 
 
 def all_sector_projectors(num_qubits: int, spec: dict) -> list[ProjectorLCU]:
     """Every eigenvalue channel of the symmetry named in ``spec``."""
-    kind = spec.get("type")
+    kind = _spec_type(spec)
     if kind == "parity":
         return parity_sector_projectors(num_qubits)
     if kind == "number":
         return number_sector_projectors(num_qubits)
-    if kind == "spin":
-        return spin_sector_projectors(
-            num_qubits, _spec_number(spec, "n_p", default=10))
-    raise ValueError(f"unknown projector type {kind!r}")
+    return spin_sector_projectors(
+        num_qubits, _spec_number(spec, "n_p", default=10))

@@ -28,6 +28,8 @@ from .statevector import BASIS_ROTATIONS, I2, Statevector
 
 BASIS_LETTERS = ("X", "Y", "Z")
 BASIS_CODE = {"X": 0, "Y": 1, "Z": 2}
+# X, Y and Z are consecutive bytes, so a basis code is its letter minus X.
+_FIRST_LETTER = ord(BASIS_LETTERS[0])
 _ACQUIRE_TAG = 0x5d0b
 # Largest register reconstruct_density builds a dense 2^q x 2^q matrix for.
 MAX_DENSE_QUBITS = 4
@@ -104,8 +106,8 @@ class ClassicalShadow:
         if any(s.num_qubits != num_qubits for s in snapshots):
             raise ValueError("all snapshots must share num_qubits")
         shape = (len(snapshots), num_qubits)
-        codes = np.array([[BASIS_CODE[b] for b in s.bases]
-                          for s in snapshots], dtype=np.int8).reshape(shape)
+        codes = _prescribed_codes([s.bases for s in snapshots], shape[0],
+                                  num_qubits, "snapshot")
         outcomes = np.array([s.outcome for s in snapshots],
                             dtype=np.int64).reshape(shape)
         self._assign(codes, outcomes, seed, prescribed)
@@ -169,14 +171,17 @@ def acquire_shadow(state: Statevector, shots: int, seed: int,
     draw), so results are reproducible and independent of any parallel
     execution order. :func:`_descend` draws the outcomes.
     """
-    return next(_acquire_shadows(state, shots, [seed], bases))
+    _check_count(shots)
+    codes = (None if bases is None else
+             _prescribed_codes(list(bases), shots, state.num_qubits))
+    return next(_acquire_shadows(state, shots, [seed], codes))
 
 
 def _acquire_shadows(state: Statevector, shots: int, seeds: Sequence[int],
-                     bases: Sequence[Sequence[str]] | None = None
+                     prescribed: np.ndarray | None = None
                      ) -> Iterator[ClassicalShadow]:
-    """``acquire_shadow(state, shots, seed, bases)`` for each seed in turn,
-    byte for byte, drawn lazily in batches.
+    """``acquire_shadow`` for each seed in turn, byte for byte, drawn lazily
+    in batches, with ``prescribed`` the :func:`_prescribed_codes` of its bases.
 
     A shot's outcome depends only on its basis, its uniform and the state,
     so a batch concatenates the uniform blocks of consecutive seeds, up to
@@ -186,8 +191,6 @@ def _acquire_shadows(state: Statevector, shots: int, seeds: Sequence[int],
     """
     _check_count(shots)
     q = state.num_qubits
-    if bases is not None:
-        prescribed = _prescribed_codes(list(bases), shots, q)
     per_batch = max(1, (_BATCH_SHOTS >> abs(q - 8)) // shots)
     # level k holds at most min(shots, 3 * 6^k) keys of 2^(q-k) amplitudes
     step = max(1, min([per_batch * shots] + [
@@ -198,7 +201,7 @@ def _acquire_shadows(state: Statevector, shots: int, seeds: Sequence[int],
         blocks = [_rng.uniform_block(seed, (_ACQUIRE_TAG,), shots, q + 1)
                   for seed in batch]
         block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        if bases is None:
+        if prescribed is None:
             codes = np.minimum((block[:, :q] * 3).astype(np.int8), 2)
         else:
             codes = np.tile(prescribed, (len(batch), 1))
@@ -209,7 +212,7 @@ def _acquire_shadows(state: Statevector, shots: int, seeds: Sequence[int],
         for n, seed in enumerate(batch):
             run = slice(n * shots, (n + 1) * shots)
             yield ClassicalShadow.from_arrays(codes[run], outcomes[run], seed,
-                                              bases is not None)
+                                              prescribed is not None)
 
 
 def _descend(state: Statevector, codes: np.ndarray, uniforms: np.ndarray,
@@ -244,37 +247,30 @@ def _descend(state: Statevector, codes: np.ndarray, uniforms: np.ndarray,
         outcomes[:, j], node = bit, 2 * key + bit
 
 
-def _prescribed_codes(bases: list, shots: int, q: int,
+def _prescribed_codes(bases: Sequence[Sequence[str]], shots: int, q: int,
                       name: str = "prescribed round") -> np.ndarray:
-    """(shots, q) int8 codes of prescribed basis rows; ValueError names the
-    first row, as ``name`` and its index, that is not q letters X, Y or
-    Z."""
+    """Read-only (shots, q) int8 codes of prescribed basis rounds, which
+    must pass :func:`_letter_rounds`; else ValueError names the first round
+    that does not, as ``name`` and its index."""
     if len(bases) != shots:
         raise ValueError("prescribed basis list length must equal shots")
-    try:
-        rows = ["".join(row) for row in bases]
-        sizes = np.fromiter(map(len, bases), dtype=np.int64, count=shots)
-    except TypeError:  # some round is not a sequence of strings
-        bad = np.flatnonzero([not _letter_round(row, q) for row in bases])
-    else:
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=shots)
-        bad = np.flatnonzero((sizes != q) | (lengths != q))
-    if not bad.size:
-        codes = _BYTE_CODES[np.frombuffer(
-            "".join(rows).encode("ascii", "replace"),
-            dtype=np.uint8)].reshape(shots, q)
-        bad = np.flatnonzero((codes < 0).any(axis=1))
-    if bad.size:
-        raise ValueError(f"{name} {bad[0]}: expected {q} basis "
-                         f"letters X, Y or Z, got {bases[bad[0]]!r}")
-    return codes
+    if not _letter_rounds(bases, q):
+        n = next(n for n in range(shots) if not _letter_rounds([bases[n]], q))
+        raise ValueError(f"{name} {n}: expected {q} basis letters X, Y or Z, "
+                         f"got {bases[n]!r}")
+    text = "".join(map("".join, bases)).encode()  # each element one letter
+    codes = (np.frombuffer(text, dtype=np.uint8) - _FIRST_LETTER).view(np.int8)
+    codes.setflags(write=False)
+    return codes.reshape(shots, q)
 
 
-def _letter_round(row, q: int) -> bool:
-    """Whether one prescribed round is q letters X, Y or Z."""
+def _letter_rounds(bases, q: int) -> bool:
+    """The one rule of basis rounds, in one C pass over the lengths and one
+    over the elements: every round is q elements, each X, Y or Z."""
     try:
-        return len(row) == q and all(b in BASIS_CODE for b in row)
-    except TypeError:
+        return set(map(len, bases)) <= {q} and set(
+            itertools.chain.from_iterable(bases)) <= BASIS_CODE.keys()
+    except TypeError:  # a round without a length, or an unhashable element
         return False
 
 
@@ -502,12 +498,6 @@ def iter_snapshot_distribution(state: Statevector
                 continue
             bits = tuple((k >> j) & 1 for j in range(q))
             yield Snapshot(combo, bits), float(p)
-
-
-_BYTE_CODES = np.full(256, -1, dtype=np.int8)
-_BYTE_CODES[[ord(letter) for letter in BASIS_LETTERS]] = np.arange(3)
-# X, Y and Z are consecutive bytes, so a basis code is its letter minus X.
-_FIRST_LETTER = ord(BASIS_LETTERS[0])
 
 
 def save_shadow(shadow: ClassicalShadow, path: str | Path) -> None:

@@ -191,7 +191,9 @@ def test_many_seeds_match_one_acquisition_per_seed(monkeypatch, prescribed):
     monkeypatch.setattr(shadows, "_descend",
                         lambda *args: calls.append(len(args[1]))
                         or descend(*args))
-    batched = shadows._acquire_shadows(state, shots, seeds, bases)
+    codes = (None if bases is None
+             else shadows._prescribed_codes(bases, shots, 6))
+    batched = shadows._acquire_shadows(state, shots, seeds, codes)
     first = next(batched)
     assert calls == [900]
     for single, shadow in zip(singles, [first, *batched], strict=True):
@@ -312,6 +314,7 @@ def test_snapshot_distribution_matches_per_basis_rotation(q):
     ([["Z", "Z"], ["XY", "Z"]], 1),
     ([["X", "x"], ["Z", "Z"]], 0),
     (["ZZ", "Zé"], 1),
+    ([("XY", ""), ("Z", "Z")], 0),
 ])
 def test_prescribed_bases_are_validated(bases, round_):
     with pytest.raises(ValueError, match=f"prescribed round {round_}:"):

@@ -191,6 +191,9 @@ def test_experiment_config_of_the_wrong_type_exits_2(workdir, capsys, key,
     {"experiment": "fig7", "projector": {"type": "spin", "n_p": "10"}},
     {"experiment": "fig6", "projector": {"type": "number", "n0": 5}},
     {"experiment": "fig4", "projector": {"type": "number", "n0": 1}},
+    {"experiment": "fig7", "projector": {"type": "spin", "np": 4}},
+    {"experiment": "fig4", "projector": {"type": "parity", "epsilon": 1,
+                                         "n0": 2}},
     5,
 ])
 def test_experiment_config_errors_exit_2(tmp_path, capsys, config):
@@ -344,6 +347,19 @@ def test_project_rejects_a_malformed_projector_spec(workdir, capsys):
                  '{"type": "number", "n0": 2.5}']) == 1
     captured = capsys.readouterr()
     assert "'n0' must be an integer, got 2.5" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_project_rejects_a_misspelled_spec_key(workdir, capsys):
+    shadow = workdir / "shadow.txt"
+    assert main(["acquire", "--state", str(workdir / "state.json"),
+                 "--shots", "50", "--seed", "2", "--out", str(shadow)]) == 0
+    capsys.readouterr()
+    assert main(["project", "--shadow", str(shadow), "--observable",
+                 str(workdir / "ham.json"), "--projector",
+                 '{"type": "spin", "s": 1, "m": 0, "np": 4}']) == 1
+    captured = capsys.readouterr()
+    assert "has no key 'np'" in captured.err
     assert "Traceback" not in captured.err
 
 

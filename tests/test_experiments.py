@@ -280,6 +280,10 @@ def test_config_accepts_model_numbers():
     ("fig6", {"type": "parity", "epsilon": 1}, "fig6 needs a number"),
     ("fig4", {"type": "number", "n0": 1}, "fig4 needs a parity"),
     ("fig4", {"type": "parity"}, "lacks 'epsilon'"),
+    ("fig7", {"type": "spin", "np": 4}, "has no key 'np'"),
+    ("fig6", {"type": "number", "n0": 1, "epsilon": 1},
+     "has no key 'epsilon'"),
+    ("fig3", {"type": ["parity"]}, r"unknown projector type \['parity'\]"),
 ])
 def test_projector_spec_the_figure_cannot_build(experiment, projector,
                                                 message):

@@ -349,6 +349,14 @@ def test_counts_deterministic_in_seed():
     assert a == b
 
 
+def test_targets_must_share_a_qubit_count():
+    strings = [PauliString.from_label("XZ"), PauliString.from_label("ZZZ")]
+    with pytest.raises(ValueError, match="observables must share num_qubits"):
+        _observable_codes(strings)
+    with pytest.raises(ValueError, match="observables must share num_qubits"):
+        derandomize_plan(strings, None, 3)
+
+
 def test_measurement_plan_validation():
     with pytest.raises(ValueError):
         MeasurementPlan(())

@@ -20,7 +20,7 @@ import pytest
 from shadowproj.measurement import (_CANDIDATE_ORDER, _TIE_RTOL,
                                     _observable_codes, derandomize_plan,
                                     group_qwc_greedy, group_qwc_rlf,
-                                    save_plan)
+                                    plan_hit_counts, save_plan)
 from shadowproj.pairing import PairingSpec, build_pairing_hamiltonian
 from shadowproj.paulis import PauliString, WeightedPauliSum, qwc_commutes
 from shadowproj.projectors import (expand_projected_observable,
@@ -210,6 +210,18 @@ def test_plan_bytes_are_pinned(q, spec, shots, digest, tmp_path):
     save_plan(plan, tmp_path / "plan.txt")
     assert hashlib.sha256((tmp_path / "plan.txt").read_bytes()).hexdigest() \
         == digest
+
+
+@pytest.mark.parametrize("q,spec,shots", [
+    *[(6, spec, 2000) for spec in Q6_SETS if spec.get("n0") != 0],
+    (8, {"type": "number", "n0": 4}, 1000)])
+def test_sum_and_list_targets_give_one_plan(q, spec, shots):
+    expanded = projected_terms(q, spec)
+    strings, weights = targets(expanded)
+    plan = derandomize_plan(strings, weights, shots)
+    assert derandomize_plan(expanded, expanded.magnitudes(), shots) == plan
+    assert np.array_equal(plan_hit_counts(plan, expanded),
+                          plan_hit_counts(plan, strings))
 
 
 @pytest.mark.parametrize("epsilon,shots", [(2.0, 1000), (3.0, 500)])

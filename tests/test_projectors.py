@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shadowproj
 from shadowproj.paulis import PauliString, WeightedPauliSum
 from shadowproj.projectors import (EmptySectorWarning, ProjectorLCU,
                                    all_sector_projectors,
@@ -452,6 +457,20 @@ def test_projector_spec_rejects_malformed_numbers(spec, key):
         projector_from_spec(2, spec)
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"type": "spin", "s": 1, "m": 0, "np": 4}, "np"),
+    ({"type": "parity", "epsilon": 1, "n0": 2}, "n0"),
+    ({"type": "number", "n0": 2, "N0": 2}, "N0"),
+    ({"type": "number", "n0": 2, "epsilon": 1}, "epsilon"),
+])
+@pytest.mark.parametrize("build", [projector_from_spec, all_sector_projectors])
+def test_projector_spec_rejects_keys_its_type_lacks(spec, key, build):
+    # {"np": 4} once built the default n_p=10 projector, and a parity spec
+    # ignored its n0
+    with pytest.raises(ValueError, match=f"has no key '{key}'"):
+        build(4, spec)
+
+
 @pytest.mark.parametrize("spec", [{"type": "spin", "n_p": 4.7},
                                   {"type": "spin", "n_p": "4"},
                                   {"type": "spin", "n_p": True}])
@@ -537,3 +556,34 @@ def test_single_sector_constructors_return_the_family_member(q):
 def test_single_sector_constructors_reject_bad_labels(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("obs_q, proj_q", [(3, 2), (2, 3)])
+def test_sectors_need_one_qubit_count(obs_q, proj_q):
+    shadow = acquire_shadow(prepare_gaussian(2), 20, 1)
+    with pytest.raises(ValueError, match="qubit counts of shadow"):
+        projected_estimate_sectors(shadow, WeightedPauliSum.identity(obs_q),
+                                   [parity_projector(proj_q, 1)])
+
+
+def test_q10_projected_bits_do_not_depend_on_blas_threads():
+    # the number family meets 14 965 keys here: one dot product over them
+    # all would be split over OpenBLAS's threads
+    code = ("import warnings\n"
+            "from shadowproj.pairing import PairingSpec, "
+            "build_pairing_hamiltonian\n"
+            "from shadowproj.projectors import number_sector_projectors, "
+            "projected_estimate_sectors\n"
+            "from shadowproj.shadows import acquire_shadow\n"
+            "from shadowproj.statevector import prepare_gaussian\n"
+            "warnings.simplefilter('ignore')\n"
+            "out = projected_estimate_sectors(acquire_shadow("
+            "prepare_gaussian(10), 10000, 3), build_pairing_hamiltonian("
+            "PairingSpec(10, 1.0, 1.0)), number_sector_projectors(10))\n"
+            "print([(num.hex(), norm.hex()) for num, norm in out])")
+    src = Path(shadowproj.__file__).parents[1]
+    outs = {subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True, cwd=src,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": n}
+                           ).stdout for n in ("1", "2")}
+    assert len(outs) == 1
